@@ -17,10 +17,6 @@ class PreconditionError(AmalgamError):
     """A check was asked to run outside its domain of validity."""
 
 
-class DivergenceError(AmalgamError):
-    """A quantity required to be finite came out divergent."""
-
-
 class HypothesisError(AmalgamError):
     """An empirical hypothesis gate failed.
 

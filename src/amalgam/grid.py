@@ -12,11 +12,11 @@ import functools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionWarning
+from .errors import ConfigurationError, EmptyRegionWarning, PreconditionError
 
 __all__ = [
     "Grid",
@@ -41,8 +41,8 @@ def _is_power_of_two(n: int) -> bool:
 class Grid:
     """Uniform node grid on [-L, L]^dim.
 
-    points_per_axis must be a power of two so that refinement and
-    coarsening stay exact and dyadic radii land on node boundaries.
+    points_per_axis must be a power of two so that refinement stays exact
+    and dyadic radii land on node boundaries.
     """
 
     dim: int
@@ -93,9 +93,6 @@ class Grid:
     def refined(self) -> "Grid":
         return Grid(self.dim, self.half_width, 2 * self.points_per_axis)
 
-    def coarsened(self) -> "Grid":
-        return Grid(self.dim, self.half_width, self.points_per_axis // 2)
-
     def node_index(self, point: Sequence[float]) -> int:
         """Flat index of the node nearest to a point."""
         h = self.spacing
@@ -132,9 +129,6 @@ class DiscreteFunction:
             raise ConfigurationError("function values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, fn(self.values))
 
     def abs(self) -> "DiscreteFunction":
         return DiscreteFunction(self.grid, np.abs(self.values))
@@ -217,9 +211,6 @@ class Region:
             raise ConfigurationError("region and grid dimensions do not match")
         return _region_indices(self.shape, self.center, self.size, grid)
 
-    def node_count(self, grid: Grid) -> int:
-        return int(self.node_indices(grid).size)
-
     def fits_box(self, grid: Grid) -> bool:
         """True when the region does not spill past the box (touching is fine)."""
         L = grid.half_width
@@ -254,10 +245,6 @@ class RegionFamily:
     def at_size(self, size: float) -> Iterator[Region]:
         for c in self.centers:
             yield Region(self.shape, c, size)
-
-    def with_extra(self, regions: Sequence[Region]) -> list:
-        """Flat region list with extras appended (used by maximal operators)."""
-        return list(self) + list(regions)
 
 
 def region_family(
@@ -306,6 +293,73 @@ def _weight_values(weight, grid: Grid) -> Optional[np.ndarray]:
     return arr
 
 
+def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
+    """Values of f and node masses (weight times cell volume) on a region.
+
+    With no region the whole box is gathered.  A region without nodes
+    gives (None, None); callers decide whether that warns.
+    """
+    grid = f.grid
+    w = _weight_values(weight, grid)
+    if region is None:
+        vals = f.values
+        wts = np.ones_like(vals) if w is None else w
+    else:
+        idx = region.node_indices(grid)
+        if idx.size == 0:
+            return None, None
+        vals = f.values[idx]
+        wts = np.ones(idx.size) if w is None else w[idx]
+    return vals, wts * grid.cell_volume
+
+
+def family_sup(
+    regions: Iterable[Region],
+    grid: Grid,
+    value: Callable[[Region, np.ndarray], float],
+    warn: bool = False,
+) -> Tuple[float, Region]:
+    """Largest value(region, node indices) over the regions that hold nodes.
+
+    Returns the value and the first region attaining it.  Empty regions are
+    skipped, with an EmptyRegionWarning when warn is set; a family whose
+    regions are all empty raises PreconditionError.
+    """
+    best = None
+    for region in regions:
+        idx = region.node_indices(grid)
+        if idx.size == 0:
+            if warn:
+                warnings.warn("skipping empty region", EmptyRegionWarning, stacklevel=3)
+            continue
+        val = value(region, idx)
+        if best is None or val > best[0]:
+            best = (val, region)
+    if best is None:
+        raise PreconditionError("every region in the family is empty")
+    return best
+
+
+def family_table(
+    family: RegionFamily,
+    grid: Grid,
+    value: Callable[[Region, np.ndarray], object],
+    empty=0.0,
+) -> np.ndarray:
+    """value(region, node indices) on every region, as an array [size, center, ...].
+
+    Regions without nodes read as empty.
+    """
+    rows = []
+    for size in family.sizes:
+        row = []
+        for region in family.at_size(size):
+            idx = region.node_indices(grid)
+            row.append(empty if idx.size == 0 else value(region, idx))
+        rows.append(row)
+    return np.array(rows)
+
+
 def integrate(
     f: DiscreteFunction,
     region: Optional[Region] = None,
@@ -316,19 +370,11 @@ def integrate(
     With no region the integral runs over the whole box.  An empty region
     warns and contributes zero.
     """
-    grid = f.grid
-    w = _weight_values(weight, grid)
-    if region is None:
-        vals = f.values if w is None else f.values * w
-        return float(grid.cell_volume * np.sum(vals))
-    idx = region.node_indices(grid)
-    if idx.size == 0:
+    vals, masses = gather(f, region, weight)
+    if vals is None:
         warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
         return 0.0
-    vals = f.values[idx]
-    if w is not None:
-        vals = vals * w[idx]
-    return float(grid.cell_volume * np.sum(vals))
+    return float(np.sum(vals * masses))
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

@@ -25,11 +25,13 @@ from .grid import (
     Region,
     RegionFamily,
     covering_region,
+    family_sup,
+    family_table,
     region_family,
     sample,
 )
 from .operators import Kernel, ThetaModulus, apply_operator, dini_integrals, maximal
-from .orlicz import YoungFunction, luxemburg_norm
+from .orlicz import YoungFunction, luxemburg_norm, ratio
 from .spaces import (
     AmalgamSpec,
     SpaceParams,
@@ -37,6 +39,8 @@ from .spaces import (
     bmo_norm,
     local_lp_norm,
     local_weak_lp_norm,
+    outer_norm,
+    outer_weights,
     region_mean,
 )
 from .weights import Weight, doubling_profile, muckenhoupt_characteristic, weight_from_expression
@@ -74,7 +78,6 @@ THEOREMS = (
 
 _COMMUTATOR_THEOREMS = ("commutator", "endpoint", "two_weight_endpoint", "two_weight_commutator")
 _TWO_WEIGHT_THEOREMS = ("two_weight_weak", "two_weight_endpoint", "two_weight_strong", "two_weight_commutator")
-_LEVEL_THEOREMS = ("endpoint", "two_weight_endpoint")
 
 
 @dataclass(frozen=True)
@@ -178,9 +181,7 @@ class CaseResult:
 
     @property
     def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else math.inf
-        return self.lhs / self.rhs
+        return ratio(self.lhs, self.rhs)
 
     @property
     def violation(self) -> bool:
@@ -330,26 +331,20 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     r = params.r
     vfun = DiscreteFunction(grid, v.values ** (-1.0 / p))
     Y = YoungFunction.bump(pp)
-    best: Optional[BumpResult] = None
-    for region in family:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            continue
+
+    def bump(region, idx) -> float:
         uu = u.values[idx]
         vv = v.values[idx]
         if params.mode == "two":
-            val = float(np.mean(uu)) ** (1.0 / p) * float(np.mean(vv ** (1.0 - pp))) ** (1.0 / pp)
-        elif params.mode == "power":
-            val = float(np.mean(uu**r)) ** (1.0 / (r * p)) * float(
+            return float(np.mean(uu)) ** (1.0 / p) * float(np.mean(vv ** (1.0 - pp))) ** (1.0 / pp)
+        if params.mode == "power":
+            return float(np.mean(uu**r)) ** (1.0 / (r * p)) * float(
                 np.mean(vv ** ((1.0 - pp) * r))
             ) ** (1.0 / (r * pp))
-        else:
-            val = float(np.mean(uu**r)) ** (1.0 / (r * p)) * luxemburg_norm(vfun, Y, region)
-        if best is None or val > best.value:
-            best = BumpResult(val, region.center, region.size, params.mode)
-    if best is None:
-        raise PreconditionError("every region in the family is empty")
-    return best
+        return float(np.mean(uu**r)) ** (1.0 / (r * p)) * luxemburg_norm(vfun, Y, region)
+
+    value, region = family_sup(family, grid, bump)
+    return BumpResult(value, region.center, region.size, params.mode)
 
 
 @dataclass(frozen=True)
@@ -361,9 +356,7 @@ class TailBoundResult:
 
     @property
     def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else math.inf
-        return self.lhs / self.rhs
+        return ratio(self.lhs, self.rhs)
 
 
 def tail_bound_check(
@@ -575,11 +568,11 @@ class ExperimentSpec:
 
 
 class _Context:
-    """Everything rendered on one concrete grid."""
+    """Everything rendered on the grid of one spec."""
 
-    def __init__(self, spec: ExperimentSpec, grid: Grid):
+    def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        self.grid = grid
+        self.grid = grid = Grid(spec.dim, spec.half_width, spec.points)
         self.epsilon = spec.eps_nodes * grid.spacing
         self.kernel = Kernel(
             spec.kernel_tag, grid.dim, spec.theta, component=spec.riesz_component
@@ -591,6 +584,7 @@ class _Context:
         self.u = weight_from_expression(spec.u_expr, grid)
         self.v = weight_from_expression(spec.v_expr, grid)
         self.mu = None if spec.mu_expr is None else weight_from_expression(spec.mu_expr, grid)
+        self.outer = outer_weights(grid, self.family, self.mu)
         self.b = (
             sample(spec.b_expr, grid) if spec.theorem in _COMMUTATOR_THEOREMS else None
         )
@@ -604,138 +598,105 @@ class _Context:
         return AmalgamSpec(params, self.family, inner, self.mu, variant)
 
 
-def _level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction, lam: float,
-                  wgt: Weight, vgt: Weight) -> Tuple[float, float]:
-    """One lambda level of an endpoint estimate.
+def _level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction,
+                  lam: float) -> Tuple[float, float]:
+    """One lambda level of the endpoint estimate.
 
-    lhs aggregates the wgt-mass of the exceedance set of the image over
-    the family; rhs aggregates the vgt-weighted mass of Phi(|f| / lam)
-    the same way.  Both sides share the measure exponent
-    1/alpha - 1 - 1/q, so scaling f and lam together leaves them fixed.
+    lhs aggregates the w-mass of the exceedance set of the image over the
+    family; rhs aggregates the w-weighted mass of Phi(|f| / lam) the same
+    way.  Both sides share the measure exponent 1/alpha - 1 - 1/q, so
+    scaling f and lam together leaves them fixed.
     """
     spec = ctx.spec
-    grid = ctx.grid
-    cell = grid.cell_volume
+    cell = ctx.grid.cell_volume
     q = spec.q
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     expo = 1.0 / spec.alpha - 1.0 - inv_q
-    phi = YoungFunction.phi()
-    phi_f = phi(np.abs(f.values) / lam)
+    phi_f = YoungFunction.phi()(np.abs(f.values) / lam)
     exceed = np.abs(image.values) > lam
-    wv = wgt.values
-    vv = vgt.values
+    wv = ctx.w.values
 
-    best_l = best_r = 0.0
-    for size in ctx.family.sizes:
-        vals_l = []
-        vals_r = []
-        for region in ctx.family.at_size(size):
-            idx = region.node_indices(grid)
-            if idx.size == 0:
-                vals_l.append(0.0)
-                vals_r.append(0.0)
-                continue
-            wB = cell * float(np.sum(wv[idx]))
-            scale = wB**expo
-            m_l = cell * float(np.sum(wv[idx][exceed[idx]]))
-            m_r = cell * float(np.sum(vv[idx] * phi_f[idx]))
-            vals_l.append(scale * m_l if m_l > 0 else 0.0)
-            vals_r.append(scale * m_r if m_r > 0 else 0.0)
-        if math.isinf(q):
-            out_l, out_r = max(vals_l), max(vals_r)
-        else:
-            arr_l = np.asarray(vals_l)
-            arr_r = np.asarray(vals_r)
-            mu = (
-                np.ones(len(ctx.family.centers))
-                if ctx.mu is None
-                else np.array([ctx.mu.values[grid.node_index(c)] for c in ctx.family.centers])
-            )
-            out_l = float(np.sum(arr_l**q * mu * cell)) ** (1.0 / q)
-            out_r = float(np.sum(arr_r**q * mu * cell)) ** (1.0 / q)
-        best_l = max(best_l, out_l)
-        best_r = max(best_r, out_r)
-    return best_l, best_r
+    def level(region, idx):
+        scale = (cell * float(np.sum(wv[idx]))) ** expo
+        m_l = cell * float(np.sum(wv[idx][exceed[idx]]))
+        m_r = cell * float(np.sum(wv[idx] * phi_f[idx]))
+        return (scale * m_l if m_l > 0 else 0.0, scale * m_r if m_r > 0 else 0.0)
+
+    table = family_table(ctx.family, ctx.grid, level, empty=(0.0, 0.0))
+    lhs = outer_norm(table[:, :, 0], q, ctx.outer)[0]
+    rhs = outer_norm(table[:, :, 1], q, ctx.outer)[0]
+    return lhs, rhs
+
+
+def _box_level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction,
+                      lam: float) -> Tuple[float, float]:
+    """One lambda level of the two-weight endpoint estimate over the whole box."""
+    cell = ctx.grid.cell_volume
+    exceed = np.abs(image.values) > lam
+    lhs = cell * float(np.sum(ctx.u.values[exceed]))
+    rhs = cell * float(np.sum(YoungFunction.phi()(np.abs(f.values) / lam) * ctx.v.values))
+    return lhs, rhs
+
+
+def _amalgam_sides(lhs_variant: str, lhs_weight: str, rhs_weight: str):
+    """Both sides of an amalgam estimate; commutators scale the bound by the BMO norm of b."""
+
+    def sides(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction) -> Tuple[float, float]:
+        lhs = amalgam_norm(image, ctx.space(lhs_variant, getattr(ctx, lhs_weight)))
+        rhs = amalgam_norm(f, ctx.space("strong", getattr(ctx, rhs_weight)))
+        if ctx.b is not None:
+            rhs = bmo_norm(ctx.b, ctx.family) * rhs
+        return lhs, rhs
+
+    return sides
+
+
+# theorem -> (lhs, rhs) of one case from (ctx, image, f).  The functions
+# look up the norms when called, so wrapping a module attribute reaches them.
+_CASE_SIDES = {
+    "strong": _amalgam_sides("strong", "w", "w"),
+    "weak": _amalgam_sides("weak", "w", "w"),
+    "commutator": _amalgam_sides("strong", "w", "w"),
+    "two_weight_weak": lambda ctx, image, f: (
+        local_weak_lp_norm(image, ctx.spec.p, None, ctx.u),
+        local_lp_norm(f, ctx.spec.p, None, ctx.v),
+    ),
+    "two_weight_strong": _amalgam_sides("strong", "u", "v"),
+    "two_weight_commutator": _amalgam_sides("strong", "u", "v"),
+}
+# theorem -> (lhs, rhs) at one level lam, from (ctx, image, f, lam)
+_LEVEL_SIDES = {
+    "endpoint": _level_masses,
+    "two_weight_endpoint": _box_level_masses,
+}
 
 
 def _run_cases(ctx: _Context) -> List[CaseResult]:
-    spec = ctx.spec
-    theorem = spec.theorem
+    theorem = ctx.spec.theorem
     cases: List[CaseResult] = []
     for label, f in ctx.corpus:
-        if theorem == "strong":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon)
-            space = ctx.space("strong", ctx.w)
-            cases.append(CaseResult(label, amalgam_norm(image, space), amalgam_norm(f, space)))
-        elif theorem == "weak":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon)
-            lhs = amalgam_norm(image, ctx.space("weak", ctx.w))
-            rhs = amalgam_norm(f, ctx.space("strong", ctx.w))
-            cases.append(CaseResult(label, lhs, rhs))
-        elif theorem == "commutator":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-            space = ctx.space("strong", ctx.w)
-            scale = bmo_norm(ctx.b, ctx.family)
-            cases.append(
-                CaseResult(label, amalgam_norm(image, space), scale * amalgam_norm(f, space))
-            )
-        elif theorem == "endpoint":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-            vmax = float(np.max(np.abs(f.values)))
-            if vmax == 0.0:
-                continue
-            for factor in spec.lambda_factors:
-                lam = factor * vmax
-                lhs, rhs = _level_masses(ctx, image, f, lam, ctx.w, ctx.w)
-                cases.append(CaseResult(f"{label}@x{factor!r}", lhs, rhs, lam=lam))
-        elif theorem == "two_weight_weak":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon)
-            lhs = local_weak_lp_norm(image, spec.p, None, ctx.u)
-            rhs = local_lp_norm(f, spec.p, None, ctx.v)
-            cases.append(CaseResult(label, lhs, rhs))
-        elif theorem == "two_weight_endpoint":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-            vmax = float(np.max(np.abs(f.values)))
-            if vmax == 0.0:
-                continue
-            phi = YoungFunction.phi()
-            cell = ctx.grid.cell_volume
-            for factor in spec.lambda_factors:
-                lam = factor * vmax
-                exceed = np.abs(image.values) > lam
-                lhs = cell * float(np.sum(ctx.u.values[exceed]))
-                rhs = cell * float(np.sum(phi(np.abs(f.values) / lam) * ctx.v.values))
-                cases.append(CaseResult(f"{label}@x{factor!r}", lhs, rhs, lam=lam))
-        elif theorem == "two_weight_strong":
-            image = apply_operator(ctx.kernel, f, ctx.epsilon)
-            lhs = amalgam_norm(image, ctx.space("strong", ctx.u))
-            rhs = amalgam_norm(f, ctx.space("strong", ctx.v))
-            cases.append(CaseResult(label, lhs, rhs))
-        else:  # two_weight_commutator
-            image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-            scale = bmo_norm(ctx.b, ctx.family)
-            lhs = amalgam_norm(image, ctx.space("strong", ctx.u))
-            rhs = scale * amalgam_norm(f, ctx.space("strong", ctx.v))
-            cases.append(CaseResult(label, lhs, rhs))
+        # ctx.b is set exactly for the commutator theorems
+        image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
+        if theorem in _CASE_SIDES:
+            cases.append(CaseResult(label, *_CASE_SIDES[theorem](ctx, image, f)))
+            continue
+        vmax = float(np.max(np.abs(f.values)))
+        if vmax == 0.0:
+            continue
+        for factor in ctx.spec.lambda_factors:
+            lam = factor * vmax
+            lhs, rhs = _LEVEL_SIDES[theorem](ctx, image, f, lam)
+            cases.append(CaseResult(f"{label}@x{factor!r}", lhs, rhs, lam=lam))
     return cases
 
 
-def _characteristic_on(spec: ExperimentSpec, points: int) -> float:
-    grid = Grid(spec.dim, spec.half_width, points)
-    w = weight_from_expression(spec.w_expr, grid)
-    family = region_family(grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride)
-    return muckenhoupt_characteristic(w, spec.p, family)
-
-
-def _bump_on(spec: ExperimentSpec, points: int) -> float:
-    grid = Grid(spec.dim, spec.half_width, points)
-    u = weight_from_expression(spec.u_expr, grid)
-    v = weight_from_expression(spec.v_expr, grid)
-    family = region_family(grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride)
-    return bump_check(u, v, spec.bump, family).value
-
-
-def _plateau_gate(name: str, values: Tuple[float, float, float], tol: float = 0.10) -> HypothesisResult:
+def _plateau_gate(name: str, spec: ExperimentSpec, quantity, tol: float = 0.10) -> HypothesisResult:
+    """quantity(grid, family) at half, the same and twice the point count must settle."""
+    values = []
+    for points in (spec.points // 2, spec.points, spec.points * 2):
+        grid = Grid(spec.dim, spec.half_width, points)
+        family = region_family(grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride)
+        values.append(quantity(grid, family))
     lo, mid, hi = values
     d1 = abs(mid - lo) / lo if lo > 0 else math.inf
     d2 = abs(hi - mid) / mid if mid > 0 else math.inf
@@ -745,7 +706,7 @@ def _plateau_gate(name: str, values: Tuple[float, float, float], tol: float = 0.
         f"refinement drift {d1:.3%}, {d2:.3%}; total growth x{growth:.3f}"
         + ("" if passed else "; the supremum is not settling, treat as divergent")
     )
-    return HypothesisResult(name, passed, detail, values + (growth,))
+    return HypothesisResult(name, passed, detail, (lo, mid, hi, growth))
 
 
 def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
@@ -767,21 +728,16 @@ def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
         )
     )
     if spec.theorem in ("strong", "weak", "commutator", "endpoint"):
-        pts = spec.points
-        chars = (
-            _characteristic_on(spec, pts // 2),
-            _characteristic_on(spec, pts),
-            _characteristic_on(spec, pts * 2),
-        )
-        gates.append(_plateau_gate("weight_class_plateau", chars))
+        gates.append(_plateau_gate("weight_class_plateau", spec, lambda grid, family: (
+            muckenhoupt_characteristic(weight_from_expression(spec.w_expr, grid), spec.p, family)
+        )))
     if spec.theorem in _TWO_WEIGHT_THEOREMS:
-        pts = spec.points
-        bumps = (
-            _bump_on(spec, pts // 2),
-            _bump_on(spec, pts),
-            _bump_on(spec, pts * 2),
-        )
-        gates.append(_plateau_gate("bump_plateau", bumps))
+        gates.append(_plateau_gate("bump_plateau", spec, lambda grid, family: bump_check(
+            weight_from_expression(spec.u_expr, grid),
+            weight_from_expression(spec.v_expr, grid),
+            spec.bump,
+            family,
+        ).value))
     if spec.mu_expr is not None:
         profile = doubling_profile(ctx.mu, ctx.family)
         ok = profile.doubling_constant < 1e6 and profile.reverse_doubling_constant > 1.01
@@ -808,6 +764,10 @@ def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
 
 
 def _max_rel_drift(base: List[CaseResult], other: List[CaseResult]) -> float:
+    """Largest drift of a case ratio from base to other, matched by label.
+
+    The drift is |r1 - r0| / |r0|, or |r1 - r0| when the base ratio r0 is 0.
+    """
     by_label = {c.label: c for c in other}
     worst = 0.0
     for c in base:
@@ -818,9 +778,8 @@ def _max_rel_drift(base: List[CaseResult], other: List[CaseResult]) -> float:
         if not (math.isfinite(r0) and math.isfinite(r1)):
             worst = math.inf
             continue
-        if r0 == 0.0 and r1 == 0.0:
-            continue
-        worst = max(worst, abs(r1 - r0) / max(abs(r0), 1e-300))
+        drift = abs(r1 - r0)
+        worst = max(worst, drift / abs(r0) if r0 != 0.0 else drift)
     return worst
 
 
@@ -836,10 +795,11 @@ def theorem_experiment(
     HypothesisError, otherwise the report carries the failure and the
     cases are still evaluated so divergence studies can see the numbers.
     Stability deltas re-run the cases with the truncation halved and on a
-    once-refined grid.
+    chain of `refinements` grid doublings: grid_refinement is the drift of
+    the first refinement against the base grid, grid_refinement_k that of
+    refinement k against refinement k - 1.
     """
-    grid = Grid(spec.dim, spec.half_width, spec.points)
-    ctx = _Context(spec, grid)
+    ctx = _Context(spec)
     gates = _gates(spec, ctx)
     if strict:
         for g in gates:
@@ -850,14 +810,18 @@ def theorem_experiment(
     stability: dict = {}
     if eps_stability and spec.eps_nodes > 2:
         half_spec = replace(spec, eps_nodes=max(2, spec.eps_nodes // 2))
-        half_cases = _run_cases(_Context(half_spec, grid))
+        half_cases = _run_cases(_Context(half_spec))
         stability["epsilon_halving"] = _max_rel_drift(cases, half_cases)
-    if refinements >= 1:
+    coarse_spec, coarse_cases = spec, cases
+    for level in range(1, refinements + 1):
         # double eps_nodes with the point count so the physical truncation
         # radius stays fixed and the delta isolates discretization error
-        fine_spec = replace(spec, points=spec.points * 2, eps_nodes=spec.eps_nodes * 2)
-        fine_cases = _run_cases(_Context(fine_spec, grid.refined()))
-        stability["grid_refinement"] = _max_rel_drift(cases, fine_cases)
+        fine_spec = replace(coarse_spec, points=coarse_spec.points * 2,
+                            eps_nodes=coarse_spec.eps_nodes * 2)
+        fine_cases = _run_cases(_Context(fine_spec))
+        key = "grid_refinement" if level == 1 else f"grid_refinement_{level}"
+        stability[key] = _max_rel_drift(coarse_cases, fine_cases)
+        coarse_spec, coarse_cases = fine_spec, fine_cases
 
     metadata = {
         "dim": spec.dim,

@@ -27,9 +27,6 @@ __all__ = [
     "DiniIntegrals",
     "dini_integrals",
     "Kernel",
-    "KernelConstants",
-    "SamplePlan",
-    "kernel_constants",
     "apply_operator",
     "maximal",
 ]
@@ -229,56 +226,6 @@ def _offset_table(kernel: Kernel, grid: Grid):
     vals.flags.writeable = False
     rho.flags.writeable = False
     return vals, rho
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    size_constant: float
-    smoothness_constant: float
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    n_samples: int = 4096
-    seed: int = 0
-
-
-def kernel_constants(kernel: Kernel, grid: Grid, plan: Optional[SamplePlan] = None) -> KernelConstants:
-    """Empirical size and smoothness constants of a kernel.
-
-    Random point pairs in the box estimate sup |K| |x-y|^dim; perturbed
-    triples with |x-z| < |x-y| / 2 estimate the smoothness constant
-    sup |K(x,y) - K(z,y)| |x-y|^dim / theta(|x-z| / |x-y|).
-    """
-    plan = plan or SamplePlan()
-    rng = np.random.default_rng(plan.seed)
-    n = plan.n_samples
-    L = grid.half_width
-    dim = grid.dim
-    x = rng.uniform(-L, L, (n, dim))
-    y = rng.uniform(-L, L, (n, dim))
-    sep = np.sqrt(np.sum((x - y) ** 2, axis=1))
-    keep = sep > 1e-3 * L
-    x, y, sep = x[keep], y[keep], sep[keep]
-
-    kx = kernel.pointwise(x - y)
-    size_c = float(np.max(np.abs(kx) * sep**dim)) if sep.size else 0.0
-
-    u = rng.uniform(0.05, 0.499, x.shape[0])
-    if dim == 1:
-        omega = rng.choice([-1.0, 1.0], x.shape[0])[:, None]
-    else:
-        ang = rng.uniform(0.0, 2.0 * math.pi, x.shape[0])
-        omega = np.column_stack([np.cos(ang), np.sin(ang)])
-    z = x + (u * sep)[:, None] * omega
-    kz = kernel.pointwise(z - y)
-    diff = np.abs(kx - kz) * sep**dim
-    th = np.asarray(kernel.theta(u))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(diff > 0, diff / th, 0.0)
-    bound = bound[np.isfinite(th) & (th >= 0)]
-    smooth_c = float(np.max(bound)) if bound.size else 0.0
-    return KernelConstants(size_c, smooth_c)
 
 
 def apply_operator(

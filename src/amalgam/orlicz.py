@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, EmptyRegionWarning, PreconditionError
-from .grid import DiscreteFunction, Region, _weight_values
+from .grid import DiscreteFunction, Region, gather
 
 __all__ = [
     "YoungFunction",
@@ -115,21 +115,6 @@ def young_inverse(Y: YoungFunction, s: float) -> float:
     return hi
 
 
-def _region_values(f: DiscreteFunction, region: Optional[Region], weight):
-    grid = f.grid
-    w = _weight_values(weight, grid)
-    if region is None:
-        vals = np.abs(f.values)
-        wts = np.ones_like(vals) if w is None else w
-    else:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            return None, None
-        vals = np.abs(f.values[idx])
-        wts = np.ones(idx.size) if w is None else w[idx]
-    return vals, wts * grid.cell_volume
-
-
 def luxemburg_norm(
     f: DiscreteFunction,
     Y: YoungFunction,
@@ -143,10 +128,11 @@ def luxemburg_norm(
     weight times the cell volume.  The returned lam always satisfies the
     constraint, so Holder-type products built from it stay valid bounds.
     """
-    vals, masses = _region_values(f, region, weight)
+    vals, masses = gather(f, region, weight)
     if vals is None:
         warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
         return 0.0
+    vals = np.abs(vals)
     total = float(np.sum(masses))
     carried = vals[masses > 0]
     if total <= 0.0 or carried.size == 0 or not np.any(carried > 0):
@@ -189,6 +175,13 @@ def luxemburg_norm(
     return lam_hi
 
 
+def ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, reading 0 / 0 as 0 and a nonzero lhs over 0 as inf."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return lhs / rhs
+
+
 @dataclass(frozen=True)
 class HolderResult:
     pairing: str
@@ -197,9 +190,7 @@ class HolderResult:
 
     @property
     def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else math.inf
-        return self.lhs / self.rhs
+        return ratio(self.lhs, self.rhs)
 
     @property
     def holds(self) -> bool:
@@ -226,29 +217,19 @@ def holder_check(
         raise ConfigurationError("grids do not match")
     fg = DiscreteFunction(f.grid, np.abs(f.values * g.values))
 
-    if pairing == "llogl_expl":
-        vals, masses = _region_values(fg, region, weight)
-        if vals is None:
-            warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
-            return HolderResult(pairing, 0.0, 0.0)
-        lhs = float(np.sum(vals * masses) / np.sum(masses))
-        rhs = 2.0 * luxemburg_norm(f, YoungFunction.llogl(1.0), region, weight) * luxemburg_norm(
-            g, YoungFunction.exponential(), region, weight
-        )
-        return HolderResult(pairing, lhs, rhs)
-
-    if pairing == "conjugate":
-        if p <= 1:
+    if pairing in ("llogl_expl", "conjugate"):
+        if pairing == "llogl_expl":
+            Y1, Y2, const = YoungFunction.llogl(1.0), YoungFunction.exponential(), 2.0
+        elif p <= 1:
             raise ConfigurationError("conjugate pairing needs p > 1")
-        q = p / (p - 1.0)
-        vals, masses = _region_values(fg, region, weight)
+        else:
+            Y1, Y2, const = YoungFunction.power(p), YoungFunction.power(p / (p - 1.0)), 1.0
+        vals, masses = gather(fg, region, weight)
         if vals is None:
             warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
             return HolderResult(pairing, 0.0, 0.0)
         lhs = float(np.sum(vals * masses) / np.sum(masses))
-        rhs = luxemburg_norm(f, YoungFunction.power(p), region, weight) * luxemburg_norm(
-            g, YoungFunction.power(q), region, weight
-        )
+        rhs = const * luxemburg_norm(f, Y1, region, weight) * luxemburg_norm(g, Y2, region, weight)
         return HolderResult(pairing, lhs, rhs)
 
     if pairing == "triple":

@@ -13,12 +13,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionWarning, PreconditionError
-from .grid import DiscreteFunction, Region, RegionFamily, _weight_values
+from .errors import ConfigurationError, EmptyRegionWarning
+from .grid import (
+    DiscreteFunction,
+    Grid,
+    Region,
+    RegionFamily,
+    _weight_values,
+    family_sup,
+    family_table,
+    gather,
+)
 from .orlicz import YoungFunction, luxemburg_norm
 from .weights import Weight
 
@@ -68,21 +77,6 @@ class SpaceParams:
         return 1.0 / self.alpha - self.inv_q
 
 
-def _masses(f: DiscreteFunction, region: Optional[Region], weight):
-    grid = f.grid
-    w = _weight_values(weight, grid)
-    if region is None:
-        vals = f.values
-        wts = np.ones_like(vals) if w is None else w
-    else:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            return None, None
-        vals = f.values[idx]
-        wts = np.ones(idx.size) if w is None else w[idx]
-    return vals, wts * grid.cell_volume
-
-
 def local_lp_norm(
     f: DiscreteFunction,
     p: float,
@@ -92,7 +86,7 @@ def local_lp_norm(
     """Unnormalized norm (integral form) of f in L^p with an optional weight."""
     if p < 1:
         raise ConfigurationError("local_lp_norm needs p >= 1")
-    vals, masses = _masses(f, region, weight)
+    vals, masses = gather(f, region, weight)
     if vals is None:
         warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
         return 0.0
@@ -113,7 +107,7 @@ def local_weak_lp_norm(
     """
     if p < 1:
         raise ConfigurationError("local_weak_lp_norm needs p >= 1")
-    vals, masses = _masses(f, region, weight)
+    vals, masses = gather(f, region, weight)
     if vals is None:
         warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
         return 0.0
@@ -138,7 +132,7 @@ def region_mean(
     r = m h centered on the singularity the mean of ``logabs`` is
     log r - 1 + (log pi - 1) / (2m - 1) + O(m^-2), about log r - 1 + 0.072 h / r.
     """
-    vals, masses = _masses(f, region, weight)
+    vals, masses = gather(f, region, weight)
     if vals is None:
         warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
         return 0.0
@@ -150,27 +144,18 @@ def region_mean(
 
 def bmo_norm(b: DiscreteFunction, family: RegionFamily, weight=None) -> float:
     """sup over the family of avg_B |b - b_B|."""
-    grid = b.grid
-    w = _weight_values(weight, grid)
-    best = 0.0
-    seen = False
-    for region in family:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            continue
-        seen = True
+    w = _weight_values(weight, b.grid)
+
+    def oscillation(region, idx) -> float:
         vals = b.values[idx]
         wts = np.ones(idx.size) if w is None else w[idx]
         total = float(np.sum(wts))
         if total <= 0.0:
-            continue
+            return 0.0
         mean = float(np.sum(vals * wts)) / total
-        osc = float(np.sum(np.abs(vals - mean) * wts)) / total
-        if osc > best:
-            best = osc
-    if not seen:
-        raise PreconditionError("every region in the family is empty")
-    return best
+        return float(np.sum(np.abs(vals - mean) * wts)) / total
+
+    return family_sup(family, b.grid, oscillation)[0]
 
 
 @dataclass(frozen=True)
@@ -203,14 +188,38 @@ class AmalgamNormResult:
     argmax_center: tuple
 
 
-def _inner_value(f, spec, region, grid) -> float:
+def outer_weights(grid: Grid, family: RegionFamily, mu: Optional[Weight]):
+    """Outer measure of each center: the cell volume, times mu at the center when mu is set."""
+    if mu is None:
+        return grid.cell_volume
+    return np.array([mu.values[grid.node_index(c)] for c in family.centers]) * grid.cell_volume
+
+
+def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
+    """l^q(weights) over the centers of each size, then the sup over sizes.
+
+    table is indexed [size, center].  Returns the value, the index of the
+    size attaining it, and the index of the largest entry in that size.
+    """
+    best = -math.inf
+    best_size = best_center = 0
+    for s, row in enumerate(table):
+        k = int(np.argmax(row))
+        if math.isinf(q):
+            outer = float(row[k])
+        else:
+            outer = float(np.sum(row**q * weights)) ** (1.0 / q)
+        if outer > best:
+            best = outer
+            best_size = s
+            best_center = k
+    return best, best_size, best_center
+
+
+def _inner_value(f, spec, region, idx) -> float:
     w = spec.inner_weight
-    wvals = None if w is None else w.values
-    idx = region.node_indices(grid)
-    if idx.size == 0:
-        return 0.0
-    cell = grid.cell_volume
-    u_mass = cell * (idx.size if wvals is None else float(np.sum(wvals[idx])))
+    cell = f.grid.cell_volume
+    u_mass = cell * (idx.size if w is None else float(np.sum(w.values[idx])))
     p = spec.params.p
     if spec.variant == "strong":
         inner = local_lp_norm(f, p, region, w)
@@ -233,31 +242,9 @@ def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormRe
     if spec.outer_weight is not None and spec.outer_weight.grid != grid:
         raise ConfigurationError("outer weight lives on a different grid")
     fam = spec.family
-    q = spec.params.q
-    cell = grid.cell_volume
-
-    mu = None
-    if spec.outer_weight is not None:
-        mu = np.array(
-            [spec.outer_weight.values[grid.node_index(c)] for c in fam.centers]
-        )
-
-    best = -math.inf
-    best_size = fam.sizes[0]
-    best_center = fam.centers[0]
-    for size in fam.sizes:
-        vals = np.array([_inner_value(f, spec, region, grid) for region in fam.at_size(size)])
-        k = int(np.argmax(vals))
-        if math.isinf(q):
-            outer = float(vals[k])
-        else:
-            weights = cell if mu is None else mu * cell
-            outer = float(np.sum(vals**q * weights)) ** (1.0 / q)
-        if outer > best:
-            best = outer
-            best_size = size
-            best_center = fam.centers[k]
-    return AmalgamNormResult(best, best_size, best_center)
+    table = family_table(fam, grid, lambda region, idx: _inner_value(f, spec, region, idx))
+    value, s, c = outer_norm(table, spec.params.q, outer_weights(grid, fam, spec.outer_weight))
+    return AmalgamNormResult(value, fam.sizes[s], fam.centers[c])
 
 
 def amalgam_norm(f: DiscreteFunction, spec: AmalgamSpec) -> float:

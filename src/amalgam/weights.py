@@ -8,15 +8,14 @@ how every continuum supremum is realized in this package.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionWarning, PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily
+from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, gather
 
 __all__ = [
     "Weight",
@@ -90,28 +89,17 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
     """
     if p < 1:
         raise ConfigurationError("muckenhoupt characteristic needs p >= 1")
-    grid = w.grid
     vals = w.values
-    best = 0.0
-    seen = False
-    for region in family:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            warnings.warn("skipping empty region", EmptyRegionWarning, stacklevel=2)
-            continue
-        seen = True
+
+    def characteristic(region, idx) -> float:
         wb = vals[idx]
         m1 = float(np.mean(wb))
         if p == 1.0:
-            cand = m1 / float(np.min(wb))
-        else:
-            m2 = float(np.mean(wb ** (-1.0 / (p - 1.0))))
-            cand = m1 * m2 ** (p - 1.0)
-        if cand > best:
-            best = cand
-    if not seen:
-        raise PreconditionError("every region in the family is empty")
-    return best
+            return m1 / float(np.min(wb))
+        m2 = float(np.mean(wb ** (-1.0 / (p - 1.0))))
+        return m1 * m2 ** (p - 1.0)
+
+    return family_sup(family, w.grid, characteristic, warn=True)[0]
 
 
 @dataclass(frozen=True)
@@ -132,14 +120,13 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     that mass(B_r)/mass(B_R) <= C (r/R)^delta holds on every observed pair.
     """
     grid = w.grid
-    vals = w.values
     cell = grid.cell_volume
 
     def mass(region) -> float:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
+        vals, _ = gather(w.function, region)
+        if vals is None:
             return 0.0
-        return cell * float(np.sum(vals[idx]))
+        return cell * float(np.sum(vals))
 
     ratios = []
     for region in family:

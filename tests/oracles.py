@@ -215,13 +215,15 @@ def dini_closed_forms(tag, param):
     return 0.0, 0.0
 
 
-def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, phi):
+def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, phi, mu_vals=None):
     """Reference endpoint level quantities, mirroring the norm layout.
 
     Returns (lhs, rhs): the family aggregation of the wgt-mass of the
     exceedance set of image above lam, and of the vgt-weighted mass of
     phi(|f|/lam), both scaled by mass(B)^{1/alpha - 1 - 1/q} and collected
-    through the outer q sum and the supremum over sizes.
+    through the outer q sum and the supremum over sizes.  With mu_vals
+    (node values of the outer measure) each center's term in the q sum is
+    weighted by mu at the node nearest to that center.
     """
     cell = grid.cell_volume
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
@@ -246,6 +248,10 @@ def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, ph
             vals_r.append(scale * m_r if m_r > 0 else 0.0)
         if math.isinf(q):
             out_l, out_r = max(vals_l), max(vals_r)
+        elif mu_vals is not None:
+            mus = [float(mu_vals[grid.node_index(c)]) for c in family.centers]
+            out_l = math.fsum(v**q * m * cell for v, m in zip(vals_l, mus)) ** (1.0 / q)
+            out_r = math.fsum(v**q * m * cell for v, m in zip(vals_r, mus)) ** (1.0 / q)
         else:
             arr_l = np.asarray(vals_l)
             arr_r = np.asarray(vals_r)

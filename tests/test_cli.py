@@ -204,6 +204,24 @@ def test_verify_writes_report(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_verify_refine_chains_levels(tmp_path):
+    cfg = write_cfg(tmp_path, "v.json", VERIFY_CFG)
+    stability = {}
+    for levels in ("0", "1", "2"):
+        out_dir = tmp_path / f"refine{levels}"
+        code = main(
+            ["verify", "strong", "--config", cfg, "--out", str(out_dir), "--refine", levels,
+             "--no-eps-stability"]
+        )
+        assert code == 0
+        stability[levels] = json.loads((out_dir / "report.json").read_text())["stability"]
+    assert stability["0"] == {}
+    assert set(stability["2"]) == {"grid_refinement", "grid_refinement_2"}
+    assert all(math.isfinite(v) for v in stability["2"].values())
+    # the first level is the same pass with or without further levels
+    assert stability["2"]["grid_refinement"] == stability["1"]["grid_refinement"]
+
+
 def test_verify_deterministic_bytes(tmp_path):
     cfg = write_cfg(tmp_path, "v.json", VERIFY_CFG)
     blobs = []

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from amalgam import (
     BumpParams,
     CaseResult,
@@ -16,6 +17,8 @@ from amalgam import (
     PreconditionError,
     Region,
     ThetaModulus,
+    YoungFunction,
+    apply_operator,
     bmo_lemma_check,
     bump_check,
     constant_weight,
@@ -27,6 +30,7 @@ from amalgam import (
     tail_bound_check,
     theorem_experiment,
 )
+from amalgam.harness import _max_rel_drift
 
 TINY = dict(points=512, center_stride=128, corpus_n=3, sizes=(0.5, 1.0))
 
@@ -69,6 +73,19 @@ def test_case_result_edges():
     bad = CaseResult("c", 1.0, 0.0)
     assert math.isinf(bad.ratio)
     assert bad.violation
+
+
+def test_drift_is_relative_or_absolute_from_zero():
+    base = [CaseResult("a", 1.0, 2.0), CaseResult("b", 0.0, 1.0), CaseResult("c", 0.0, 0.0)]
+    # a: 0.5 -> 0.75 is a relative drift of 0.5; b: 0 -> 0.125 drifts by 0.125
+    other = [CaseResult("a", 1.5, 2.0), CaseResult("b", 0.125, 1.0), CaseResult("c", 0.0, 0.0)]
+    assert _max_rel_drift(base, other) == 0.5
+    # a ratio that appears from zero counts by its absolute size
+    assert _max_rel_drift(base, [CaseResult("b", 3.0, 1.0)]) == 3.0
+    assert _max_rel_drift(base, [CaseResult("c", 0.0, 0.0)]) == 0.0
+    # labels missing on either side are skipped; an infinite ratio is an infinite drift
+    assert _max_rel_drift(base, [CaseResult("z", 9.0, 1.0)]) == 0.0
+    assert math.isinf(_max_rel_drift(base, [CaseResult("a", 1.0, 0.0)]))
 
 
 def test_bump_check_unit_weights_exact(small_grid):
@@ -238,6 +255,35 @@ def test_endpoint_lambda_labels():
     assert len(labels) == 6
     assert all("@x" in lab for lab in labels)
     assert all(c.lam is not None for c in report.cases)
+
+
+def test_endpoint_levels_under_outer_measure_match_oracle():
+    spec = tiny_spec(
+        "endpoint", p=1.0, alpha=1.0, q=4.0, w_expr="r**-0.3", mu_expr="1.0 + 0.5 * r",
+        center_stride=32, lambda_factors=(0.25, 1.0, 4.0),
+    )
+    report = theorem_experiment(spec, refinements=0, eps_stability=False)
+    by_label = {c.label: c for c in report.cases}
+    grid = make_grid(points_per_axis=spec.points)
+    fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
+    w = sample(spec.w_expr, grid).values
+    mu = sample(spec.mu_expr, grid).values
+    b = sample(spec.b_expr, grid)
+    exceeded = 0
+    for label, f in Corpus.generate(spec.corpus_n, seed=spec.seed).realize(grid):
+        image = apply_operator(Kernel("hilbert", 1), f, spec.eps_nodes * grid.spacing, b)
+        vmax = float(np.max(np.abs(f.values)))
+        for factor in spec.lambda_factors:
+            lhs, rhs = oracles.endpoint_level(
+                grid, fam, image, f, factor * vmax, w, w, spec.alpha, spec.q,
+                YoungFunction.phi(), mu_vals=mu,
+            )
+            case = by_label[f"{label}@x{factor!r}"]
+            assert rhs > 0.0
+            exceeded += lhs > 0.0
+            assert case.lhs == pytest.approx(lhs, rel=1e-10, abs=0.0)
+            assert case.rhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
+    assert exceeded >= len(report.cases) // 2
 
 
 def test_commutator_gates_include_symbol():

@@ -14,7 +14,6 @@ from amalgam import (
     apply_operator,
     covering_region,
     dini_integrals,
-    kernel_constants,
     make_grid,
     maximal,
     region_family,
@@ -178,19 +177,10 @@ def test_zero_kernel_maps_to_zero(small_grid):
     assert np.all(out.values == 0.0)
 
 
-def test_kernel_constants_hilbert(small_grid):
-    kc = kernel_constants(Kernel("hilbert", 1), small_grid)
-    assert kc.size_constant == pytest.approx(1.0 / math.pi, rel=1e-6)
-    assert 0.0 < kc.smoothness_constant < 1.0
-    kz = kernel_constants(Kernel("zero", 1), small_grid)
-    assert kz.size_constant == 0.0
-    assert kz.smoothness_constant == 0.0
-
-
 def test_maximal_matches_brute(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.5), center_stride=32)
-    regions = fam.with_extra([covering_region(small_grid)])
+    regions = list(fam) + [covering_region(small_grid)]
     for kind in ("hl", "sharp"):
         got = maximal(f, kind, regions)
         want = oracles.brute_maximal(f, regions, kind)
@@ -200,7 +190,7 @@ def test_maximal_matches_brute(small_grid, rng):
 def test_maximal_delta_composition(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.5), center_stride=32)
-    regions = fam.with_extra([covering_region(small_grid)])
+    regions = list(fam) + [covering_region(small_grid)]
     powered = DiscreteFunction(small_grid, np.abs(f.values) ** 0.5)
     want = maximal(powered, "hl", regions).values ** 2.0
     got = maximal(f, "hl_delta", regions, delta=0.5)

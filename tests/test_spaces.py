@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from amalgam import (
@@ -21,6 +23,7 @@ from amalgam import (
     region_mean,
     sample,
 )
+from amalgam.spaces import outer_norm
 
 
 def test_space_params_validation():
@@ -168,3 +171,41 @@ def test_amalgam_homogeneous(small_grid, rng):
         n1 = amalgam_norm(f, spec)
         n3 = amalgam_norm(3.0 * f, spec)
         assert n3 == pytest.approx(3.0 * n1, rel=1e-12)
+
+
+@st.composite
+def outer_tables(draw):
+    """A [size, center] table of local values with per-center outer weights."""
+    sizes = draw(st.integers(1, 4))
+    centers = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    row = st.lists(entry, min_size=centers, max_size=centers)
+    table = np.array(draw(st.lists(row, min_size=sizes, max_size=sizes)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=centers, max_size=centers)))
+    return table, weights
+
+
+Q_VALUES = st.sampled_from([1.0, 2.0, 4.0, 8.0, math.inf])
+
+
+@given(outer_tables(), Q_VALUES, st.floats(0.01, 100.0))
+def test_outer_norm_homogeneous(tw, q, c):
+    table, weights = tw
+    scaled = outer_norm(c * table, q, weights)[0]
+    assert scaled == pytest.approx(c * outer_norm(table, q, weights)[0], rel=1e-12, abs=0.0)
+
+
+@given(outer_tables())
+def test_outer_norm_sup_indices_attain_value(tw):
+    table, weights = tw
+    value, s, k = outer_norm(table, math.inf, weights)
+    assert value == table[s, k] == table.max()
+
+
+@given(outer_tables(), Q_VALUES, st.data())
+def test_outer_norm_monotone_in_sizes(tw, q, data):
+    table, weights = tw
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    extra = data.draw(st.lists(entry, min_size=table.shape[1], max_size=table.shape[1]))
+    grown = np.vstack([table, extra])
+    assert outer_norm(grown, q, weights)[0] >= outer_norm(table, q, weights)[0]
