@@ -7,6 +7,7 @@ how every continuum supremum is realized in this package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -122,6 +123,7 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     grid = w.grid
     cell = grid.cell_volume
 
+    @functools.cache  # both loops below visit most regions; gather each once
     def mass(region) -> float:
         vals, _ = gather(w.function, region)
         if vals is None:

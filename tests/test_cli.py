@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import amalgam
 from amalgam.cli import main
 
 
@@ -14,6 +19,15 @@ def write_cfg(tmp_path, name, payload):
 
 GRID_SMALL = {"dim": 1, "half_width": 4.0, "points_per_axis": 512}
 FAMILY_SMALL = {"shape": "ball", "sizes": [0.5, 1.0], "center_stride": 128}
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; importing it costs about a second
+    src = str(Path(amalgam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, amalgam.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_language_prints_reference(capsys):

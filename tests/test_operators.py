@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from amalgam import (
@@ -149,6 +151,58 @@ def test_commutator_matches_direct():
     got = apply_operator(k, f, eps, b)
     want = oracles.direct_truncated(k, f, eps, b)
     assert np.allclose(got.values, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid_args, k, eps_cells, rtol, atol",
+    [
+        ({"dim": 1, "points_per_axis": 128}, Kernel("hilbert", 1), 4.0, 1e-12, 1e-13),
+        ({"dim": 2, "half_width": 2.0, "points_per_axis": 16}, Kernel("riesz", 2), 2.5, 1e-10, 1e-12),
+    ],
+    ids=["1d", "2d"],
+)
+def test_apply_operator_matches_direct_at_edges(grid_args, k, eps_cells, rtol, atol, rng):
+    # random values put mass at both ends of the box, so the extreme offsets
+    # +-(n - 1) contribute and a kernel layout that wraps fails
+    g = make_grid(**grid_args)
+    f = DiscreteFunction(g, rng.normal(size=g.n_nodes))
+    b = DiscreteFunction(g, rng.normal(size=g.n_nodes))
+    eps = eps_cells * g.spacing
+    for symbol in (None, b):
+        got = apply_operator(k, f, eps, symbol)
+        want = oracles.direct_truncated(k, f, eps, symbol)
+        assert np.allclose(got.values, want, rtol=rtol, atol=atol)
+
+
+OPERATOR_CASES = st.sampled_from(
+    [(1, 64, Kernel("hilbert", 1)), (1, 512, Kernel("hilbert", 1)), (2, 16, Kernel("riesz", 2))]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(OPERATOR_CASES, st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.floats(2.0, 9.0))
+def test_commutator_with_constant_symbol_vanishes(case, seed, c, eps_cells):
+    dim, n, k = case
+    g = make_grid(dim=dim, points_per_axis=n)
+    f = DiscreteFunction(g, np.random.default_rng(seed).normal(size=g.n_nodes))
+    eps = eps_cells * g.spacing
+    Tf = apply_operator(k, f, eps).values
+    Cf = apply_operator(k, f, eps, DiscreteFunction(g, np.full(g.n_nodes, c))).values
+    assert np.max(np.abs(Cf)) <= 1e-12 * abs(c) * np.max(np.abs(Tf))
+
+
+@settings(max_examples=25, deadline=None)
+@given(OPERATOR_CASES, st.integers(0, 2**32 - 1), st.floats(2.0, 9.0))
+def test_odd_kernel_is_antisymmetric(case, seed, eps_cells):
+    # <Tf, g> = -<f, Tg> because K(-x) = -K(x)
+    dim, n, k = case
+    grid = make_grid(dim=dim, points_per_axis=n)
+    f, g = np.random.default_rng(seed).normal(size=(2, grid.n_nodes))
+    eps = eps_cells * grid.spacing
+    Tf = apply_operator(k, DiscreteFunction(grid, f), eps).values
+    Tg = apply_operator(k, DiscreteFunction(grid, g), eps).values
+    scale = np.linalg.norm(Tf) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(Tg)
+    assert abs(np.dot(Tf, g) + np.dot(f, Tg)) <= 1e-12 * scale
 
 
 def test_operator_linearity():
