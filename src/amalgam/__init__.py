@@ -6,148 +6,17 @@ and ships a harness that stress-tests the corresponding operator norm
 inequalities on generated corpora.
 """
 
-from .errors import (
-    AmalgamError,
-    ConfigurationError,
-    EmptyRegionWarning,
-    ExpressionError,
-    HypothesisError,
-    PreconditionError,
-)
-from .expressions import EXPRESSION_LANGUAGE, evaluate
-from .grid import (
-    DiscreteFunction,
-    Grid,
-    Region,
-    RegionFamily,
-    covering_region,
-    integrate,
-    make_grid,
-    read_function_csv,
-    region_family,
-    sample,
-    write_function_csv,
-)
-from .harness import (
-    THEOREMS,
-    BmoLemmaResult,
-    BumpParams,
-    BumpResult,
-    CaseResult,
-    Corpus,
-    CorpusMember,
-    ExperimentSpec,
-    HypothesisResult,
-    RatioReport,
-    SharpReport,
-    TailBoundResult,
-    bmo_lemma_check,
-    bump_check,
-    sharp_domination_check,
-    tail_bound_check,
-    theorem_experiment,
-)
-from .operators import (
-    DiniIntegrals,
-    Kernel,
-    ThetaModulus,
-    apply_operator,
-    dini_integrals,
-    maximal,
-)
-from .orlicz import (
-    HolderResult,
-    YoungFunction,
-    holder_check,
-    luxemburg_norm,
-    young_inverse,
-)
-from .spaces import (
-    AmalgamNormResult,
-    AmalgamSpec,
-    SpaceParams,
-    amalgam_norm,
-    amalgam_norm_detail,
-    bmo_norm,
-    local_lp_norm,
-    local_weak_lp_norm,
-    region_mean,
-)
-from .weights import (
-    Weight,
-    WeightProfile,
-    constant_weight,
-    doubling_profile,
-    muckenhoupt_characteristic,
-    power_weight,
-    weight_from_expression,
-)
+from . import errors, expressions, grid, harness, operators, orlicz, spaces, weights
+from .errors import *
+from .expressions import *
+from .grid import *
+from .harness import *
+from .operators import *
+from .orlicz import *
+from .spaces import *
+from .weights import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmalgamError",
-    "ConfigurationError",
-    "EmptyRegionWarning",
-    "ExpressionError",
-    "HypothesisError",
-    "PreconditionError",
-    "EXPRESSION_LANGUAGE",
-    "evaluate",
-    "DiscreteFunction",
-    "Grid",
-    "Region",
-    "RegionFamily",
-    "covering_region",
-    "integrate",
-    "make_grid",
-    "read_function_csv",
-    "region_family",
-    "sample",
-    "write_function_csv",
-    "THEOREMS",
-    "BmoLemmaResult",
-    "BumpParams",
-    "BumpResult",
-    "CaseResult",
-    "Corpus",
-    "CorpusMember",
-    "ExperimentSpec",
-    "HypothesisResult",
-    "RatioReport",
-    "SharpReport",
-    "TailBoundResult",
-    "bmo_lemma_check",
-    "bump_check",
-    "sharp_domination_check",
-    "tail_bound_check",
-    "theorem_experiment",
-    "DiniIntegrals",
-    "Kernel",
-    "ThetaModulus",
-    "apply_operator",
-    "dini_integrals",
-    "maximal",
-    "HolderResult",
-    "YoungFunction",
-    "holder_check",
-    "luxemburg_norm",
-    "young_inverse",
-    "AmalgamNormResult",
-    "AmalgamSpec",
-    "SpaceParams",
-    "amalgam_norm",
-    "amalgam_norm_detail",
-    "bmo_norm",
-    "local_lp_norm",
-    "local_weak_lp_norm",
-    "region_mean",
-    "Weight",
-    "WeightProfile",
-    "constant_weight",
-    "doubling_profile",
-    "muckenhoupt_characteristic",
-    "power_weight",
-    "weight_from_expression",
-    "__version__",
-]
+_MODULES = (errors, expressions, grid, harness, operators, orlicz, spaces, weights)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -17,15 +17,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from typing import Optional
 
-from .errors import (
-    AmalgamError,
-    ConfigurationError,
-    ExpressionError,
-    HypothesisError,
-    PreconditionError,
-)
+from .errors import AmalgamError, ConfigurationError, HypothesisError
 from .expressions import EXPRESSION_LANGUAGE
 from .grid import Grid, Region, region_family, sample, write_function_csv
 from .harness import (
@@ -36,69 +31,149 @@ from .harness import (
     bump_check,
     theorem_experiment,
 )
-from .operators import Kernel, ThetaModulus, apply_operator, dini_integrals
-from .orlicz import YoungFunction, holder_check, luxemburg_norm
+from .operators import Kernel, apply_operator, dini_integrals
+from .orlicz import holder_check
 from .spaces import AmalgamSpec, SpaceParams, amalgam_norm_detail, bmo_norm
 from .weights import doubling_profile, muckenhoupt_characteristic, weight_from_expression
 
 __all__ = ["main"]
 
+# config key -> dataclass field, where the two differ
+_ALIASES = {"kernel": "kernel_tag", "component": "riesz_component", "symbol": "b_expr"}
+_ALIASES.update({key: f"{key}_expr" for key in ("w", "u", "v", "mu")})
+_KEY_OF = {name: key for key, name in _ALIASES.items()}
 
-def _check_keys(block: dict, allowed: set, path: str) -> None:
+# ExperimentSpec fields read from the experiment.weights block, and from the
+# operator and family blocks of the other commands
+_WEIGHT_FIELDS = {"w_expr", "u_expr", "v_expr", "mu_expr"}
+_OPERATOR_FIELDS = {"kernel_tag", "theta", "eps_nodes", "riesz_component"}
+_FAMILY_FIELDS = {"shape", "sizes", "center_stride"}
+_P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
+
+
+def _floats(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("not a list")
+    return tuple(float(x) for x in value)
+
+
+# annotated type (or type of a literal default) -> coercion, what it expects
+_NUMBERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "tuple": (_floats, "a list of numbers"),
+    "Tuple[float, ...]": (_floats, "a list of numbers"),
+}
+
+
+def _coerce(value, kind: str, path: str):
+    if kind not in _NUMBERS:
+        return value
+    convert, expected = _NUMBERS[kind]
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{path}: expected {expected}, got {value!r}") from None
+
+
+def _object(block, path: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    for key in block:
-        if key not in allowed:
+    return block
+
+
+def _schema(schema, names) -> dict:
+    """Config key -> (field name, type, default) of a literal dict or a dataclass."""
+    if isinstance(schema, dict):
+        return {key: (key, type(d).__name__, d) for key, d in schema.items()}
+    table = {}
+    for f in fields(schema):
+        if names is not None and f.name not in names:
+            continue
+        if f.default is not MISSING:
+            default = f.default
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            continue
+        table[_KEY_OF.get(f.name, f.name)] = (f.name, f.type, default)
+    return table
+
+
+def _read(block, schema, path: str, names=None, **defaults) -> dict:
+    """Values of one config block, by field name.
+
+    schema is a dict of key -> default, or a dataclass whose fields with a
+    default (only those in names, when given) are the keys, renamed by
+    _ALIASES.  Unknown keys are rejected; a missing key takes the default,
+    or the one passed in defaults.  Numbers are coerced by the annotated
+    type, and a field whose default is a dataclass is read as a nested block.
+    """
+    table = _schema(schema, names)
+    for key in _object(block, path):
+        if key not in table:
             raise ConfigurationError(f"{path}: unknown field {key!r}")
+    out = {}
+    for key, (name, kind, default) in table.items():
+        if key not in block:
+            out[name] = defaults.get(name, default)
+        elif is_dataclass(default):
+            out[name] = type(default)(**_read(block[key], type(default), f"{path}.{key}"))
+        else:
+            out[name] = _coerce(block[key], kind, f"{path}.{key}")
+    return out
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    return cfg
+# each command's top-level config keys and their defaults
+_CONFIGS = {
+    "norm": {"grid": {}, "family": {}, "weights": {}, "function": None, "space": {}},
+    "weights": {"grid": {}, "family": {}, "weight": None, "p": 2.0},
+    "holder": dict(
+        grid={}, function=None, function2=None, weight=None, pairing="llogl_expl", p=2.0
+    ),
+    "operator": {"grid": {}, "function": None, "symbol": None, "operator": {}},
+    "bump": {"grid": {}, "family": {}, "weights": {}, "bump": {}},
+    "bmo": {"grid": {}, "family": {}, "symbol": None, "lemma": None},
+    "verify": {"experiment": {}},
+}
+
+
+def _load_config(args) -> dict:
+    cfg, path = {}, args.config
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
+    return _read(cfg, _CONFIGS[args.command], "config")
 
 
 def _build_grid(cfg: dict) -> Grid:
-    block = cfg.get("grid", {})
-    _check_keys(block, {"dim", "half_width", "points_per_axis"}, "grid")
-    return Grid(
-        int(block.get("dim", 1)),
-        float(block.get("half_width", 4.0)),
-        int(block.get("points_per_axis", 4096)),
-    )
+    return Grid(**_read(cfg["grid"], Grid, "grid"))
 
 
 def _build_family(cfg: dict, grid: Grid):
-    block = cfg.get("family", {})
-    _check_keys(block, {"shape", "sizes", "center_stride"}, "family")
-    return region_family(
-        grid,
-        tuple(float(s) for s in block.get("sizes", (0.25, 0.5, 1.0, 2.0))),
-        shape=block.get("shape", "ball"),
-        center_stride=int(block.get("center_stride", max(1, grid.points_per_axis // 16))),
-    )
+    # the experiment's family, with a center every 1/16 of an axis
+    stride = max(1, grid.points_per_axis // 16)
+    block = _read(cfg["family"], ExperimentSpec, "family", _FAMILY_FIELDS, center_stride=stride)
+    return region_family(grid, **block)
 
 
-def _parse_exponent(value) -> float:
-    if value in ("inf", None):
-        return math.inf
-    return float(value)
+def _require(cfg: dict, key: str, command: str):
+    if cfg[key] is None:
+        raise ConfigurationError(f"{command} needs a {key!r} expression")
+    return cfg[key]
 
 
-def _build_theta(block) -> ThetaModulus:
-    if block is None:
-        return ThetaModulus.power(1.0)
-    _check_keys(block, {"tag", "param"}, "theta")
-    return ThetaModulus(block.get("tag", "power"), float(block.get("param", 1.0)))
+def _weight(expression, grid: Grid):
+    return None if expression is None else weight_from_expression(expression, grid)
+
+
+def _attrs(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _print(obj) -> None:
@@ -111,82 +186,49 @@ def _cmd_language(_args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "family", "weights", "function", "space"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
     family = _build_family(cfg, grid)
-    if "function" not in cfg:
-        raise ConfigurationError("norm needs a 'function' expression")
-    f = sample(cfg["function"], grid)
-    wblock = cfg.get("weights", {})
-    _check_keys(wblock, {"inner", "outer"}, "weights")
-    inner = wblock.get("inner")
-    outer = wblock.get("outer")
-    sblock = cfg.get("space", {})
-    _check_keys(sblock, {"p", "alpha", "q", "variant"}, "space")
-    params = SpaceParams(
-        float(sblock.get("p", 1.0)),
-        float(sblock.get("alpha", 2.0)),
-        _parse_exponent(sblock.get("q", "inf")),
-    )
+    f = sample(_require(cfg, "function", "norm"), grid)
+    weights = _read(cfg["weights"], {"inner": None, "outer": None}, "weights")
+    schema = {"p": 1.0, "alpha": 2.0, "q": math.inf, "variant": AmalgamSpec.variant}
+    space = _read(cfg["space"], schema, "space")
     spec = AmalgamSpec(
-        params,
+        SpaceParams(space["p"], space["alpha"], space["q"]),
         family,
-        None if inner is None else weight_from_expression(inner, grid),
-        None if outer is None else weight_from_expression(outer, grid),
-        sblock.get("variant", "strong"),
+        _weight(weights["inner"], grid),
+        _weight(weights["outer"], grid),
+        space["variant"],
     )
     detail = amalgam_norm_detail(f, spec)
-    _print(
-        {
-            "value": detail.value,
-            "argmax_size": detail.argmax_size,
-            "argmax_center": list(detail.argmax_center),
-        }
-    )
+    _print(_attrs(detail, "value", "argmax_size", "argmax_center"))
     return 0
 
 
 def _cmd_weights(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "family", "weight", "p"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
     family = _build_family(cfg, grid)
-    if "weight" not in cfg:
-        raise ConfigurationError("weights needs a 'weight' expression")
-    w = weight_from_expression(cfg["weight"], grid)
-    p = float(cfg.get("p", 2.0))
+    w = weight_from_expression(_require(cfg, "weight", "weights"), grid)
+    p = cfg["p"]
     profile = doubling_profile(w, family)
-    _print(
-        {
-            "characteristic": muckenhoupt_characteristic(w, p, family),
-            "p": p,
-            "doubling_constant": profile.doubling_constant,
-            "reverse_doubling_constant": profile.reverse_doubling_constant,
-            "comparison_exponent": profile.comparison_exponent,
-            "comparison_constant": profile.comparison_constant,
-        }
-    )
+    out = {"characteristic": muckenhoupt_characteristic(w, p, family), "p": p}
+    out.update(_attrs(profile, "doubling_constant", "reverse_doubling_constant"))
+    out.update(_attrs(profile, "comparison_exponent", "comparison_constant"))
+    _print(out)
     return 0
 
 
 def _cmd_operator(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "function", "symbol", "operator"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
-    if "function" not in cfg:
-        raise ConfigurationError("operator needs a 'function' expression")
-    f = sample(cfg["function"], grid)
-    block = cfg.get("operator", {})
-    _check_keys(block, {"kernel", "theta", "eps_nodes", "component"}, "operator")
+    f = sample(_require(cfg, "function", "operator"), grid)
+    block = _read(cfg["operator"], ExperimentSpec, "operator", _OPERATOR_FIELDS)
     kernel = Kernel(
-        block.get("kernel", "hilbert"),
-        grid.dim,
-        _build_theta(block.get("theta")),
-        component=int(block.get("component", 0)),
+        block["kernel_tag"], grid.dim, block["theta"], component=block["riesz_component"]
     )
-    eps = int(block.get("eps_nodes", 4)) * grid.spacing
-    b = sample(cfg["symbol"], grid) if "symbol" in cfg else None
+    eps = block["eps_nodes"] * grid.spacing
+    b = None if cfg["symbol"] is None else sample(cfg["symbol"], grid)
     image = apply_operator(kernel, f, eps, b)
     di = dini_integrals(kernel.theta)
     summary = {
@@ -206,172 +248,71 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_holder(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "function", "function2", "weight", "pairing", "p"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
-    for key in ("function", "function2"):
-        if key not in cfg:
-            raise ConfigurationError(f"holder needs a {key!r} expression")
-    f = sample(cfg["function"], grid)
-    g = sample(cfg["function2"], grid)
-    weight = None
-    if "weight" in cfg:
-        weight = weight_from_expression(cfg["weight"], grid)
+    f = sample(_require(cfg, "function", "holder"), grid)
+    g = sample(_require(cfg, "function2", "holder"), grid)
     result = holder_check(
-        f, g, pairing=cfg.get("pairing", "llogl_expl"), weight=weight, p=float(cfg.get("p", 2.0))
+        f, g, pairing=cfg["pairing"], weight=_weight(cfg["weight"], grid), p=cfg["p"]
     )
-    _print(
-        {
-            "pairing": result.pairing,
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "ratio": result.ratio,
-            "holds": result.holds,
-        }
-    )
+    _print(_attrs(result, "pairing", "lhs", "rhs", "ratio", "holds"))
     return 0 if result.holds else 2
 
 
 def _cmd_bump(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "family", "weights", "bump"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
     family = _build_family(cfg, grid)
-    wblock = cfg.get("weights", {})
-    _check_keys(wblock, {"u", "v"}, "weights")
-    u = weight_from_expression(wblock.get("u", "1.0"), grid)
-    v = weight_from_expression(wblock.get("v", "1.0"), grid)
-    block = cfg.get("bump", {})
-    _check_keys(block, {"p", "r", "mode"}, "bump")
-    params = BumpParams(
-        float(block.get("p", 2.0)), float(block.get("r", 1.5)), block.get("mode", "orlicz")
-    )
+    weights = _read(cfg["weights"], ExperimentSpec, "weights", {"u_expr", "v_expr"})
+    u = weight_from_expression(weights["u_expr"], grid)
+    v = weight_from_expression(weights["v_expr"], grid)
+    params = BumpParams(**_read(cfg["bump"], BumpParams, "bump"))
     result = bump_check(u, v, params, family)
-    _print(
-        {
-            "value": result.value,
-            "mode": result.mode,
-            "argmax_center": list(result.argmax_center),
-            "argmax_size": result.argmax_size,
-        }
-    )
+    _print(_attrs(result, "value", "mode", "argmax_center", "argmax_size"))
     return 0
 
 
 def _cmd_bmo(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"grid", "family", "symbol", "lemma"}, "config")
+    cfg = _load_config(args)
     grid = _build_grid(cfg)
     family = _build_family(cfg, grid)
-    if "symbol" not in cfg:
-        raise ConfigurationError("bmo needs a 'symbol' expression")
-    b = sample(cfg["symbol"], grid)
+    b = sample(_require(cfg, "symbol", "bmo"), grid)
     out = {"oscillation_norm": bmo_norm(b, family)}
-    block = cfg.get("lemma")
-    if block is not None:
-        _check_keys(block, {"center", "size", "jmax", "p", "weight"}, "lemma")
-        region = Region(
-            "ball",
-            tuple(float(c) for c in block.get("center", [0.0] * grid.dim)),
-            float(block.get("size", grid.half_width / 32.0)),
-        )
-        w = None
-        if "weight" in block:
-            w = weight_from_expression(block["weight"], grid)
+    if cfg["lemma"] is not None:
+        size = grid.half_width / 32.0
+        schema = dict(center=(0.0,) * grid.dim, size=size, jmax=4, p=None, weight=None)
+        lemma = _read(cfg["lemma"], schema, "lemma")
         result = bmo_lemma_check(
             b,
-            region,
+            Region("ball", lemma["center"], lemma["size"]),
             family,
-            jmax=int(block.get("jmax", 4)),
-            p=float(block["p"]) if "p" in block else None,
-            w=w,
+            jmax=lemma["jmax"],
+            p=None if lemma["p"] is None else _coerce(lemma["p"], "float", "lemma.p"),
+            w=_weight(lemma["weight"], grid),
         )
-        out["lemma"] = {
-            "diffs": list(result.diffs),
-            "growth_ratios": list(result.growth_ratios),
-            "weighted_ratios": None
-            if result.weighted_ratios is None
-            else list(result.weighted_ratios),
-        }
+        out["lemma"] = _attrs(result, "diffs", "growth_ratios", "weighted_ratios")
     _print(out)
     return 0
 
 
-_EXPERIMENT_KEYS = {
-    "dim",
-    "half_width",
-    "points",
-    "kernel",
-    "theta",
-    "component",
-    "eps_nodes",
-    "p",
-    "alpha",
-    "q",
-    "weights",
-    "symbol",
-    "shape",
-    "sizes",
-    "center_stride",
-    "corpus_n",
-    "corpus_margin",
-    "seed",
-    "lambda_factors",
-    "bump",
-}
-
-
-def _build_experiment(theorem: str, cfg: dict, seed: Optional[int]) -> ExperimentSpec:
-    block = cfg.get("experiment", {})
-    _check_keys(block, _EXPERIMENT_KEYS, "experiment")
-    wblock = block.get("weights", {})
-    _check_keys(wblock, {"w", "u", "v", "mu"}, "experiment.weights")
-    bump_block = block.get("bump")
-    if bump_block is not None:
-        _check_keys(bump_block, {"p", "r", "mode"}, "experiment.bump")
-    kwargs = dict(
-        theorem=theorem,
-        dim=int(block.get("dim", 1)),
-        half_width=float(block.get("half_width", 4.0)),
-        points=int(block.get("points", 4096)),
-        kernel_tag=block.get("kernel", "hilbert"),
-        theta=_build_theta(block.get("theta")),
-        riesz_component=int(block.get("component", 0)),
-        eps_nodes=int(block.get("eps_nodes", 4)),
-        p=float(block.get("p", 1.0 if theorem in ("weak", "endpoint", "two_weight_endpoint") else 2.0)),
-        alpha=float(block.get("alpha", 2.5)),
-        q=_parse_exponent(block.get("q", 8.0)),
-        w_expr=wblock.get("w", "1.0"),
-        u_expr=wblock.get("u", "1.0"),
-        v_expr=wblock.get("v", "1.0"),
-        mu_expr=wblock.get("mu"),
-        b_expr=block.get("symbol", "logabs"),
-        shape=block.get("shape", "ball"),
-        sizes=tuple(float(s) for s in block.get("sizes", (0.25, 0.5, 1.0, 2.0))),
-        center_stride=int(block.get("center_stride", 256)),
-        corpus_n=int(block.get("corpus_n", 6)),
-        corpus_margin=float(block.get("corpus_margin", 1.0)),
-        seed=int(block.get("seed", 0)),
-    )
-    if "lambda_factors" in block:
-        kwargs["lambda_factors"] = tuple(float(x) for x in block["lambda_factors"])
-    if bump_block is not None:
-        kwargs["bump"] = BumpParams(
-            float(bump_block.get("p", 2.0)),
-            float(bump_block.get("r", 1.5)),
-            bump_block.get("mode", "orlicz"),
-        )
+def _build_experiment(theorem: str, block, seed: Optional[int]) -> ExperimentSpec:
+    block = dict(_object(block, "experiment"))
+    weights = block.pop("weights", {})
+    kwargs = _read(weights, ExperimentSpec, "experiment.weights", _WEIGHT_FIELDS)
+    names = {f.name for f in fields(ExperimentSpec)} - _WEIGHT_FIELDS
+    defaults = {"p": 1.0} if theorem in _P1_THEOREMS else {}
+    kwargs.update(_read(block, ExperimentSpec, "experiment", names, **defaults))
+    if "alpha" not in block:
+        # only the default alpha follows p
+        kwargs["alpha"] = max(kwargs["alpha"], kwargs["p"])
     if seed is not None:
         kwargs["seed"] = seed
-    if kwargs["alpha"] < kwargs["p"]:
-        kwargs["alpha"] = kwargs["p"]
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(theorem, **kwargs)
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"experiment"}, "config")
-    spec = _build_experiment(args.theorem, cfg, args.seed)
+    cfg = _load_config(args)
+    spec = _build_experiment(args.theorem, cfg["experiment"], args.seed)
     report = theorem_experiment(
         spec, refinements=args.refine, eps_stability=not args.no_eps_stability, strict=args.strict
     )
@@ -401,6 +342,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _levels(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amalgam",
@@ -411,27 +362,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_lang = sub.add_parser("language", help="print the expression language reference")
     p_lang.set_defaults(func=_cmd_language)
 
-    for name, fn, needs_out in (
-        ("norm", _cmd_norm, False),
-        ("weights", _cmd_weights, False),
-        ("holder", _cmd_holder, False),
-        ("bump", _cmd_bump, False),
-        ("bmo", _cmd_bmo, False),
+    for name, fn, help_text in (
+        ("norm", _cmd_norm, None),
+        ("weights", _cmd_weights, None),
+        ("holder", _cmd_holder, None),
+        ("operator", _cmd_operator, "apply a truncated operator to a function"),
+        ("bump", _cmd_bump, None),
+        ("bmo", _cmd_bmo, None),
     ):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a JSON config")
+        if fn is _cmd_operator:
+            sp.add_argument("--out", default=None, help="directory for the image CSV")
         sp.set_defaults(func=fn)
-
-    p_op = sub.add_parser("operator", help="apply a truncated operator to a function")
-    p_op.add_argument("--config", required=True)
-    p_op.add_argument("--out", default=None, help="directory for the image CSV")
-    p_op.set_defaults(func=_cmd_operator)
 
     p_ver = sub.add_parser("verify", help="run a ratio experiment for one estimate")
     p_ver.add_argument("theorem", choices=THEOREMS)
     p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--out", default=None, help="directory for report.json and cases.csv")
-    p_ver.add_argument("--refine", type=int, default=1, help="grid refinement passes")
+    p_ver.add_argument("--refine", type=_levels, default=1, help="grid refinement passes")
     p_ver.add_argument("--seed", type=int, default=None, help="override the corpus seed")
     p_ver.add_argument("--strict", action="store_true", help="fail fast on hypothesis gates")
     p_ver.add_argument(
@@ -451,9 +400,6 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ConfigurationError, ExpressionError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except AmalgamError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,5 +1,14 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = [
+    "AmalgamError",
+    "ConfigurationError",
+    "ExpressionError",
+    "PreconditionError",
+    "HypothesisError",
+    "EmptyRegionWarning",
+]
+
 
 class AmalgamError(Exception):
     """Base class for all package errors."""

@@ -45,9 +45,9 @@ class Grid:
     and dyadic radii land on node boundaries.
     """
 
-    dim: int
-    half_width: float
-    points_per_axis: int
+    dim: int = 1
+    half_width: float = 4.0
+    points_per_axis: int = 4096
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -104,8 +104,7 @@ class Grid:
         return idx
 
 
-def make_grid(dim: int = 1, half_width: float = 4.0, points_per_axis: int = 4096) -> Grid:
-    return Grid(dim, half_width, points_per_axis)
+make_grid = Grid
 
 
 @dataclass(frozen=True)

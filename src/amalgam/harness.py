@@ -565,6 +565,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"theorem {self.theorem!r} requires p = 1")
         if self.theorem in ("strong", "commutator") and self.p <= 1.0:
             raise ConfigurationError(f"theorem {self.theorem!r} requires p > 1")
+        SpaceParams(self.p, self.alpha, self.q)  # needs 1 <= p <= alpha < q
 
 
 class _Context:

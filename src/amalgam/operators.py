@@ -44,7 +44,7 @@ class ThetaModulus:
     zero:    theta identically zero (exact kernels with no smoothness error)
     """
 
-    tag: str
+    tag: str = "power"
     param: float = 1.0
 
     def __post_init__(self):

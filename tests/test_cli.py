@@ -318,3 +318,68 @@ def test_experiment_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "v.json", {"experiment": {"tolerance": 0.1}})
     assert main(["verify", "strong", "--config", cfg]) == 1
     assert "unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, payload, field",
+    [
+        pytest.param(
+            ["norm"], {"grid": {"points_per_axis": "abc"}, "function": "x"},
+            "grid.points_per_axis", id="string-for-int",
+        ),
+        pytest.param(
+            ["verify", "strong"], {"experiment": {"seed": "x"}}, "experiment.seed",
+            id="string-for-int-experiment",
+        ),
+        pytest.param(
+            ["weights"], {"grid": GRID_SMALL, "family": {"sizes": 0.5}, "weight": "1.0"},
+            "family.sizes", id="scalar-for-list",
+        ),
+        pytest.param(
+            ["bump"], {"grid": GRID_SMALL, "bump": 2.0}, "bump", id="non-object-block",
+        ),
+    ],
+)
+def test_malformed_value_names_field(tmp_path, capsys, argv, payload, field):
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    assert main([*argv, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+
+
+def test_verify_alpha_follows_p_only_by_default(tmp_path, capsys):
+    run = ["--refine", "0", "--no-eps-stability"]
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": dict(VERIFY_CFG["experiment"], p=3.0)})
+    out_dir = tmp_path / "run"
+    assert main(["verify", "strong", "--config", cfg, "--out", str(out_dir), *run]) == 0
+    assert json.loads((out_dir / "report.json").read_text())["metadata"]["alpha"] == 3.0
+    explicit = dict(VERIFY_CFG["experiment"], p=3.0, alpha=2.0)
+    cfg = write_cfg(tmp_path, "v2.json", {"experiment": explicit})
+    capsys.readouterr()
+    assert main(["verify", "strong", "--config", cfg, *run]) == 1
+    assert "need 1 <= p <= alpha" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_refine(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "strong", "--refine", "-3"])
+    assert exc.value.code == 2
+    assert "--refine" in capsys.readouterr().err
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    for block in section.split("\n### ")[1:]:
+        command = block.split()[1]  # "`amalgam norm --config cfg.json`"
+        for i, text in enumerate(block.split("```json\n")[1:]):
+            yield pytest.param(command, text.split("```")[0], id=f"{command}-{i}")
+
+
+@pytest.mark.parametrize("command, text", list(_readme_examples()))
+def test_readme_example_runs(tmp_path, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "verify":
+        argv.insert(1, "strong")
+    assert main(argv) == 0
