@@ -48,19 +48,32 @@ _KEY_OF = {name: key for key, name in _ALIASES.items()}
 _WEIGHT_FIELDS = {"w_expr", "u_expr", "v_expr", "mu_expr"}
 _OPERATOR_FIELDS = {"kernel_tag", "theta", "eps_nodes", "riesz_component"}
 _FAMILY_FIELDS = {"shape", "sizes", "center_stride"}
-_P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
+
+
+def _integer(value) -> int:
+    # int() would truncate 1.9 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("not a number")
+    return float(value)
 
 
 def _floats(value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError("not a list")
-    return tuple(float(x) for x in value)
+    return tuple(_number(x) for x in value)
 
 
 # annotated type (or type of a literal default) -> coercion, what it expects
 _NUMBERS = {
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "int": (_integer, "an integer"),
+    "float": (_number, "a number"),
+    "Optional[float]": (_number, "a number"),
     "tuple": (_floats, "a list of numbers"),
     "Tuple[float, ...]": (_floats, "a list of numbers"),
 }
@@ -300,10 +313,9 @@ def _build_experiment(theorem: str, block, seed: Optional[int]) -> ExperimentSpe
     weights = block.pop("weights", {})
     kwargs = _read(weights, ExperimentSpec, "experiment.weights", _WEIGHT_FIELDS)
     names = {f.name for f in fields(ExperimentSpec)} - _WEIGHT_FIELDS
-    defaults = {"p": 1.0} if theorem in _P1_THEOREMS else {}
-    kwargs.update(_read(block, ExperimentSpec, "experiment", names, **defaults))
-    if "alpha" not in block:
-        # only the default alpha follows p
+    kwargs.update(_read(block, ExperimentSpec, "experiment", names))
+    if "alpha" not in block and kwargs["p"] is not None:
+        # only the default alpha follows p; a p left to the theorem is at most 2
         kwargs["alpha"] = max(kwargs["alpha"], kwargs["p"])
     if seed is not None:
         kwargs["seed"] = seed

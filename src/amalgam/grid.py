@@ -27,9 +27,7 @@ __all__ = [
     "region_family",
     "covering_region",
     "sample",
-    "integrate",
     "write_function_csv",
-    "read_function_csv",
 ]
 
 
@@ -212,9 +210,12 @@ class Region:
 
     def fits_box(self, grid: Grid) -> bool:
         """True when the region does not spill past the box (touching is fine)."""
-        L = grid.half_width
-        tol = 1e-12 * max(L, 1.0)
-        return all(abs(c) + self.size <= L + tol for c in self.center)
+        return bool(_inside_box(max(abs(c) for c in self.center), self.size, grid))
+
+
+def _inside_box(reach, size, grid: Grid):
+    """reach + size <= L up to rounding, reach being the largest |center coordinate|."""
+    return reach + size <= grid.half_width + 1e-12 * max(grid.half_width, 1.0)
 
 
 @dataclass(frozen=True)
@@ -244,6 +245,14 @@ class RegionFamily:
     def at_size(self, size: float) -> Iterator[Region]:
         for c in self.centers:
             yield Region(self.shape, c, size)
+
+    def dilate(self, factor: float) -> "RegionFamily":
+        return RegionFamily(self.shape, self.centers, tuple(s * factor for s in self.sizes))
+
+    def fits_box(self, grid: Grid) -> np.ndarray:
+        """Region.fits_box of every member, as a boolean array [size, center]."""
+        reach = np.abs(np.array(self.centers)).max(axis=1)
+        return _inside_box(reach[None, :], np.array(self.sizes)[:, None], grid)
 
 
 def region_family(
@@ -295,8 +304,9 @@ def _weight_values(weight, grid: Grid) -> Optional[np.ndarray]:
 def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
     """Values of f and node masses (weight times cell volume) on a region.
 
-    With no region the whole box is gathered.  A region without nodes
-    gives (None, None); callers decide whether that warns.
+    With no region the whole box is gathered.  A region without nodes warns
+    and gives empty arrays, on which every local statistic reads its
+    neutral value.
     """
     grid = f.grid
     w = _weight_values(weight, grid)
@@ -306,10 +316,25 @@ def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
     else:
         idx = region.node_indices(grid)
         if idx.size == 0:
-            return None, None
+            warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=3)
         vals = f.values[idx]
         wts = np.ones(idx.size) if w is None else w[idx]
     return vals, wts * grid.cell_volume
+
+
+def scan(
+    regions: Iterable[Region], grid: Grid, warn: bool = False
+) -> Iterator[Tuple[Region, np.ndarray]]:
+    """(region, node indices) of each region that holds nodes, in order.
+
+    Empty regions are skipped, with an EmptyRegionWarning when warn is set.
+    """
+    for region in regions:
+        idx = region.node_indices(grid)
+        if idx.size:
+            yield region, idx
+        elif warn:
+            warnings.warn("skipping empty region", EmptyRegionWarning, stacklevel=4)
 
 
 def family_sup(
@@ -321,16 +346,11 @@ def family_sup(
     """Largest value(region, node indices) over the regions that hold nodes.
 
     Returns the value and the first region attaining it.  Empty regions are
-    skipped, with an EmptyRegionWarning when warn is set; a family whose
-    regions are all empty raises PreconditionError.
+    skipped as in scan; a family whose regions are all empty raises
+    PreconditionError.
     """
     best = None
-    for region in regions:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            if warn:
-                warnings.warn("skipping empty region", EmptyRegionWarning, stacklevel=3)
-            continue
+    for region, idx in scan(regions, grid, warn):
         val = value(region, idx)
         if best is None or val > best[0]:
             best = (val, region)
@@ -344,36 +364,21 @@ def family_table(
     grid: Grid,
     value: Callable[[Region, np.ndarray], object],
     empty=0.0,
+    where: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """value(region, node indices) on every region, as an array [size, center, ...].
 
-    Regions without nodes read as empty.
+    Regions without nodes read as empty, and so do those outside the
+    boolean [size, center] mask where, which are never gathered.
     """
     rows = []
-    for size in family.sizes:
+    for s, size in enumerate(family.sizes):
         row = []
-        for region in family.at_size(size):
-            idx = region.node_indices(grid)
-            row.append(empty if idx.size == 0 else value(region, idx))
+        for c, region in enumerate(family.at_size(size)):
+            idx = region.node_indices(grid) if where is None or where[s, c] else None
+            row.append(empty if idx is None or idx.size == 0 else value(region, idx))
         rows.append(row)
     return np.array(rows)
-
-
-def integrate(
-    f: DiscreteFunction,
-    region: Optional[Region] = None,
-    weight=None,
-) -> float:
-    """Midpoint quadrature of f (times an optional weight) over a region.
-
-    With no region the integral runs over the whole box.  An empty region
-    warns and contributes zero.
-    """
-    vals, masses = gather(f, region, weight)
-    if vals is None:
-        warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
-        return 0.0
-    return float(np.sum(vals * masses))
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:
@@ -389,15 +394,3 @@ def write_function_csv(f: DiscreteFunction, path: str) -> None:
             fh.write("x,y,value\n")
             for (x, y), v in zip(g.coords, f.values):
                 fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
-
-
-def read_function_csv(path: str) -> DiscreteFunction:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ConfigurationError("missing grid header line")
-        fields = dict(tok.split("=") for tok in header[1:].split())
-        grid = Grid(int(fields["dim"]), float(fields["half_width"]), int(fields["points_per_axis"]))
-        fh.readline()  # column names
-        vals = [float(line.rsplit(",", 1)[1]) for line in fh if line.strip()]
-    return DiscreteFunction(grid, np.asarray(vals))

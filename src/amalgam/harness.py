@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +54,6 @@ __all__ = [
     "BumpParams",
     "BumpResult",
     "bump_check",
-    "TailBoundResult",
-    "tail_bound_check",
     "BmoLemmaResult",
     "bmo_lemma_check",
     "SharpReport",
@@ -76,6 +74,7 @@ THEOREMS = (
     "two_weight_commutator",
 )
 
+_P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
 _COMMUTATOR_THEOREMS = ("commutator", "endpoint", "two_weight_endpoint", "two_weight_commutator")
 _TWO_WEIGHT_THEOREMS = ("two_weight_weak", "two_weight_endpoint", "two_weight_strong", "two_weight_commutator")
 
@@ -348,65 +347,6 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
 
 
 @dataclass(frozen=True)
-class TailBoundResult:
-    lhs: float
-    rhs: float
-    jmax: int
-    terms: Tuple[float, ...]
-
-    @property
-    def ratio(self) -> float:
-        return ratio(self.lhs, self.rhs)
-
-
-def tail_bound_check(
-    kernel: Kernel,
-    f: DiscreteFunction,
-    region: Region,
-    epsilon: float,
-    b: Optional[DiscreteFunction] = None,
-    bmo_family: Optional[RegionFamily] = None,
-    jmax: Optional[int] = None,
-) -> TailBoundResult:
-    """Check the shell decay of the operator applied off the doubled region.
-
-    lhs is the sup over the region of |T f2| with f2 = f outside 2B and
-    zero on 2B.  rhs sums shell contributions (theta(2^{-j}) + 2^{-j})
-    times the average of |f| on 2^{j+1}B; commutator runs pick up the
-    extra factor (j + 1) and scale by the oscillation norm of b.
-    """
-    grid = f.grid
-    idx = region.node_indices(grid)
-    if idx.size == 0:
-        raise PreconditionError("tail bound region contains no nodes")
-    doubled = region.dilate(2.0)
-    f2_vals = f.values.copy()
-    f2_vals[doubled.node_indices(grid)] = 0.0
-    f2 = DiscreteFunction(grid, f2_vals)
-    image = apply_operator(kernel, f2, epsilon, b)
-    lhs = float(np.max(np.abs(image.values[idx])))
-
-    if jmax is None:
-        span = 2.0 * grid.half_width
-        jmax = max(1, int(math.ceil(math.log2(span / region.size))) + 1)
-    theta = kernel.theta
-    terms = []
-    rhs = 0.0
-    for j in range(1, jmax + 1):
-        shell = region.dilate(2.0 ** (j + 1))
-        avg = region_mean(f.abs(), shell)
-        wgt = float(theta(2.0**-j)) + 2.0**-j
-        if b is not None:
-            wgt *= j + 1
-        term = wgt * avg
-        terms.append(term)
-        rhs += term
-    if b is not None and bmo_family is not None:
-        rhs *= bmo_norm(b, bmo_family)
-    return TailBoundResult(lhs, rhs, jmax, tuple(terms))
-
-
-@dataclass(frozen=True)
 class BmoLemmaResult:
     bmo: float
     diffs: Tuple[float, ...]
@@ -526,7 +466,8 @@ class ExperimentSpec:
     Weights and the corpus are kept as expressions so refinement re-renders
     everything on the finer grid.  eps_nodes fixes the truncation radius in
     grid cells (at least 2), which keeps the operator well defined on every
-    grid in a refinement chain.
+    grid in a refinement chain.  p defaults by theorem: 1 for weak, endpoint
+    and two_weight_endpoint, which require it, and 2 otherwise.
     """
 
     theorem: str
@@ -537,7 +478,7 @@ class ExperimentSpec:
     theta: ThetaModulus = ThetaModulus.power(1.0)
     riesz_component: int = 0
     eps_nodes: int = 4
-    p: float = 2.0
+    p: Optional[float] = None
     alpha: float = 2.5
     q: float = 8.0
     w_expr: str = "1.0"
@@ -561,7 +502,9 @@ class ExperimentSpec:
             )
         if self.eps_nodes < 2:
             raise ConfigurationError("eps_nodes must be at least 2")
-        if self.theorem in ("weak", "endpoint", "two_weight_endpoint") and self.p != 1.0:
+        if self.p is None:
+            object.__setattr__(self, "p", 1.0 if self.theorem in _P1_THEOREMS else 2.0)
+        if self.theorem in _P1_THEOREMS and self.p != 1.0:
             raise ConfigurationError(f"theorem {self.theorem!r} requires p = 1")
         if self.theorem in ("strong", "commutator") and self.p <= 1.0:
             raise ConfigurationError(f"theorem {self.theorem!r} requires p > 1")

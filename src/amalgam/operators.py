@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, PreconditionError
-from .grid import DiscreteFunction, Grid, Region
+from .grid import DiscreteFunction, Grid, Region, scan
 from .orlicz import YoungFunction, luxemburg_norm
 
 __all__ = [
@@ -288,10 +288,7 @@ def maximal(
     out = np.full(grid.n_nodes, -math.inf)
     avals = np.abs(f.values)
     phi = YoungFunction.llogl(1.0)
-    for region in regions:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            continue
+    for region, idx in scan(regions, grid):
         if kind == "hl":
             val = float(np.mean(avals[idx]))
         elif kind == "sharp":

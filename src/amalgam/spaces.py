@@ -11,13 +11,12 @@ cross-checked.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionWarning
+from .errors import ConfigurationError
 from .grid import (
     DiscreteFunction,
     Grid,
@@ -87,9 +86,6 @@ def local_lp_norm(
     if p < 1:
         raise ConfigurationError("local_lp_norm needs p >= 1")
     vals, masses = gather(f, region, weight)
-    if vals is None:
-        warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
-        return 0.0
     return float(np.sum(np.abs(vals) ** p * masses)) ** (1.0 / p)
 
 
@@ -108,9 +104,6 @@ def local_weak_lp_norm(
     if p < 1:
         raise ConfigurationError("local_weak_lp_norm needs p >= 1")
     vals, masses = gather(f, region, weight)
-    if vals is None:
-        warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
-        return 0.0
     av = np.abs(vals)
     order = np.argsort(av)[::-1]
     sorted_vals = av[order]
@@ -133,9 +126,6 @@ def region_mean(
     log r - 1 + (log pi - 1) / (2m - 1) + O(m^-2), about log r - 1 + 0.072 h / r.
     """
     vals, masses = gather(f, region, weight)
-    if vals is None:
-        warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=2)
-        return 0.0
     total = float(np.sum(masses))
     if total <= 0.0:
         return 0.0

@@ -7,7 +7,6 @@ how every continuum supremum is realized in this package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, gather
+from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, family_table
 
 __all__ = [
     "Weight",
@@ -47,11 +46,6 @@ class Weight:
     @property
     def values(self) -> np.ndarray:
         return self.function.values
-
-    def resample(self, grid: Grid) -> "Weight":
-        if self.expression is None:
-            raise ConfigurationError("weight has no expression to re-render")
-        return weight_from_expression(self.expression, grid)
 
 
 def weight_from_expression(expression: str, grid: Grid) -> Weight:
@@ -123,47 +117,35 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     grid = w.grid
     cell = grid.cell_volume
 
-    @functools.cache  # both loops below visit most regions; gather each once
-    def mass(region) -> float:
-        vals, _ = gather(w.function, region)
-        if vals is None:
-            return 0.0
-        return cell * float(np.sum(vals))
+    def mass(region, idx) -> float:
+        return cell * float(np.sum(w.values[idx]))
 
-    ratios = []
-    for region in family:
-        twice = region.dilate(2.0)
-        if not twice.fits_box(grid):
-            continue
-        mB = mass(region)
-        m2B = mass(twice)
-        if mB > 0.0 and m2B > 0.0:
-            ratios.append(m2B / mB)
-    if not ratios:
+    # only regions inside the box enter; the others read as massless
+    twice = family.dilate(2.0)
+    m = family_table(family, grid, mass, where=family.fits_box(grid))
+    m2 = family_table(twice, grid, mass, where=twice.fits_box(grid))
+    pairs = (m > 0.0) & (m2 > 0.0)
+    if not pairs.any():
         raise PreconditionError(
             "no region in the family keeps its doubling inside the box"
         )
-    c_dbl = max(ratios)
-    d_rev = min(ratios)
+    ratios = m2[pairs] / m[pairs]
 
-    # group log-mass observations by center; fit one shared slope
-    groups = {}
-    for region in family:
-        if not region.fits_box(grid):
-            continue
-        m = mass(region)
-        if m > 0.0:
-            groups.setdefault(region.center, []).append((math.log(region.size), math.log(m)))
-    chains = [pts for pts in groups.values() if len(pts) >= 2]
-    if not chains:
+    # each column of the table is a concentric chain of log-mass against
+    # log-size; fit one shared slope, summing chains in order of first size
+    chain = m > 0.0
+    fitted = np.flatnonzero(chain.sum(axis=0) >= 2)
+    if fitted.size == 0:
         raise PreconditionError(
             "comparison fit needs a center carrying at least two region sizes"
         )
+    log_size = np.log(family.sizes)
+    log_m = np.log(m, out=np.zeros_like(m), where=chain)
     num = 0.0
     den = 0.0
-    for pts in chains:
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
+    for c in fitted[np.argsort(chain.argmax(axis=0)[fitted], kind="stable")]:
+        xs = log_size[chain[:, c]]
+        ys = log_m[chain[:, c], c]
         xc = xs - xs.mean()
         yc = ys - ys.mean()
         num += float(np.dot(xc, yc))
@@ -172,19 +154,16 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
         raise PreconditionError("comparison fit needs at least two distinct sizes")
     delta = num / den
 
-    worst = 0.0
-    for pts in chains:
-        pts = sorted(pts)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                (xr, yr), (xR, yR) = pts[i], pts[j]
-                resid = (yr - yR) - delta * (xr - xR)
-                if resid > worst:
-                    worst = resid
+    # residual of every pair (r < R) along a chain
+    order = np.argsort(family.sizes, kind="stable")
+    x, y, on = log_size[order], log_m[order], chain[order]
+    resid = (y[:, None] - y[None, :]) - delta * (x[:, None] - x[None, :])[:, :, None]
+    below = np.triu(np.ones((len(x), len(x)), dtype=bool), 1)[:, :, None]
+    worst = resid[below & on[:, None] & on[None, :]].max(initial=0.0)
     return WeightProfile(
-        doubling_constant=c_dbl,
-        reverse_doubling_constant=d_rev,
+        doubling_constant=float(ratios.max()),
+        reverse_doubling_constant=float(ratios.min()),
         comparison_exponent=delta,
         comparison_constant=math.exp(worst),
-        n_regions=len(ratios),
+        n_regions=int(ratios.size),
     )

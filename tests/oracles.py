@@ -11,11 +11,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 
-def fsum_integral(values, cell):
-    """Compensated sum of values times the cell volume."""
-    return math.fsum(float(v) for v in np.asarray(values).ravel()) * cell
-
-
 def region_nodes(grid, center, size, shape):
     """Indices of nodes strictly inside the region, by direct scan."""
     coords = grid.coords
@@ -124,6 +119,39 @@ def brute_characteristic(w, p, family):
             val = avg * dual ** (p - 1.0)
         best = max(best, val)
     return best
+
+
+def brute_doubling_profile(w, family):
+    """(doubling, reverse doubling, comparison exponent, comparison constant,
+    pair count) of the measure w dx, one region at a time."""
+    grid = w.grid
+
+    def mass(region):
+        return math.fsum(w.values[region.node_indices(grid)].tolist()) * grid.cell_volume
+
+    ratios = []
+    chains = {}
+    for region in family:
+        twice = region.dilate(2.0)
+        if twice.fits_box(grid) and mass(region) > 0 and mass(twice) > 0:
+            ratios.append(mass(twice) / mass(region))
+        if region.fits_box(grid) and mass(region) > 0:
+            point = (math.log(region.size), math.log(mass(region)))
+            chains.setdefault(region.center, []).append(point)
+    chains = [sorted(pts) for pts in chains.values() if len(pts) >= 2]
+    num = den = 0.0
+    for pts in chains:
+        mx = math.fsum(x for x, _ in pts) / len(pts)
+        my = math.fsum(y for _, y in pts) / len(pts)
+        num += math.fsum((x - mx) * (y - my) for x, y in pts)
+        den += math.fsum((x - mx) ** 2 for x, _ in pts)
+    delta = num / den
+    worst = 0.0
+    for pts in chains:
+        for i, (xr, yr) in enumerate(pts):
+            for xR, yR in pts[i + 1:]:
+                worst = max(worst, (yr - yR) - delta * (xr - xR))
+    return max(ratios), min(ratios), delta, math.exp(worst), len(ratios)
 
 
 def brute_bmo(b, family):

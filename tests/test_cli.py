@@ -338,12 +338,40 @@ def test_experiment_unknown_key(tmp_path, capsys):
         pytest.param(
             ["bump"], {"grid": GRID_SMALL, "bump": 2.0}, "bump", id="non-object-block",
         ),
+        pytest.param(
+            ["weights"], {"grid": GRID_SMALL, "family": {"center_stride": 1.9}, "weight": "1.0"},
+            "family.center_stride", id="fraction-for-int",
+        ),
+        pytest.param(
+            ["verify", "strong"], {"experiment": {"corpus_n": True}}, "experiment.corpus_n",
+            id="bool-for-int",
+        ),
+        pytest.param(
+            ["norm"], {"grid": {"half_width": True}, "function": "x"}, "grid.half_width",
+            id="bool-for-float",
+        ),
+        pytest.param(
+            ["verify", "weak"], {"experiment": {"p": "x"}}, "experiment.p", id="string-for-p",
+        ),
     ],
 )
 def test_malformed_value_names_field(tmp_path, capsys, argv, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     assert main([*argv, "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+
+
+def test_integral_numbers_and_strings_read_as_integers(tmp_path, capsys):
+    # read as GRID_SMALL and FAMILY_SMALL
+    grid = {"points_per_axis": "512"}
+    family = {"sizes": [0.5, 1.0], "center_stride": 128.0}
+    outputs = []
+    for name, payload in (("typed.json", {"grid": grid, "family": family}),
+                          ("plain.json", {"grid": GRID_SMALL, "family": FAMILY_SMALL})):
+        cfg = write_cfg(tmp_path, name, dict(payload, weight="1.0"))
+        assert main(["weights", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_alpha_follows_p_only_by_default(tmp_path, capsys):

@@ -10,16 +10,24 @@ from amalgam import (
     EmptyRegionWarning,
     ExpressionError,
     Grid,
+    PreconditionError,
     Region,
     RegionFamily,
+    YoungFunction,
+    constant_weight,
     covering_region,
-    integrate,
+    holder_check,
+    local_lp_norm,
+    local_weak_lp_norm,
+    luxemburg_norm,
     make_grid,
-    read_function_csv,
+    muckenhoupt_characteristic,
     region_family,
+    region_mean,
     sample,
     write_function_csv,
 )
+from amalgam.grid import family_sup
 
 
 def test_grid_basic_geometry():
@@ -161,28 +169,50 @@ def test_discrete_function_arithmetic(small_grid):
     assert np.array_equal(abs(f).values, np.abs(f.values))
 
 
-def test_integrate_matches_fsum(small_grid, rng):
-    f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
-    want = oracles.fsum_integral(f.values, small_grid.cell_volume)
-    assert integrate(f) == pytest.approx(want, rel=1e-14)
-
-    reg = Region("ball", (0.5,), 1.25)
-    idx = reg.node_indices(small_grid)
-    want = oracles.fsum_integral(f.values[idx], small_grid.cell_volume)
-    assert integrate(f, reg) == pytest.approx(want, rel=1e-13)
+def _one(grid):
+    return sample("1.0", grid)
 
 
-def test_integrate_indicator_exact(desk_grid):
-    f = sample("ind(-1.0, 1.0)", desk_grid)
-    # half open pieces tile the box, so the count is exactly 2 / h
-    assert integrate(f) == pytest.approx(2.0, abs=1e-14)
+def _holder_sides(g, empty):
+    res = holder_check(_one(g), 2.0 * _one(g), region=empty)
+    return res.lhs, res.rhs
 
 
-def test_integrate_empty_region_warns(small_grid):
-    f = sample("1.0", small_grid)
-    tiny = Region("ball", (0.5 * small_grid.spacing,), 1e-9)
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda g, e: local_lp_norm(_one(g), 2.0, e), 0.0, id="local_lp_norm"),
+        pytest.param(
+            lambda g, e: local_weak_lp_norm(_one(g), 1.0, e), 0.0, id="local_weak_lp_norm"
+        ),
+        pytest.param(lambda g, e: region_mean(_one(g), e), 0.0, id="region_mean"),
+        pytest.param(
+            lambda g, e: luxemburg_norm(_one(g), YoungFunction.phi(), e), 0.0, id="luxemburg_norm"
+        ),
+        pytest.param(_holder_sides, (0.0, 0.0), id="holder_check"),
+        pytest.param(
+            # the empty region is skipped, the unit one sets the characteristic
+            lambda g, e: muckenhoupt_characteristic(
+                constant_weight(g), 2.0, RegionFamily("ball", (e.center,), (e.size, 1.0))
+            ),
+            pytest.approx(1.0, rel=1e-12),
+            id="muckenhoupt_characteristic",
+        ),
+        pytest.param(
+            lambda g, e: family_sup([e], g, lambda region, idx: 1.0, warn=True),
+            PreconditionError,
+            id="family_sup-all-empty",
+        ),
+    ],
+)
+def test_empty_region_warns_and_yields_neutral_value(small_grid, call, expected):
+    empty = Region("ball", (0.5 * small_grid.spacing,), 1e-9)
     with pytest.warns(EmptyRegionWarning):
-        assert integrate(f, tiny) == 0.0
+        if expected is PreconditionError:
+            with pytest.raises(PreconditionError):
+                call(small_grid, empty)
+        else:
+            assert call(small_grid, empty) == expected
 
 
 def test_sample_rejects_bad_expressions(small_grid):
@@ -195,9 +225,12 @@ def test_csv_roundtrip_is_exact(small_grid, rng, tmp_path):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     path = tmp_path / "f.csv"
     write_function_csv(f, str(path))
-    g = read_function_csv(str(path))
-    assert g.grid == small_grid
-    assert np.array_equal(g.values, f.values)
+    with open(path) as fh:
+        header = dict(tok.split("=") for tok in fh.readline()[1:].split())
+    grid = Grid(int(header["dim"]), float(header["half_width"]), int(header["points_per_axis"]))
+    values = np.loadtxt(path, delimiter=",", skiprows=2)[:, -1]
+    assert grid == small_grid
+    assert np.array_equal(values, f.values)
     # byte determinism
     write_function_csv(f, str(tmp_path / "f2.csv"))
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()

@@ -27,7 +27,6 @@ from amalgam import (
     region_family,
     sample,
     sharp_domination_check,
-    tail_bound_check,
     theorem_experiment,
 )
 from amalgam.harness import _max_rel_drift
@@ -114,38 +113,6 @@ def test_bump_params_validation():
         BumpParams(2.0, 1.5, "median")
 
 
-def test_tail_bound_zero_inside(desk_grid):
-    # f supported inside 2B contributes nothing to the tail
-    f = sample("ind(-0.5, 0.5)", desk_grid)
-    reg = Region("ball", (0.0,), 0.5)
-    res = tail_bound_check(Kernel("hilbert", 1), f, reg, 4 * desk_grid.spacing)
-    assert res.lhs == 0.0
-    assert res.rhs > 0.0
-    assert res.ratio == 0.0
-
-
-def test_tail_bound_controls_far_mass(desk_grid):
-    f = sample("ind(1.0, 3.0)", desk_grid)
-    reg = Region("ball", (0.0,), 0.25)
-    res = tail_bound_check(Kernel("hilbert", 1), f, reg, 4 * desk_grid.spacing)
-    assert res.lhs > 0.0
-    assert math.isfinite(res.ratio)
-    assert res.ratio < 10.0
-    assert len(res.terms) == res.jmax
-
-
-def test_tail_bound_commutator_scales(desk_grid):
-    f = sample("ind(1.0, 3.0)", desk_grid)
-    b = sample("logabs", desk_grid)
-    fam = region_family(desk_grid, sizes=(0.5, 1.0), center_stride=256)
-    reg = Region("ball", (0.0,), 0.25)
-    res = tail_bound_check(
-        Kernel("hilbert", 1), f, reg, 4 * desk_grid.spacing, b=b, bmo_family=fam
-    )
-    assert res.lhs > 0.0
-    assert math.isfinite(res.ratio)
-
-
 def test_bmo_lemma_log_growth(desk_grid):
     b = sample("logabs", desk_grid)
     fam = region_family(desk_grid, sizes=(0.125, 0.25, 0.5), centers=[(0.0,)])
@@ -213,6 +180,14 @@ def test_sharp_domination_validation(desk_grid):
         sharp_domination_check(
             Kernel("hilbert", 1), f, fam, 0.01, delta=0.5, b=b, eps_exponent=0.4
         )
+
+
+def test_experiment_p_defaults_by_theorem():
+    for theorem in ("weak", "endpoint", "two_weight_endpoint"):
+        assert ExperimentSpec(theorem).p == 1.0
+    for theorem in ("strong", "commutator", "two_weight_weak", "two_weight_strong"):
+        assert ExperimentSpec(theorem).p == 2.0
+    assert ExperimentSpec("two_weight_strong", p=3.0, alpha=4.0).p == 3.0
 
 
 def test_experiment_spec_validation():

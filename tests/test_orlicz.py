@@ -7,13 +7,11 @@ import oracles
 from amalgam import (
     ConfigurationError,
     DiscreteFunction,
-    PreconditionError,
     Region,
     YoungFunction,
     holder_check,
     luxemburg_norm,
     sample,
-    young_inverse,
 )
 
 
@@ -53,18 +51,6 @@ def test_unit_argument():
         YoungFunction.bump(1.5),
     ):
         assert float(Y(np.array([Y.unit_argument]))[0]) == pytest.approx(1.0)
-
-
-def test_young_inverse_roundtrip():
-    for Y in (
-        YoungFunction.power(2.0),
-        YoungFunction.llogl(1.0),
-        YoungFunction.exponential(),
-        YoungFunction.bump(2.0),
-    ):
-        for s in (0.25, 1.0, 7.0, 300.0):
-            t = young_inverse(Y, s)
-            assert float(Y(np.array([t]))[0]) == pytest.approx(s, rel=1e-10)
 
 
 def test_luxemburg_power_closed_form(small_grid, rng):
@@ -168,26 +154,6 @@ def test_holder_conjugate(small_grid, rng):
     assert res2.rhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_holder_triple(small_grid, rng):
-    f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
-    g = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
-    triple = (
-        YoungFunction.power(2.0),
-        YoungFunction.power(2.0),
-        YoungFunction.power(1.0),
-    )
-    res = holder_check(f, g, "triple", triple=triple)
-    assert res.holds
-    # an inadmissible triple: Y3 grows faster than the product allows
-    bad = (
-        YoungFunction.power(4.0),
-        YoungFunction.power(4.0),
-        YoungFunction.power(1.0),
-    )
-    with pytest.raises(PreconditionError):
-        holder_check(f, g, "triple", triple=bad)
-
-
 def test_holder_validation(small_grid):
     f = sample("x", small_grid)
     with pytest.raises(ConfigurationError):
@@ -195,4 +161,4 @@ def test_holder_validation(small_grid):
     with pytest.raises(ConfigurationError):
         holder_check(f, f, "nope")
     with pytest.raises(ConfigurationError):
-        holder_check(f, f, "triple", triple=None)
+        holder_check(f, f, "triple")

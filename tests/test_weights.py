@@ -37,16 +37,6 @@ def test_power_weight_clipped(small_grid):
     assert wp.values[i0] == (h / 2) ** 0.5
 
 
-def test_weight_resample(small_grid):
-    w = power_weight(small_grid, 0.5)
-    fine = w.resample(small_grid.refined())
-    assert fine.grid.points_per_axis == 512
-    assert np.all(fine.values > 0)
-    bare = Weight(w.function)
-    with pytest.raises(ConfigurationError):
-        bare.resample(small_grid.refined())
-
-
 def test_characteristic_matches_brute_force(small_grid, rng):
     vals = np.exp(rng.normal(scale=0.4, size=small_grid.n_nodes))
     from amalgam import DiscreteFunction
@@ -109,6 +99,38 @@ def test_doubling_profile_power_weight(small_grid):
     assert 1.01 < prof.reverse_doubling_constant <= prof.doubling_constant
     assert prof.doubling_constant < 4.0
     assert math.isfinite(prof.comparison_constant)
+
+
+def test_doubling_profile_matches_region_loop(small_grid, tiny_grid_2d):
+    one_d = region_family(small_grid, sizes=(0.25, 0.5, 1.0), center_stride=32)
+    cases = [
+        (constant_weight(small_grid), one_d),
+        (power_weight(small_grid, 0.5), one_d),
+        # unsorted sizes, and centers close enough to the edge that some
+        # regions or their doublings leave the box
+        (
+            power_weight(small_grid, -0.3),
+            region_family(small_grid, (2.0, 0.5, 1.0), center_stride=8),
+        ),
+        (
+            weight_from_expression("1.0 + 0.5 * r", tiny_grid_2d),
+            region_family(tiny_grid_2d, (0.25, 0.5, 0.75), shape="cube", center_stride=2),
+        ),
+        (
+            power_weight(tiny_grid_2d, 0.5),
+            region_family(tiny_grid_2d, (0.5, 0.25), shape="ball", center_stride=3),
+        ),
+    ]
+    for w, fam in cases:
+        got = doubling_profile(w, fam)
+        want = oracles.brute_doubling_profile(w, fam)
+        assert got.n_regions == want[4]
+        assert (
+            got.doubling_constant,
+            got.reverse_doubling_constant,
+            got.comparison_exponent,
+            got.comparison_constant,
+        ) == pytest.approx(want[:4], rel=1e-12)
 
 
 def test_doubling_profile_needs_room():
