@@ -4,6 +4,12 @@ The computational domain is the box [-L, L]^dim sampled at N nodes per
 axis, x_i = -L + i*h with h = 2L/N.  All functions live on the flat node
 array; 2d arrays are flattened in C order with the second coordinate
 varying fastest.
+
+Only this module turns regions into nodes.  A region is a set of flat
+[start, stop) node runs: one in 1D, one per grid row in 2D.  gather and the
+scan layer read a region's nodes as the concatenation of its runs, and
+window_sums adds node arrays run by run over a whole family, which is how
+the linear family statistics (masses, L^p sums, level masses) are computed.
 """
 
 from __future__ import annotations
@@ -154,27 +160,63 @@ class DiscreteFunction:
         return DiscreteFunction(self.grid, -self.values)
 
 
-@functools.lru_cache(maxsize=16384)
-def _region_indices(shape: str, center: tuple, size: float, grid: Grid) -> np.ndarray:
+def _slide(j: np.ndarray, step: int, move) -> np.ndarray:
+    """Step each entry of j while move(j) holds there."""
+    while True:
+        go = move(j)
+        if not go.any():
+            return j
+        j = j + step * go
+
+
+def _runs(shape: str, centers: np.ndarray, size: float, grid: Grid):
+    """Flat node runs (owner, start, stop) of the regions of one size.
+
+    centers is [center, dim]; owner is the center index of each run
+    [start, stop), in center then row order.  Membership is strict: per axis
+    by searchsorted for intervals and cubes, by dx**2 + dy**2 < size**2 for
+    balls, a contiguous set of columns on each row since it is monotone in |dy|.
+    """
     ax = grid.axis
     n = grid.points_per_axis
-    if grid.dim == 1:
-        c = center[0]
-        lo = np.searchsorted(ax, c - size, side="right")
-        hi = np.searchsorted(ax, c + size, side="left")
-        out = np.arange(lo, hi, dtype=np.intp)
-    elif shape == "cube":
-        ranges = []
-        for c in center:
-            lo = np.searchsorted(ax, c - size, side="right")
-            hi = np.searchsorted(ax, c + size, side="left")
-            ranges.append(np.arange(lo, hi, dtype=np.intp))
-        out = (ranges[0][:, None] * n + ranges[1][None, :]).ravel()
-    else:
-        dx = ax - center[0]
-        dy = ax - center[1]
-        mask = (dx[:, None] ** 2 + dy[None, :] ** 2) < size**2
-        out = np.flatnonzero(mask.ravel()).astype(np.intp)
+    if grid.dim == 1 or shape == "cube":
+        lo = np.searchsorted(ax, centers - size, side="right")
+        hi = np.maximum(np.searchsorted(ax, centers + size, side="left"), lo)
+        if grid.dim == 1:
+            owner = np.flatnonzero(hi[:, 0] > lo[:, 0])
+            return owner, lo[owner, 0], hi[owner, 0]
+        rows = np.arange(n)
+        owner, row = np.nonzero((rows >= lo[:, :1]) & (rows < hi[:, :1]) & (hi[:, 1:] > lo[:, 1:]))
+        return owner, row * n + lo[owner, 1], row * n + hi[owner, 1]
+    dx2 = (ax - centers[:, :1]) ** 2
+    dy2 = (ax - centers[:, 1:]) ** 2
+    s2 = size**2
+    # a row holds nodes iff its nearest column passes the test
+    near = np.argmin(dy2, axis=1)
+    owner, row = np.nonzero(dx2 + dy2[np.arange(len(centers)), near][:, None] < s2)
+    near, row_dx2 = near[owner], dx2[owner, row]
+
+    def inside(j):
+        hit = row_dx2 + dy2[owner, np.clip(j, 0, n - 1)] < s2
+        return hit & (j >= 0) & (j < n)
+
+    # the ends estimated from sqrt(size**2 - dx**2) are off by rounding only;
+    # slide them onto the exact test, never past the nearest column
+    cy = centers[owner, 1]
+    reach = np.sqrt(s2 - row_dx2)
+    start = np.minimum(np.searchsorted(ax, cy - reach, side="right"), near)
+    stop = np.maximum(np.searchsorted(ax, cy + reach, side="left"), near + 1)
+    start = _slide(_slide(start, -1, lambda j: inside(j - 1)), 1, lambda j: ~inside(j))
+    stop = _slide(_slide(stop, 1, inside), -1, lambda j: ~inside(j - 1))
+    return owner, row * n + start, row * n + stop
+
+
+@functools.lru_cache(maxsize=16384)
+def _region_indices(shape: str, center: tuple, size: float, grid: Grid) -> np.ndarray:
+    _, start, stop = _runs(shape, np.array([center]), size, grid)
+    length = stop - start
+    offsets = np.repeat(start - np.cumsum(length) + length, length)
+    out = np.arange(length.sum(), dtype=np.intp) + offsets
     out.flags.writeable = False
     return out
 
@@ -362,23 +404,51 @@ def family_sup(
 def family_table(
     family: RegionFamily,
     grid: Grid,
-    value: Callable[[Region, np.ndarray], object],
-    empty=0.0,
-    where: Optional[np.ndarray] = None,
+    value: Callable[[Region, np.ndarray], float],
 ) -> np.ndarray:
-    """value(region, node indices) on every region, as an array [size, center, ...].
-
-    Regions without nodes read as empty, and so do those outside the
-    boolean [size, center] mask where, which are never gathered.
-    """
+    """value(region, node indices) on every region as an array [size, center], 0 where empty."""
     rows = []
-    for s, size in enumerate(family.sizes):
+    for size in family.sizes:
         row = []
-        for c, region in enumerate(family.at_size(size)):
-            idx = region.node_indices(grid) if where is None or where[s, c] else None
-            row.append(empty if idx is None or idx.size == 0 else value(region, idx))
+        for region in family.at_size(size):
+            idx = region.node_indices(grid)
+            row.append(value(region, idx) if idx.size else 0.0)
         rows.append(row)
     return np.array(rows)
+
+
+_CENTER_CHUNK = 128
+
+
+def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums of node arrays over every region of the family, and node counts.
+
+    arrays is [k, n_nodes].  Returns sums [k, size, center] and counts
+    [size, center]; a region without nodes reads 0 in both.  Each window is
+    summed from its own entries, one np.add.reduceat over the runs of each
+    size, never as a difference of prefix sums, so a positive array has a
+    positive sum on every region that holds nodes however widely it ranges.
+    """
+    arrays = np.atleast_2d(np.asarray(arrays, dtype=np.float64))
+    centers = np.array(family.centers)
+    if arrays.shape[1] != grid.n_nodes or centers.shape[1] != grid.dim:
+        raise ConfigurationError("arrays or centers do not match the grid")
+    # a trailing zero keeps a run that ends at the last node a valid reduceat index
+    padded = np.concatenate([arrays, np.zeros((len(arrays), 1))], axis=1)
+    sums = np.zeros((len(arrays), len(family.sizes), len(centers)))
+    counts = np.zeros((len(family.sizes), len(centers)), dtype=np.intp)
+    # centers go in chunks so that the runs of a 2D size stay a few MB
+    for s, size in enumerate(family.sizes):
+        for first in range(0, len(centers), _CENTER_CHUNK):
+            chunk = centers[first:first + _CENTER_CHUNK]
+            owner, start, stop = _runs(family.shape, chunk, size, grid)
+            owner += first
+            # reduceat sums between consecutive indices; the even slots are the runs
+            runs = np.add.reduceat(padded, np.column_stack([start, stop]).ravel(), axis=1)[:, ::2]
+            for k, run_sums in enumerate(runs):
+                sums[k, s] += np.bincount(owner, run_sums, minlength=len(centers))
+            counts[s] += np.bincount(owner, stop - start, minlength=len(centers)).astype(np.intp)
+    return sums, counts
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

@@ -26,9 +26,9 @@ from .grid import (
     RegionFamily,
     covering_region,
     family_sup,
-    family_table,
     region_family,
     sample,
+    window_sums,
 )
 from .operators import Kernel, ThetaModulus, apply_operator, dini_integrals, maximal
 from .orlicz import YoungFunction, luxemburg_norm, ratio
@@ -552,23 +552,19 @@ def _level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction,
     scaling f and lam together leaves them fixed.
     """
     spec = ctx.spec
-    cell = ctx.grid.cell_volume
-    q = spec.q
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q
     expo = 1.0 / spec.alpha - 1.0 - inv_q
     phi_f = YoungFunction.phi()(np.abs(f.values) / lam)
     exceed = np.abs(image.values) > lam
     wv = ctx.w.values
-
-    def level(region, idx):
-        scale = (cell * float(np.sum(wv[idx]))) ** expo
-        m_l = cell * float(np.sum(wv[idx][exceed[idx]]))
-        m_r = cell * float(np.sum(wv[idx] * phi_f[idx]))
-        return (scale * m_l if m_l > 0 else 0.0, scale * m_r if m_r > 0 else 0.0)
-
-    table = family_table(ctx.family, ctx.grid, level, empty=(0.0, 0.0))
-    lhs = outer_norm(table[:, :, 0], q, ctx.outer)[0]
-    rhs = outer_norm(table[:, :, 1], q, ctx.outer)[0]
+    sums, counts = window_sums(ctx.family, ctx.grid, [wv, wv * exceed, wv * phi_f])
+    mass, m_l, m_r = ctx.grid.cell_volume * sums
+    scale = np.power(mass, expo, out=np.zeros(mass.shape), where=counts > 0)
+    # a side reads 0 where its mass is 0, even where the scale overflows
+    lhs, rhs = [
+        outer_norm(np.multiply(scale, m, out=np.zeros(m.shape), where=m > 0.0), spec.q, ctx.outer)[0]
+        for m in (m_l, m_r)
+    ]
     return lhs, rhs
 
 

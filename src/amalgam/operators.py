@@ -251,11 +251,16 @@ def apply_operator(
         raise ConfigurationError("symbol b lives on a different grid")
     n = grid.points_per_axis
     lattice, axes = (2 * n,) * grid.dim, tuple(range(1, grid.dim + 1))
-    data = np.stack([f.values] if b is None else [f.values, b.values * f.values])
+    if b is not None:
+        # [b, T] is linear in b: scale b exactly by a power of two to order one
+        shift = int(np.frexp(np.max(np.abs(b.values)))[1])
+        bs = np.ldexp(b.values, -shift)
+    data = np.stack([f.values] if b is None else [f.values, bs * f.values])
     spectrum = np.fft.rfftn(data.reshape((-1,) + (n,) * grid.dim), s=lattice, axes=axes)
     full = np.fft.irfftn(spectrum * _kernel_spectrum(kernel, grid, epsilon), s=lattice, axes=axes)
     images = grid.cell_volume * full[(slice(None),) + (slice(n),) * grid.dim].reshape(len(data), -1)
-    return DiscreteFunction(grid, images[0] if b is None else b.values * images[0] - images[1])
+    out = images[0] if b is None else np.ldexp(bs * images[0] - images[1], shift)
+    return DiscreteFunction(grid, out)
 
 
 def maximal(

@@ -26,6 +26,7 @@ from .grid import (
     family_sup,
     family_table,
     gather,
+    window_sums,
 )
 from .orlicz import YoungFunction, luxemburg_norm
 from .weights import Weight
@@ -206,23 +207,11 @@ def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
     return best, best_size, best_center
 
 
-def _inner_value(f, spec, region, idx) -> float:
-    w = spec.inner_weight
-    cell = f.grid.cell_volume
-    u_mass = cell * (idx.size if w is None else float(np.sum(w.values[idx])))
-    p = spec.params.p
-    if spec.variant == "strong":
-        inner = local_lp_norm(f, p, region, w)
-        expo = spec.params.strong_exponent
-    elif spec.variant == "weak":
-        inner = local_weak_lp_norm(f, p, region, w)
-        expo = spec.params.strong_exponent
-    else:
-        inner = luxemburg_norm(f, YoungFunction.llogl(1.0), region, w)
-        expo = spec.params.llogl_exponent
-    if inner == 0.0:
-        return 0.0
-    return u_mass**expo * inner
+def _inner_value(f, spec, region) -> float:
+    """Weak or averaged LlogL local norm of f on a region."""
+    if spec.variant == "weak":
+        return local_weak_lp_norm(f, spec.params.p, region, spec.inner_weight)
+    return luxemburg_norm(f, YoungFunction.llogl(1.0), region, spec.inner_weight)
 
 
 def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormResult:
@@ -232,8 +221,19 @@ def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormRe
     if spec.outer_weight is not None and spec.outer_weight.grid != grid:
         raise ConfigurationError("outer weight lives on a different grid")
     fam = spec.family
-    table = family_table(fam, grid, lambda region, idx: _inner_value(f, spec, region, idx))
-    value, s, c = outer_norm(table, spec.params.q, outer_weights(grid, fam, spec.outer_weight))
+    params = spec.params
+    u = np.ones(grid.n_nodes) if spec.inner_weight is None else spec.inner_weight.values
+    if spec.variant == "strong":
+        sums, _ = window_sums(fam, grid, [u, np.abs(f.values) ** params.p * u])
+        inner = (grid.cell_volume * sums[1]) ** (1.0 / params.p)
+    else:
+        sums, _ = window_sums(fam, grid, [u])
+        inner = family_table(fam, grid, lambda region, idx: _inner_value(f, spec, region))
+    expo = params.llogl_exponent if spec.variant == "llogl" else params.strong_exponent
+    # inner > 0 only on regions that hold nodes, whose u-mass is positive
+    mass = grid.cell_volume * sums[0]
+    table = np.power(mass, expo, out=np.zeros(mass.shape), where=inner > 0.0) * inner
+    value, s, c = outer_norm(table, params.q, outer_weights(grid, fam, spec.outer_weight))
     return AmalgamNormResult(value, fam.sizes[s], fam.centers[c])
 
 

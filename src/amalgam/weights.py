@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, family_table
+from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, window_sums
 
 __all__ = [
     "Weight",
@@ -99,10 +99,12 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
 
 @dataclass(frozen=True)
 class WeightProfile:
+    """Doubling constants, and a comparison fit that is None when no center carries two sizes."""
+
     doubling_constant: float
     reverse_doubling_constant: float
-    comparison_exponent: float
-    comparison_constant: float
+    comparison_exponent: Optional[float]
+    comparison_constant: Optional[float]
     n_regions: int
 
 
@@ -115,30 +117,27 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     that mass(B_r)/mass(B_R) <= C (r/R)^delta holds on every observed pair.
     """
     grid = w.grid
-    cell = grid.cell_volume
 
-    def mass(region, idx) -> float:
-        return cell * float(np.sum(w.values[idx]))
+    def masses(fam):
+        # only regions inside the box enter; the others read as massless
+        sums = window_sums(fam, grid, [w.values])[0][0]
+        return np.where(fam.fits_box(grid), grid.cell_volume * sums, 0.0)
 
-    # only regions inside the box enter; the others read as massless
-    twice = family.dilate(2.0)
-    m = family_table(family, grid, mass, where=family.fits_box(grid))
-    m2 = family_table(twice, grid, mass, where=twice.fits_box(grid))
+    m, m2 = masses(family), masses(family.dilate(2.0))
     pairs = (m > 0.0) & (m2 > 0.0)
     if not pairs.any():
         raise PreconditionError(
             "no region in the family keeps its doubling inside the box"
         )
     ratios = m2[pairs] / m[pairs]
+    stats = (float(ratios.max()), float(ratios.min()))
 
     # each column of the table is a concentric chain of log-mass against
     # log-size; fit one shared slope, summing chains in order of first size
     chain = m > 0.0
     fitted = np.flatnonzero(chain.sum(axis=0) >= 2)
     if fitted.size == 0:
-        raise PreconditionError(
-            "comparison fit needs a center carrying at least two region sizes"
-        )
+        return WeightProfile(*stats, None, None, int(ratios.size))
     log_size = np.log(family.sizes)
     log_m = np.log(m, out=np.zeros_like(m), where=chain)
     num = 0.0
@@ -160,10 +159,4 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     resid = (y[:, None] - y[None, :]) - delta * (x[:, None] - x[None, :])[:, :, None]
     below = np.triu(np.ones((len(x), len(x)), dtype=bool), 1)[:, :, None]
     worst = resid[below & on[:, None] & on[None, :]].max(initial=0.0)
-    return WeightProfile(
-        doubling_constant=float(ratios.max()),
-        reverse_doubling_constant=float(ratios.min()),
-        comparison_exponent=delta,
-        comparison_constant=math.exp(worst),
-        n_regions=int(ratios.size),
-    )
+    return WeightProfile(*stats, delta, math.exp(worst), int(ratios.size))

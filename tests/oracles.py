@@ -23,6 +23,32 @@ def region_nodes(grid, center, size, shape):
     return np.flatnonzero(mask)
 
 
+def region_indices(grid, center, size, shape):
+    """Node indices of a region in the package's former rule, kept as the reference.
+
+    Strict membership: per axis by searchsorted for intervals and cubes,
+    and by the squared-distance mask over the whole grid for balls.
+    """
+    ax = grid.axis
+    n = grid.points_per_axis
+    if grid.dim == 1:
+        c = center[0]
+        lo = np.searchsorted(ax, c - size, side="right")
+        hi = np.searchsorted(ax, c + size, side="left")
+        return np.arange(lo, hi, dtype=np.intp)
+    if shape == "cube":
+        ranges = []
+        for c in center:
+            lo = np.searchsorted(ax, c - size, side="right")
+            hi = np.searchsorted(ax, c + size, side="left")
+            ranges.append(np.arange(lo, hi, dtype=np.intp))
+        return (ranges[0][:, None] * n + ranges[1][None, :]).ravel()
+    dx = ax - center[0]
+    dy = ax - center[1]
+    mask = (dx[:, None] ** 2 + dy[None, :] ** 2) < size**2
+    return np.flatnonzero(mask.ravel()).astype(np.intp)
+
+
 def direct_truncated(kernel, f, epsilon, b=None):
     """O(N^2) evaluation of the truncated operator, node by node."""
     grid = f.grid

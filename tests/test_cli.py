@@ -113,6 +113,19 @@ def test_weights_command(tmp_path, capsys):
     assert payload["doubling_constant"] > 1.0
 
 
+def test_weights_command_on_one_size_prints_null_fit(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "w.json",
+        {"grid": GRID_SMALL, "family": {"sizes": [1.0], "center_stride": 64}, "weight": "r**0.5", "p": 2.0},
+    )
+    assert main(["weights", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["doubling_constant"] > 1.0
+    assert payload["comparison_exponent"] is None
+    assert payload["comparison_constant"] is None
+
+
 def test_holder_command(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -216,6 +229,17 @@ def test_verify_writes_report(tmp_path, capsys):
     lines = (out_dir / "cases.csv").read_text().splitlines()
     assert lines[0] == "label,lhs,rhs,ratio,lam,violation"
     assert len(lines) == 4
+
+
+def test_verify_measure_doubling_gate_on_one_size(tmp_path, capsys):
+    experiment = dict(VERIFY_CFG["experiment"], sizes=[0.5], weights={"mu": "1.0 + 0.5 * r"})
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})
+    code = main(
+        ["verify", "strong", "--config", cfg, "--out", str(tmp_path / "run"), "--refine", "0",
+         "--no-eps-stability"]
+    )
+    assert code == 0
+    assert "hypothesis measure_doubling: ok" in capsys.readouterr().out
 
 
 def test_verify_refine_chains_levels(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from amalgam import (
@@ -27,7 +29,7 @@ from amalgam import (
     sample,
     write_function_csv,
 )
-from amalgam.grid import family_sup
+from amalgam.grid import family_sup, window_sums
 
 
 def test_grid_basic_geometry():
@@ -234,3 +236,71 @@ def test_csv_roundtrip_is_exact(small_grid, rng, tmp_path):
     # byte determinism
     write_function_csv(f, str(tmp_path / "f2.csv"))
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
+
+
+@st.composite
+def grids_and_regions(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    # 3.0 gives a spacing that is not a power of two, so rounding ties differ
+    grid = make_grid(dim=dim, half_width=draw(st.sampled_from([4.0, 3.0])), points_per_axis=n)
+    shape = draw(st.sampled_from(["ball", "cube"]))
+    h = grid.spacing
+    kind = draw(st.sampled_from(["lattice", "off", "between"]))
+    if kind == "lattice":
+        # node centers and radii m h put nodes exactly on the boundary
+        center = tuple(float(grid.axis[draw(st.integers(0, n - 1))]) for _ in range(dim))
+        size = draw(st.integers(1, n + 2)) * h
+    elif kind == "off":
+        # anywhere, including centers and radii that spill past the box edge
+        reach = 1.5 * grid.half_width
+        center = tuple(draw(st.floats(-reach, reach)) for _ in range(dim))
+        size = draw(st.floats(1e-3, 2.0 * grid.half_width))
+    else:
+        # midway between nodes with a radius under h/2: no node at all
+        center = tuple(float(grid.axis[draw(st.integers(0, n - 1))]) + h / 2 for _ in range(dim))
+        size = draw(st.floats(1e-6, 0.49)) * h
+    return grid, Region(shape, center, size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grids_and_regions())
+def test_region_runs_select_reference_nodes(case):
+    grid, region = case
+    want = oracles.region_indices(grid, region.center, region.size, region.shape)
+    got = region.node_indices(grid)
+    assert np.array_equal(got, want)
+    one = RegionFamily(region.shape, (region.center,), (region.size,))
+    sums, counts = window_sums(one, grid, [np.arange(grid.n_nodes, dtype=float)])
+    assert counts[0, 0] == want.size
+    assert sums[0, 0, 0] == float(np.sum(want))
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_window_sums_of_a_wide_ranging_weight(dim, shape):
+    # exp(-100 r) falls to about 1e-170 at the box edge: a difference of
+    # prefix sums would read such windows as 0 or negative
+    grid = make_grid(dim=dim, half_width=4.0, points_per_axis=4096 if dim == 1 else 64)
+    arr = sample("exp(-100 * r)", grid).values
+    assert arr.min() < 1e-169
+    nodes = grid.axis[:: grid.points_per_axis // 16]
+    h = grid.spacing
+    if dim == 1:
+        centers = [(c + t,) for c in nodes for t in (0.0, h / 2)]
+    else:
+        centers = [(cx + t, cy + t) for cx in nodes for cy in nodes for t in (0.0, h / 2)]
+    sizes = (h / 4, 0.1, 0.5, 2.0, 6.0)
+    fam = region_family(grid, sizes, shape=shape, centers=centers)
+    sums, counts = window_sums(fam, grid, [arr])
+    empty = 0
+    for s, size in enumerate(sizes):
+        for c, center in enumerate(centers):
+            idx = oracles.region_indices(grid, center, size, shape)
+            assert counts[s, c] == idx.size
+            if idx.size == 0:
+                empty += 1
+                assert sums[0, s, c] == 0.0
+            else:
+                assert sums[0, s, c] > 0.0
+                assert sums[0, s, c] == pytest.approx(math.fsum(arr[idx].tolist()), rel=1e-12)
+    assert empty == len(centers) // 2

@@ -261,6 +261,37 @@ def test_endpoint_levels_under_outer_measure_match_oracle():
     assert exceeded >= len(report.cases) // 2
 
 
+def test_endpoint_levels_in_2d_match_oracle():
+    spec = tiny_spec(
+        "endpoint", dim=2, points=32, kernel_tag="riesz", p=1.0, alpha=1.0, q=4.0,
+        w_expr="r**-0.3", mu_expr="1.0 + 0.5 * r", center_stride=4,
+        lambda_factors=(2.0**-6, 2.0**-4, 0.25),
+    )
+    report = theorem_experiment(spec, refinements=0, eps_stability=False)
+    by_label = {c.label: c for c in report.cases}
+    grid = make_grid(dim=2, points_per_axis=spec.points)
+    fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
+    w = sample(spec.w_expr, grid).values
+    mu = sample(spec.mu_expr, grid).values
+    b = sample(spec.b_expr, grid)
+    corpus = Corpus.generate(spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, 2)
+    exceeded = 0
+    for label, f in corpus.realize(grid):
+        image = apply_operator(Kernel("riesz", 2), f, spec.eps_nodes * grid.spacing, b)
+        vmax = float(np.max(np.abs(f.values)))
+        for factor in spec.lambda_factors:
+            lhs, rhs = oracles.endpoint_level(
+                grid, fam, image, f, factor * vmax, w, w, spec.alpha, spec.q,
+                YoungFunction.phi(), mu_vals=mu,
+            )
+            case = by_label[f"{label}@x{factor!r}"]
+            assert rhs > 0.0
+            exceeded += lhs > 0.0
+            assert case.lhs == pytest.approx(lhs, rel=1e-10, abs=0.0)
+            assert case.rhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
+    assert exceeded >= len(report.cases) // 2
+
+
 def test_commutator_gates_include_symbol():
     spec = tiny_spec("commutator")
     report = theorem_experiment(spec, refinements=0, eps_stability=False)

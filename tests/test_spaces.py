@@ -18,10 +18,12 @@ from amalgam import (
     constant_weight,
     local_lp_norm,
     local_weak_lp_norm,
+    make_grid,
     power_weight,
     region_family,
     region_mean,
     sample,
+    weight_from_expression,
 )
 from amalgam.spaces import outer_norm
 
@@ -114,6 +116,20 @@ def test_amalgam_matches_brute(small_grid, rng):
         got = amalgam_norm(f, spec)
         want = oracles.brute_amalgam_strong(f, fam, 2.0, 4.0, q, w)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+def test_amalgam_2d_matches_brute(shape, rng):
+    grid = make_grid(dim=2, half_width=2.0, points_per_axis=32)
+    f = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
+    # sizes from under a cell to past the box, so some regions spill over the edge
+    fam = region_family(grid, sizes=(0.1, 0.5, 1.0, 3.0), shape=shape, center_stride=3)
+    w = weight_from_expression("r**0.3", grid)
+    mu = weight_from_expression("1.0 + 0.5 * r", grid)
+    for q in (8.0, math.inf):
+        spec = AmalgamSpec(SpaceParams(2.0, 4.0, q), fam, w, mu)
+        want = oracles.brute_amalgam_strong(f, fam, 2.0, 4.0, q, w, mu)
+        assert amalgam_norm(f, spec) == pytest.approx(want, rel=1e-12)
 
 
 def test_amalgam_with_outer_weight(small_grid, rng):
