@@ -7,14 +7,15 @@ varying fastest.
 
 Only this module turns regions into nodes.  A region is a set of flat
 [start, stop) node runs: one in 1D, one per grid row in 2D.  gather and the
-scan layer read a region's nodes as the concatenation of its runs, and
-window_sums adds node arrays run by run over a whole family, which is how
-the linear family statistics (masses, L^p sums, level masses) are computed.
+scan layer read a region's nodes as the concatenation of its runs;
+node_batches hands out those nodes for many regions at once, in bounded
+batches; and window_sums adds node arrays run by run over a whole family,
+which is how the linear family statistics (masses, L^p sums, level masses)
+are computed.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -211,14 +212,11 @@ def _runs(shape: str, centers: np.ndarray, size: float, grid: Grid):
     return owner, row * n + start, row * n + stop
 
 
-@functools.lru_cache(maxsize=16384)
-def _region_indices(shape: str, center: tuple, size: float, grid: Grid) -> np.ndarray:
-    _, start, stop = _runs(shape, np.array([center]), size, grid)
+def _run_nodes(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The node indices of the runs [start, stop), concatenated in order."""
     length = stop - start
     offsets = np.repeat(start - np.cumsum(length) + length, length)
-    out = np.arange(length.sum(), dtype=np.intp) + offsets
-    out.flags.writeable = False
-    return out
+    return np.arange(length.sum(), dtype=np.intp) + offsets
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,8 @@ class Region:
     def node_indices(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.dim:
             raise ConfigurationError("region and grid dimensions do not match")
-        return _region_indices(self.shape, self.center, self.size, grid)
+        _, start, stop = _runs(self.shape, np.array([self.center]), self.size, grid)
+        return _run_nodes(start, stop)
 
     def fits_box(self, grid: Grid) -> bool:
         """True when the region does not spill past the box (touching is fine)."""
@@ -420,6 +419,23 @@ def family_table(
 _CENTER_CHUNK = 128
 
 
+def _family_runs(family: RegionFamily, grid: Grid):
+    """(size index, first center, owner, start, stop, node counts) per size and chunk of centers.
+
+    Centers go in chunks so that the runs of a 2D size stay a few MB; owner
+    and the counts index the centers of the chunk.
+    """
+    centers = np.array(family.centers)
+    if centers.shape[1] != grid.dim:
+        raise ConfigurationError("centers do not match the grid")
+    for s, size in enumerate(family.sizes):
+        for first in range(0, len(centers), _CENTER_CHUNK):
+            chunk = centers[first:first + _CENTER_CHUNK]
+            owner, start, stop = _runs(family.shape, chunk, size, grid)
+            counts = np.bincount(owner, stop - start, minlength=len(chunk)).astype(np.intp)
+            yield s, first, owner, start, stop, counts
+
+
 def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, np.ndarray]:
     """Sums of node arrays over every region of the family, and node counts.
 
@@ -430,25 +446,38 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
     positive sum on every region that holds nodes however widely it ranges.
     """
     arrays = np.atleast_2d(np.asarray(arrays, dtype=np.float64))
-    centers = np.array(family.centers)
-    if arrays.shape[1] != grid.n_nodes or centers.shape[1] != grid.dim:
-        raise ConfigurationError("arrays or centers do not match the grid")
+    if arrays.shape[1] != grid.n_nodes:
+        raise ConfigurationError("arrays do not match the grid")
     # a trailing zero keeps a run that ends at the last node a valid reduceat index
     padded = np.concatenate([arrays, np.zeros((len(arrays), 1))], axis=1)
-    sums = np.zeros((len(arrays), len(family.sizes), len(centers)))
-    counts = np.zeros((len(family.sizes), len(centers)), dtype=np.intp)
-    # centers go in chunks so that the runs of a 2D size stay a few MB
-    for s, size in enumerate(family.sizes):
-        for first in range(0, len(centers), _CENTER_CHUNK):
-            chunk = centers[first:first + _CENTER_CHUNK]
-            owner, start, stop = _runs(family.shape, chunk, size, grid)
-            owner += first
-            # reduceat sums between consecutive indices; the even slots are the runs
-            runs = np.add.reduceat(padded, np.column_stack([start, stop]).ravel(), axis=1)[:, ::2]
-            for k, run_sums in enumerate(runs):
-                sums[k, s] += np.bincount(owner, run_sums, minlength=len(centers))
-            counts[s] += np.bincount(owner, stop - start, minlength=len(centers)).astype(np.intp)
+    sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
+    counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
+    for s, first, owner, start, stop, n in _family_runs(family, grid):
+        # reduceat sums between consecutive indices; the even slots are the runs
+        runs = np.add.reduceat(padded, np.column_stack([start, stop]).ravel(), axis=1)[:, ::2]
+        for k, run_sums in enumerate(runs):
+            sums[k, s, first:first + n.size] = np.bincount(owner, run_sums, minlength=n.size)
+        counts[s, first:first + n.size] = n
     return sums, counts
+
+
+# nodes per batch: a solver pass over 2^14 entries keeps its temporaries in
+# cache, and runs about twice as fast per entry as one over 2^17
+_BATCH_NODES = 2**14
+
+
+def node_batches(family: RegionFamily, grid: Grid):
+    """(size index, first center, node indices, node counts) over a family, batch by batch.
+
+    A batch is _BATCH_NODES // (nodes of the largest region) consecutive
+    centers of one size, at least one; each region's nodes are contiguous,
+    in center order.  Nothing is cached, so memory stays bounded by a batch.
+    """
+    for s, first, owner, start, stop, counts in _family_runs(family, grid):
+        per = max(1, _BATCH_NODES // max(int(counts.max()), 1))
+        for lo in range(0, counts.size, per):
+            r0, r1 = np.searchsorted(owner, [lo, lo + per])  # runs are in owner order
+            yield s, first + lo, _run_nodes(start[r0:r1], stop[r0:r1]), counts[lo:lo + per]
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,13 +26,12 @@ from .grid import (
     Region,
     RegionFamily,
     covering_region,
-    family_sup,
     region_family,
     sample,
     window_sums,
 )
 from .operators import Kernel, ThetaModulus, apply_operator, dini_integrals, maximal
-from .orlicz import YoungFunction, luxemburg_norm, ratio
+from .orlicz import YoungFunction, luxemburg_table, ratio
 from .spaces import (
     AmalgamSpec,
     SpaceParams,
@@ -327,23 +327,21 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     grid = u.grid
     p = params.p
     pp = p / (p - 1.0)
-    r = params.r
-    vfun = DiscreteFunction(grid, v.values ** (-1.0 / p))
-    Y = YoungFunction.bump(pp)
-
-    def bump(region, idx) -> float:
-        uu = u.values[idx]
-        vv = v.values[idx]
-        if params.mode == "two":
-            return float(np.mean(uu)) ** (1.0 / p) * float(np.mean(vv ** (1.0 - pp))) ** (1.0 / pp)
-        if params.mode == "power":
-            return float(np.mean(uu**r)) ** (1.0 / (r * p)) * float(
-                np.mean(vv ** ((1.0 - pp) * r))
-            ) ** (1.0 / (r * pp))
-        return float(np.mean(uu**r)) ** (1.0 / (r * p)) * luxemburg_norm(vfun, Y, region)
-
-    value, region = family_sup(family, grid, bump)
-    return BumpResult(value, region.center, region.size, params.mode)
+    r = 1.0 if params.mode == "two" else params.r
+    powers = [u.values**r] + ([] if params.mode == "orlicz" else [v.values ** ((1.0 - pp) * r)])
+    sums, counts = window_sums(family, grid, powers)
+    if not counts.any():
+        raise PreconditionError("every region in the family is empty")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = sums / counts
+    if params.mode == "orlicz":
+        v_side = luxemburg_table(family, grid, v.values ** (-1.0 / p), YoungFunction.bump(pp))
+    else:
+        v_side = means[1] ** (1.0 / (r * pp))
+    table = means[0] ** (1.0 / (r * p)) * v_side
+    # the first region attaining the sup, in [size, center] order
+    s, c = np.unravel_index(np.argmax(np.where(counts > 0, table, -np.inf)), table.shape)
+    return BumpResult(float(table[s, c]), family.centers[c], family.sizes[s], params.mode)
 
 
 @dataclass(frozen=True)
@@ -537,6 +535,11 @@ class _Context:
         )
         self.corpus = corpus.realize(grid)
 
+    @cached_property
+    def bmo(self) -> float:
+        """Oscillation norm of the symbol b over the family, for the commutator theorems."""
+        return bmo_norm(self.b, self.family)
+
     def space(self, variant: str, inner: Weight) -> AmalgamSpec:
         params = SpaceParams(self.spec.p, self.spec.alpha, self.spec.q)
         return AmalgamSpec(params, self.family, inner, self.mu, variant)
@@ -585,7 +588,7 @@ def _amalgam_sides(lhs_variant: str, lhs_weight: str, rhs_weight: str):
         lhs = amalgam_norm(image, ctx.space(lhs_variant, getattr(ctx, lhs_weight)))
         rhs = amalgam_norm(f, ctx.space("strong", getattr(ctx, rhs_weight)))
         if ctx.b is not None:
-            rhs = bmo_norm(ctx.b, ctx.family) * rhs
+            rhs = ctx.bmo * rhs
         return lhs, rhs
 
     return sides
@@ -691,7 +694,7 @@ def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
             )
         )
     if ctx.b is not None:
-        norm = bmo_norm(ctx.b, ctx.family)
+        norm = ctx.bmo
         gates.append(
             HypothesisResult(
                 "symbol_oscillation",

@@ -4,6 +4,11 @@ Luxemburg norms are taken in averaged form: the infimum over lam > 0 of
 the mass-weighted average of Y(|f|/lam) staying at or below one.  With
 Y(t) = t^p this reproduces the averaged L^p norm, and the averaged form
 is the one that enters the local space estimates.
+
+One solver computes them, for one region or a whole family at once: in
+s = 1/lam, G(s) = avg Y(s|f|) is convex and increasing, and Newton from
+the Jensen point s0 = Y^{-1}(1) / avg|f|, where G(s0) >= 1, converges
+from the right.  lam is then stepped up until avg Y(|f|/lam) <= 1 holds.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import DiscreteFunction, Region, gather
+from .grid import DiscreteFunction, Grid, Region, RegionFamily, _weight_values, gather, node_batches
 
 __all__ = [
     "YoungFunction",
     "luxemburg_norm",
+    "luxemburg_table",
     "HolderResult",
     "holder_check",
 ]
@@ -82,6 +88,23 @@ class YoungFunction:
                 out = (t * (1.0 + np.log(np.maximum(t, 1.0)))) ** self.param
         return out if out.ndim else float(out)
 
+    def _with_slope(self, t, log_t):
+        """Y(t) and t Y'(t) from t and log t, with the right derivative at t = 1."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.tag == "power":
+                y = t**self.param
+                return y, self.param * y
+            if self.tag == "exp":
+                y = np.expm1(t)
+                return y, t * (y + 1.0)
+            lift = 1.0 + np.maximum(log_t, 0.0)
+            above = log_t >= 0.0
+            if self.tag == "llogl":
+                y = t * lift**self.param
+                return y, y * (lift + self.param * above) / lift
+            y = (t * lift) ** self.param
+            return y, self.param * y * (lift + above) / lift
+
     @property
     def unit_argument(self) -> float:
         """The argument u with Y(u) = 1."""
@@ -94,55 +117,113 @@ def luxemburg_norm(
     region: Optional[Region] = None,
     weight=None,
 ) -> float:
-    """Averaged Luxemburg norm of f over a region.
+    """Averaged Luxemburg norm of f over a region, as a batch of one for _solve.
 
-    Returns the smallest lam (to relative width 1e-10) with
-    avg_B Y(|f|/lam) <= 1, where the average is weighted by the optional
-    weight times the cell volume.  The returned lam always satisfies the
-    constraint, so Holder-type products built from it stay valid bounds.
+    Returns lam with avg_B Y(|f|/lam) <= 1 while lam (1 - 1e-10) breaks it,
+    the average weighted by the optional weight times the cell volume.  So
+    Holder-type products built from lam stay valid bounds.
     """
     vals, masses = gather(f, region, weight)
-    vals = np.abs(vals)
-    total = float(np.sum(masses))
-    carried = vals[masses > 0]
-    if total <= 0.0 or carried.size == 0 or not np.any(carried > 0):
-        return 0.0
+    return float(_solve(Y, np.abs(vals), masses, np.array([vals.size]))[0])
 
-    def G(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(Y(vals / lam) * masses)) / total
 
-    # constant functions solve exactly: lam = c / Y^{-1}(1)
-    vmax = float(carried.max())
-    if vmax == float(carried.min()):
-        lam = vmax / Y.unit_argument
-        for _ in range(8):
-            if G(lam) <= 1.0:
-                return lam
-            lam = float(np.nextafter(lam, np.inf))
-        # fall through to bisection in pathological rounding cases
+def luxemburg_table(
+    family: RegionFamily, grid: Grid, values, Y: YoungFunction, weight=None
+) -> np.ndarray:
+    """luxemburg_norm of node values on every region of a family, as [size, center].
 
-    lam_hi = float(np.sum(vals * masses)) / total + vmax * 1e-300
-    for _ in range(4000):
-        if G(lam_hi) <= 1.0:
-            break
-        lam_hi *= 2.0
-    else:
-        raise ConfigurationError("luxemburg norm failed to bracket from above")
-    lam_lo = lam_hi
-    for _ in range(4000):
-        nxt = lam_lo / 2.0
-        if nxt <= 0.0 or G(nxt) > 1.0:
-            lam_lo = nxt
-            break
-        lam_lo = nxt
-    while lam_hi - lam_lo > 1e-10 * lam_hi:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if G(mid) <= 1.0:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-    return lam_hi
+    A region without nodes reads 0.
+    """
+    vals = np.abs(np.asarray(values, dtype=np.float64))
+    w = _weight_values(weight, grid)
+    out = np.zeros((len(family.sizes), len(family.centers)))
+    for s, first, idx, counts in node_batches(family, grid):
+        masses = (np.ones(idx.size) if w is None else w[idx]) * grid.cell_volume
+        out[s, first:first + counts.size] = _solve(Y, vals[idx], masses, counts)
+    return out
+
+
+def _shrink(keep, counts, *entries):
+    """The segments where keep holds: their counts, and their part of each entry array."""
+    rows = np.repeat(keep, counts)
+    return (counts[keep],) + tuple(x[rows] for x in entries)
+
+
+def _solve(Y: YoungFunction, a, m, counts) -> np.ndarray:
+    """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m."""
+    lam = np.zeros(counts.size)
+    # entries without mass drop out, and so do segments without any
+    running = np.concatenate(([0], np.cumsum(m > 0)))[np.cumsum(counts)]
+    kept = np.diff(running, prepend=0)
+    ids = np.flatnonzero(kept)
+    counts, a, m = kept[ids], a[m > 0], m[m > 0]
+    starts = np.cumsum(counts) - counts
+    total, amax = np.add.reduceat(m, starts), np.maximum.reduceat(a, starts)
+    # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0
+    flat = amax == np.minimum.reduceat(a, starts)
+    lam[ids[flat]] = amax[flat] / Y.unit_argument
+    if not flat.all():
+        # lam scales with f, so the solve runs on |f| / max|f|
+        c, a_n, m_n = _shrink(~flat, counts, a, m)
+        top = amax[~flat]
+        lam[ids[~flat]] = top / _newton(Y, a_n / np.repeat(top, c), m_n, c, total[~flat])
+    # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
+    live = lam[ids] > 0
+    counts, a, m = _shrink(live, counts, a, m)
+    ids, total = ids[live], total[live]
+    step = np.spacing(lam[ids])
+    for _ in range(64):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = Y(a / np.repeat(lam[ids], counts)) * m
+        G = np.add.reduceat(terms, np.cumsum(counts) - counts) / total
+        fails = ~(G <= 1.0)
+        if not fails.any():
+            return lam
+        counts, a, m = _shrink(fails, counts, a, m)
+        ids, total, step = ids[fails], total[fails], step[fails]
+        lam[ids] += step
+        step = 2.0 * step
+    raise ConfigurationError("luxemburg norm failed to meet its constraint")
+
+
+def _newton(Y: YoungFunction, a, m, counts, total) -> np.ndarray:
+    """The root s of G(s) = sum Y(s a) m / sum m = 1 on each segment, where max a = 1.
+
+    Newton from s0 = u / avg a, u = Y.unit_argument, never overshoots the
+    root of the convex G, so a Newton trial at G <= 1 is the root up to
+    rounding.  The root lies in [u, s0].  A step that is not finite, leaves
+    that bracket or exceeds half the move before it (exp, far from the
+    root) gives way to a geometric bisection.  A relative step of 1e-14 ends it.
+    """
+    starts = np.cumsum(counts) - counts
+    with np.errstate(divide="ignore"):
+        log_a = np.log(a)
+    u = Y.unit_argument
+    s = u * total / np.add.reduceat(a * m, starts)
+    lo, hi, prev = np.full(s.size, u), s.copy(), np.full(s.size, np.inf)
+    newton, root, ids = np.ones(s.size, dtype=bool), np.empty(s.size), np.arange(s.size)
+    for _ in range(200):
+        y, ty = Y._with_slope(a * np.repeat(s, counts), log_a + np.repeat(np.log(s), counts))
+        mass, slope = np.add.reduceat(y * m, starts), np.add.reduceat(ty * m, starts)
+        # G'(s) = sum t Y'(t) m / (s sum m) at t = s a; inf / inf where exp overflows
+        with np.errstate(invalid="ignore"):
+            step = s * (mass - total) / slope
+        low = mass <= total
+        lo, hi, trial = np.where(low, s, lo), np.where(low, hi, s), s - step
+        done = (low & newton) | (np.abs(step) <= 1e-14 * s)
+        root[ids[done]] = np.where(low & newton, s, trial)[done]
+        newton = (trial > lo) & (trial < hi) & (np.abs(step) <= 0.5 * prev)
+        nxt = np.where(newton, trial, np.sqrt(lo) * np.sqrt(hi))
+        prev, s = np.abs(nxt - s), nxt
+        if done.all():
+            return root
+        if done.any():
+            counts, a, log_a, m = _shrink(~done, counts, a, log_a, m)
+            starts = np.cumsum(counts) - counts
+            ids, total, s, lo, hi, prev, newton = (
+                x[~done] for x in (ids, total, s, lo, hi, prev, newton)
+            )
+    raise ConfigurationError("luxemburg norm did not converge")
 
 
 def ratio(lhs: float, rhs: float) -> float:

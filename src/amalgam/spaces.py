@@ -28,7 +28,7 @@ from .grid import (
     gather,
     window_sums,
 )
-from .orlicz import YoungFunction, luxemburg_norm
+from .orlicz import YoungFunction, luxemburg_table
 from .weights import Weight
 
 __all__ = [
@@ -207,13 +207,6 @@ def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
     return best, best_size, best_center
 
 
-def _inner_value(f, spec, region) -> float:
-    """Weak or averaged LlogL local norm of f on a region."""
-    if spec.variant == "weak":
-        return local_weak_lp_norm(f, spec.params.p, region, spec.inner_weight)
-    return luxemburg_norm(f, YoungFunction.llogl(1.0), region, spec.inner_weight)
-
-
 def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormResult:
     grid = f.grid
     if spec.inner_weight is not None and spec.inner_weight.grid != grid:
@@ -228,7 +221,12 @@ def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormRe
         inner = (grid.cell_volume * sums[1]) ** (1.0 / params.p)
     else:
         sums, _ = window_sums(fam, grid, [u])
-        inner = family_table(fam, grid, lambda region, idx: _inner_value(f, spec, region))
+        if spec.variant == "weak":
+            inner = family_table(fam, grid, lambda region, idx: local_weak_lp_norm(
+                f, params.p, region, spec.inner_weight))
+        else:
+            llogl = YoungFunction.llogl(1.0)
+            inner = luxemburg_table(fam, grid, f.values, llogl, spec.inner_weight)
     expo = params.llogl_exponent if spec.variant == "llogl" else params.strong_exponent
     # inner > 0 only on regions that hold nodes, whose u-mass is positive
     mass = grid.cell_volume * sums[0]

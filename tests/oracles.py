@@ -107,12 +107,49 @@ def brute_luxemburg(values, masses, Y, rel=1e-11):
     return brentq(g, lo, hi, rtol=rel, maxiter=400)
 
 
+def brute_bump(u, v, p, r, mode, family):
+    """Two-weight bump supremum, one region at a time, as (value, center, size).
+
+    two:     (avg u)^{1/p} (avg v^{1-p'})^{1/p'}
+    power:   (avg u^r)^{1/(rp)} (avg v^{(1-p')r})^{1/(rp')}
+    orlicz:  (avg u^r)^{1/(rp)} times the brentq Luxemburg norm of v^{-1/p}
+             under [t (1 + log+ t)]^{p'}
+
+    Regions without nodes are skipped; the first region attaining the sup
+    in size then center order wins.  None when every region is empty.
+    """
+    grid = u.grid
+    pp = p / (p - 1.0)
+    if mode == "two":
+        r = 1.0
+
+    def bump_young(t):
+        return (t * (1.0 + np.log(np.maximum(t, 1.0)))) ** pp
+
+    best = None
+    for size in family.sizes:
+        for center in family.centers:
+            idx = region_nodes(grid, center, size, family.shape)
+            if idx.size == 0:
+                continue
+            uu, vv = u.values[idx], v.values[idx]
+            u_side = (math.fsum((uu**r).tolist()) / idx.size) ** (1.0 / (r * p))
+            if mode == "orlicz":
+                v_side = brute_luxemburg(vv ** (-1.0 / p), np.ones(idx.size), bump_young)
+            else:
+                v_mean = math.fsum((vv ** ((1.0 - pp) * r)).tolist()) / idx.size
+                v_side = v_mean ** (1.0 / (r * pp))
+            if best is None or u_side * v_side > best[0]:
+                best = (u_side * v_side, center, size)
+    return best
+
+
 def brute_maximal(f, regions, kind):
     """Per-node supremum of region averages, accumulated in python."""
     grid = f.grid
     out = [-math.inf] * grid.n_nodes
     for region in regions:
-        idx = region.node_indices(grid)
+        idx = region_nodes(grid, region.center, region.size, region.shape)
         if idx.size == 0:
             continue
         seg = f.values[idx]
@@ -133,7 +170,7 @@ def brute_characteristic(w, p, family):
     wv = w.values
     best = 0.0
     for region in family:
-        idx = region.node_indices(grid)
+        idx = region_nodes(grid, region.center, region.size, region.shape)
         if idx.size == 0:
             continue
         seg = wv[idx]
@@ -153,7 +190,8 @@ def brute_doubling_profile(w, family):
     grid = w.grid
 
     def mass(region):
-        return math.fsum(w.values[region.node_indices(grid)].tolist()) * grid.cell_volume
+        idx = region_nodes(grid, region.center, region.size, region.shape)
+        return math.fsum(w.values[idx].tolist()) * grid.cell_volume
 
     ratios = []
     chains = {}
@@ -185,7 +223,7 @@ def brute_bmo(b, family):
     bv = b.values
     best = 0.0
     for region in family:
-        idx = region.node_indices(grid)
+        idx = region_nodes(grid, region.center, region.size, region.shape)
         if idx.size == 0:
             continue
         seg = bv[idx]
@@ -289,7 +327,7 @@ def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, ph
         vals_l = []
         vals_r = []
         for region in family.at_size(size):
-            idx = region.node_indices(grid)
+            idx = region_nodes(grid, region.center, region.size, region.shape)
             if idx.size == 0:
                 vals_l.append(0.0)
                 vals_r.append(0.0)

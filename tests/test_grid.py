@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amalgam.grid
 import oracles
 from amalgam import (
     ConfigurationError,
@@ -29,7 +31,7 @@ from amalgam import (
     sample,
     write_function_csv,
 )
-from amalgam.grid import family_sup, window_sums
+from amalgam.grid import family_sup, node_batches, window_sums
 
 
 def test_grid_basic_geometry():
@@ -304,3 +306,29 @@ def test_window_sums_of_a_wide_ranging_weight(dim, shape):
                 assert sums[0, s, c] > 0.0
                 assert sums[0, s, c] == pytest.approx(math.fsum(arr[idx].tolist()), rel=1e-12)
     assert empty == len(centers) // 2
+
+
+@pytest.mark.parametrize("limit", [1, 100, 2**14])
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_node_batches_hand_out_each_region_once(dim, shape, limit):
+    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=256 if dim == 1 else 16)
+    h = grid.spacing
+    # more centers than one chunk of runs, half of them between nodes
+    if dim == 1:
+        centers = [(c + t,) for c in grid.axis for t in (0.0, h / 2)]
+    else:
+        centers = [(cx + t, cy + t) for cx in grid.axis for cy in grid.axis for t in (0.0, h / 2)]
+    fam = region_family(grid, (h / 4, 0.3, 1.0, 3.0), shape=shape, centers=centers)
+    nodes = {}
+    with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+        batches = list(node_batches(fam, grid))
+    for s, first, idx, counts in batches:
+        assert counts.size == 1 or counts.size * counts.max() <= limit
+        assert idx.size == counts.sum()
+        for k, region_idx in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
+            assert (s, first + k) not in nodes
+            nodes[s, first + k] = region_idx
+    assert len(nodes) == len(fam)
+    for s, size in enumerate(fam.sizes):
+        for c, center in enumerate(centers):
+            assert np.array_equal(nodes[s, c], oracles.region_nodes(grid, center, size, shape))

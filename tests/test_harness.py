@@ -16,6 +16,7 @@ from amalgam import (
     Kernel,
     PreconditionError,
     Region,
+    RegionFamily,
     ThetaModulus,
     YoungFunction,
     apply_operator,
@@ -28,6 +29,7 @@ from amalgam import (
     sample,
     sharp_domination_check,
     theorem_experiment,
+    weight_from_expression,
 )
 from amalgam.harness import _max_rel_drift
 
@@ -102,6 +104,50 @@ def test_bump_check_power_dominates_two(small_grid):
     two = bump_check(u, u, BumpParams(2.0, 1.0, "two"), fam).value
     power = bump_check(u, u, BumpParams(2.0, 1.5, "power"), fam).value
     assert power >= two * (1 - 1e-12)
+
+
+BUMP_GRIDS = {
+    "1d": (make_grid(dim=1, half_width=4.0, points_per_axis=256), "ball"),
+    "2d-ball": (make_grid(dim=2, half_width=2.0, points_per_axis=32), "ball"),
+    "2d-cube": (make_grid(dim=2, half_width=2.0, points_per_axis=32), "cube"),
+}
+
+
+@pytest.mark.parametrize("mode", ["two", "power", "orlicz"])
+@pytest.mark.parametrize("where", sorted(BUMP_GRIDS))
+def test_bump_check_matches_oracle(where, mode):
+    grid, shape = BUMP_GRIDS[where]
+    h = grid.spacing
+    dim = grid.dim
+    ax = grid.axis
+    # lattice centers, one of them at the box edge so that the large sizes
+    # spill past it, and one center between nodes, whose smallest region
+    # holds no node
+    lattice = [(ax[3],) * dim, (ax[len(ax) // 2 + 1],) + (ax[5],) * (dim - 1), (ax[-1],) * dim]
+    centers = [tuple(float(c) for c in pt) for pt in lattice] + [(float(ax[10]) + h / 2,) * dim]
+    fam = region_family(grid, sizes=(h / 4, 0.5, 1.0), shape=shape, centers=centers)
+    # oscillating weights, so that the sup is a region of many nodes, tilted
+    # so that it has no ties
+    osc = "sin(7.0 * x)" if dim == 1 else "sin(7.0 * x + 5.0 * y)"
+    tilt = "exp(0.3 * x)" if dim == 1 else "exp(0.3 * x - 0.2 * y)"
+    u = weight_from_expression(f"{tilt} * (1.5 + {osc})", grid)
+    v = weight_from_expression(f"(1.5 + {osc}) * (1.0 + r)", grid)
+    for p, r in ((2.0, 1.5), (3.0, 1.25)):
+        params = BumpParams(p, r, mode)
+        got = bump_check(u, v, params, fam)
+        value, center, size = oracles.brute_bump(u, v, p, r, mode, fam)
+        assert got.value == pytest.approx(value, rel=1e-9)
+        assert got.argmax_center == center and got.argmax_size == size
+        # region by region; a family whose only region is empty still raises
+        for size in fam.sizes:
+            for center in fam.centers:
+                one = RegionFamily(shape, (center,), (size,))
+                want = oracles.brute_bump(u, v, p, r, mode, one)
+                if want is None:
+                    with pytest.raises(PreconditionError):
+                        bump_check(u, v, params, one)
+                else:
+                    assert bump_check(u, v, params, one).value == pytest.approx(want[0], rel=1e-9)
 
 
 def test_bump_params_validation():

@@ -1,16 +1,26 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import amalgam.grid
 import oracles
 from amalgam import (
     ConfigurationError,
     DiscreteFunction,
+    EmptyRegionWarning,
     Region,
     YoungFunction,
     holder_check,
     luxemburg_norm,
+    luxemburg_table,
+    make_grid,
+    region_family,
     sample,
 )
 
@@ -90,6 +100,15 @@ def test_luxemburg_constant_fast_path(small_grid):
     )
 
 
+def test_luxemburg_far_scales(small_grid, rng):
+    f = DiscreteFunction(small_grid, np.abs(rng.normal(size=small_grid.n_nodes)))
+    for Y in (YoungFunction.power(3.0), YoungFunction.llogl(1.0), YoungFunction.exponential(),
+              YoungFunction.bump(2.0)):
+        base = luxemburg_norm(f, Y)
+        for c in (1e-300, 1e300):
+            assert luxemburg_norm(c * f, Y) == pytest.approx(c * base, rel=1e-12)
+
+
 def test_luxemburg_zero_function(small_grid):
     z = sample("0.0", small_grid)
     assert luxemburg_norm(z, YoungFunction.llogl(1.0)) == 0.0
@@ -162,3 +181,120 @@ def test_holder_validation(small_grid):
         holder_check(f, f, "nope")
     with pytest.raises(ConfigurationError):
         holder_check(f, f, "triple")
+
+
+def test_young_slope_is_t_times_the_derivative():
+    t = np.array([0.01, 0.3, 0.9, 1.0, 1.5, 4.0, 30.0])
+    d = 1e-7 * t
+    for Y in (YoungFunction.power(2.5), YoungFunction.llogl(1.5), YoungFunction.exponential(),
+              YoungFunction.bump(1.5)):
+        y, ty = Y._with_slope(t, np.log(t))
+        assert np.array_equal(y, Y(t))
+        # central differences, and the right difference at the kink t = 1
+        want = t * (Y(t + d) - Y(t - d)) / (2 * d)
+        want[3] = (Y(1.0 + 1e-9) - Y(1.0)) / 1e-9
+        assert np.allclose(ty, want, rtol=1e-6), Y.tag
+
+
+@st.composite
+def young_functions(draw):
+    tag = draw(st.sampled_from(["power", "llogl", "exp", "bump"]))
+    if tag == "power":
+        return YoungFunction.power(draw(st.floats(1.0, 4.0)))
+    if tag == "llogl":
+        return YoungFunction.llogl(draw(st.floats(0.0, 3.0)))
+    if tag == "bump":
+        return YoungFunction.bump(draw(st.floats(1.05, 3.0)))
+    return YoungFunction.exponential()
+
+
+PROP_GRID = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+
+
+@st.composite
+def node_values(draw, n):
+    """|f| over n nodes at a random scale, zeros and spikes included."""
+    shape = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e3)))
+    return shape * 10.0 ** draw(st.integers(-6, 6))
+
+
+def _fsum_average(Y, a, m, lam):
+    a, m = a[m > 0], m[m > 0]
+    return math.fsum((Y(a / lam) * m).tolist()) / math.fsum(m.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    young_functions(),
+    node_values(64),
+    hnp.arrays(np.float64, 64, elements=st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e3)),
+    st.floats(-4.0, 4.0),
+    st.floats(0.125, 5.0),
+)
+def test_luxemburg_contract(Y, vals, w, center, size):
+    # the returned lam meets its constraint, and 1e-10 below it does not
+    f = DiscreteFunction(PROP_GRID, vals)
+    region = Region("ball", (center,), size)
+    idx = region.node_indices(PROP_GRID)
+    lam = luxemburg_norm(f, Y, region, weight=w)
+    a, m = vals[idx], w[idx] * PROP_GRID.cell_volume
+    if not np.any((a > 0) & (m > 0)):
+        assert lam == 0.0
+        return
+    assert _fsum_average(Y, a, m, lam) <= 1.0 + 1e-12
+    assert _fsum_average(Y, a, m, lam * (1.0 - 1e-10)) > 1.0
+
+
+TABLE_GRIDS = {
+    "1d": make_grid(dim=1, half_width=4.0, points_per_axis=64),
+    "2d-ball": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+    "2d-cube": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    young_functions(),
+    st.sampled_from(sorted(TABLE_GRIDS)),
+    st.booleans(),
+    st.sampled_from([1, 100, 2**14]),
+    st.data(),
+)
+def test_luxemburg_table_is_luxemburg_norm_bit_for_bit(Y, where, weighted, limit, data):
+    grid = TABLE_GRIDS[where]
+    shape = "cube" if where == "2d-cube" else "ball"
+    vals = data.draw(node_values(grid.n_nodes))
+    w = None
+    if weighted:
+        w = data.draw(hnp.arrays(np.float64, grid.n_nodes, elements=st.floats(1e-3, 1e3)))
+    # sizes past the box, and one below the spacing whose regions hold a node or none
+    fam = region_family(grid, sizes=(grid.spacing / 4, 0.3, 1.0, 6.0), shape=shape, center_stride=3)
+    # batches of one region, of a few, and of all regions of a size
+    with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+        table = luxemburg_table(fam, grid, vals, Y, w)
+    f = DiscreteFunction(grid, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyRegionWarning)
+        want = [[luxemburg_norm(f, Y, region, w) for region in fam.at_size(s)] for s in fam.sizes]
+    assert np.array_equal(table, np.array(want))
+
+
+# Newton passes a spiky exp region may take: far from the root a Newton step
+# moves s by only about 1 / max|f|, so the solve leans on geometric bisection
+EXP_SPIKE_PASSES = 12
+
+
+@pytest.mark.parametrize("spike_at", [0, 1000, 4095])
+def test_luxemburg_exp_spike_pass_bound(monkeypatch, spike_at):
+    grid = make_grid(dim=1, half_width=4.0, points_per_axis=4096)
+    vals = np.full(grid.n_nodes, 1e-3)
+    vals[spike_at] = 4095 / 3096  # max / avg = 1e3
+    assert vals.max() / vals.mean() == pytest.approx(1e3)
+    passes = []
+    slope = YoungFunction._with_slope
+    monkeypatch.setattr(YoungFunction, "_with_slope", lambda Y, *args: passes.append(1) or slope(Y, *args))
+    Y = YoungFunction.exponential()
+    got = luxemburg_norm(DiscreteFunction(grid, vals), Y)
+    want = oracles.brute_luxemburg(vals, np.full(grid.n_nodes, grid.cell_volume), Y)
+    assert got == pytest.approx(want, rel=1e-8)
+    assert len(passes) <= EXP_SPIKE_PASSES
