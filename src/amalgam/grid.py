@@ -6,12 +6,13 @@ array; 2d arrays are flattened in C order with the second coordinate
 varying fastest.
 
 Only this module turns regions into nodes.  A region is a set of flat
-[start, stop) node runs: one in 1D, one per grid row in 2D.  gather and the
-scan layer read a region's nodes as the concatenation of its runs;
-node_batches hands out those nodes for many regions at once, in bounded
-batches; and window_sums adds node arrays run by run over a whole family,
-which is how the linear family statistics (masses, L^p sums, level masses)
-are computed.
+[start, stop) node runs: one in 1D, one per grid row in 2D.  Nodes are read
+three ways: gather reads one region's nodes, the concatenation of its runs;
+window_sums adds node arrays run by run over a whole family, which is how
+the linear family statistics (masses, L^p sums, level masses) are computed;
+and batch_table evaluates a nonlinear statistic (Luxemburg norm, weak L^p,
+mean oscillation, A_p characteristic) on the node batches of a family that
+node_batches hands out, many regions at once in bounded batches.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionWarning, PreconditionError
+from .errors import ConfigurationError, EmptyRegionWarning
 
 __all__ = [
     "Grid",
@@ -363,59 +364,6 @@ def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
     return vals, wts * grid.cell_volume
 
 
-def scan(
-    regions: Iterable[Region], grid: Grid, warn: bool = False
-) -> Iterator[Tuple[Region, np.ndarray]]:
-    """(region, node indices) of each region that holds nodes, in order.
-
-    Empty regions are skipped, with an EmptyRegionWarning when warn is set.
-    """
-    for region in regions:
-        idx = region.node_indices(grid)
-        if idx.size:
-            yield region, idx
-        elif warn:
-            warnings.warn("skipping empty region", EmptyRegionWarning, stacklevel=4)
-
-
-def family_sup(
-    regions: Iterable[Region],
-    grid: Grid,
-    value: Callable[[Region, np.ndarray], float],
-    warn: bool = False,
-) -> Tuple[float, Region]:
-    """Largest value(region, node indices) over the regions that hold nodes.
-
-    Returns the value and the first region attaining it.  Empty regions are
-    skipped as in scan; a family whose regions are all empty raises
-    PreconditionError.
-    """
-    best = None
-    for region, idx in scan(regions, grid, warn):
-        val = value(region, idx)
-        if best is None or val > best[0]:
-            best = (val, region)
-    if best is None:
-        raise PreconditionError("every region in the family is empty")
-    return best
-
-
-def family_table(
-    family: RegionFamily,
-    grid: Grid,
-    value: Callable[[Region, np.ndarray], float],
-) -> np.ndarray:
-    """value(region, node indices) on every region as an array [size, center], 0 where empty."""
-    rows = []
-    for size in family.sizes:
-        row = []
-        for region in family.at_size(size):
-            idx = region.node_indices(grid)
-            row.append(value(region, idx) if idx.size else 0.0)
-        rows.append(row)
-    return np.array(rows)
-
-
 _CENTER_CHUNK = 128
 
 
@@ -478,6 +426,29 @@ def node_batches(family: RegionFamily, grid: Grid):
         for lo in range(0, counts.size, per):
             r0, r1 = np.searchsorted(owner, [lo, lo + per])  # runs are in owner order
             yield s, first + lo, _run_nodes(start[r0:r1], stop[r0:r1]), counts[lo:lo + per]
+
+
+def batch_table(
+    family: RegionFamily, grid: Grid, value: Callable, warn: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A nonlinear statistic on every region of a family, and node counts, as [size, center].
+
+    value(node indices, counts, starts) gets the regions of one node_batches
+    batch that hold nodes, region k at idx[starts[k]:starts[k] + counts[k]],
+    and returns one value per region.  A region without nodes reads 0, with
+    an EmptyRegionWarning when warn is set.
+    """
+    table = np.zeros((len(family.sizes), len(family.centers)))
+    counts = np.zeros(table.shape, dtype=np.intp)
+    for s, first, idx, n in node_batches(family, grid):
+        counts[s, first:first + n.size] = n
+        held = np.flatnonzero(n)
+        if held.size:
+            table[s, first + held] = value(idx, n[held], np.cumsum(n[held]) - n[held])
+    if warn and not counts.all():
+        warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
+                      EmptyRegionWarning, stacklevel=3)
+    return table, counts
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

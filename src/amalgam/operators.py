@@ -12,6 +12,7 @@ lattice, O(N log N) in the node count N, against a cached kernel spectrum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -20,8 +21,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, PreconditionError
-from .grid import DiscreteFunction, Grid, Region, scan
-from .orlicz import YoungFunction, luxemburg_norm
+from .grid import DiscreteFunction, Grid, Region, RegionFamily, node_batches, window_sums
+from .orlicz import YoungFunction, luxemburg_table
+from .spaces import oscillation_table
 
 __all__ = [
     "ThetaModulus",
@@ -291,19 +293,18 @@ def maximal(
 
     grid = f.grid
     out = np.full(grid.n_nodes, -math.inf)
-    avals = np.abs(f.values)
-    phi = YoungFunction.llogl(1.0)
-    for region, idx in scan(regions, grid):
+    # consecutive regions of one shape and size are a one-size family
+    for (shape, size), group in itertools.groupby(regions, key=lambda r: (r.shape, r.size)):
+        fam = RegionFamily(shape, tuple(r.center for r in group), (size,))
         if kind == "hl":
-            val = float(np.mean(avals[idx]))
+            sums, counts = window_sums(fam, grid, [np.abs(f.values)])
+            table = sums[0] / np.maximum(counts, 1)
         elif kind == "sharp":
-            seg = f.values[idx]
-            val = float(np.mean(np.abs(seg - np.mean(seg))))
+            table = oscillation_table(f.values, fam, grid)[0]
         else:
-            val = luxemburg_norm(f, phi, region)
-        # region indices are unique, so fancy assignment is safe and fast
-        seg = out[idx]
-        out[idx] = np.where(seg >= val, seg, val)
+            table = luxemburg_table(fam, grid, f.values, YoungFunction.llogl(1.0))
+        for s, first, idx, counts in node_batches(fam, grid):
+            np.maximum.at(out, idx, np.repeat(table[s, first:first + counts.size], counts))
     if np.any(np.isinf(out)):
         raise PreconditionError(
             "maximal family leaves nodes uncovered; append a covering region"

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import DiscreteFunction, Grid, Region, RegionFamily, _weight_values, gather, node_batches
+from .grid import DiscreteFunction, Grid, Region, RegionFamily, _weight_values, batch_table, gather
 
 __all__ = [
     "YoungFunction",
@@ -136,11 +136,9 @@ def luxemburg_table(
     """
     vals = np.abs(np.asarray(values, dtype=np.float64))
     w = _weight_values(weight, grid)
-    out = np.zeros((len(family.sizes), len(family.centers)))
-    for s, first, idx, counts in node_batches(family, grid):
-        masses = (np.ones(idx.size) if w is None else w[idx]) * grid.cell_volume
-        out[s, first:first + counts.size] = _solve(Y, vals[idx], masses, counts)
-    return out
+    masses = (np.ones(grid.n_nodes) if w is None else w) * grid.cell_volume
+    return batch_table(family, grid, lambda idx, counts, starts: _solve(
+        Y, vals[idx], masses[idx], counts))[0]
 
 
 def _shrink(keep, counts, *entries):

@@ -16,18 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .grid import (
-    DiscreteFunction,
-    Grid,
-    Region,
-    RegionFamily,
-    _weight_values,
-    family_sup,
-    family_table,
-    gather,
-    window_sums,
-)
+from .errors import ConfigurationError, PreconditionError
+from .grid import DiscreteFunction, Grid, Region, RegionFamily, batch_table, gather, window_sums
 from .orlicz import YoungFunction, luxemburg_table
 from .weights import Weight
 
@@ -105,12 +95,26 @@ def local_weak_lp_norm(
     if p < 1:
         raise ConfigurationError("local_weak_lp_norm needs p >= 1")
     vals, masses = gather(f, region, weight)
-    av = np.abs(vals)
-    order = np.argsort(av)[::-1]
-    sorted_vals = av[order]
-    cum = np.cumsum(masses[order])
-    cand = sorted_vals * cum ** (1.0 / p)
-    return float(cand.max(initial=0.0))
+    return float(_weak_lp(np.abs(vals), masses, np.array([vals.size]), p)[0])
+
+
+def _weak_lp(a, m, counts, p: float) -> np.ndarray:
+    """Weak L^p norms of segments of counts[k] consecutive |f| values a and masses m.
+
+    Each segment becomes a row of a zero-padded [segment, slot] table, sorted
+    by |f| in descending order; its cumulative masses then run inside the
+    row, never as differences of prefix sums over the whole batch.
+    """
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(counts.size), counts)
+    slots = np.arange(a.size) - np.repeat(starts, counts)
+    key = np.full((counts.size, int(counts.max(initial=0))), -1.0)
+    mass = np.zeros(key.shape)
+    key[rows, slots], mass[rows, slots] = a, m
+    order = np.argsort(-key, axis=1)
+    cum = np.cumsum(np.take_along_axis(mass, order, axis=1), axis=1)
+    cand = np.maximum(np.take_along_axis(key, order, axis=1), 0.0) * cum ** (1.0 / p)
+    return cand.max(axis=1, initial=0.0)
 
 
 def region_mean(
@@ -133,20 +137,23 @@ def region_mean(
     return float(np.sum(vals * masses)) / total
 
 
-def bmo_norm(b: DiscreteFunction, family: RegionFamily, weight=None) -> float:
+def oscillation_table(b: np.ndarray, family: RegionFamily, grid: Grid):
+    """avg_B |b - b_B| on every region of a family, and node counts, as [size, center]."""
+
+    def oscillation(idx, counts, starts):
+        seg = b[idx]
+        mean = np.add.reduceat(seg, starts) / counts
+        return np.add.reduceat(np.abs(seg - np.repeat(mean, counts)), starts) / counts
+
+    return batch_table(family, grid, oscillation)
+
+
+def bmo_norm(b: DiscreteFunction, family: RegionFamily) -> float:
     """sup over the family of avg_B |b - b_B|."""
-    w = _weight_values(weight, b.grid)
-
-    def oscillation(region, idx) -> float:
-        vals = b.values[idx]
-        wts = np.ones(idx.size) if w is None else w[idx]
-        total = float(np.sum(wts))
-        if total <= 0.0:
-            return 0.0
-        mean = float(np.sum(vals * wts)) / total
-        return float(np.sum(np.abs(vals - mean) * wts)) / total
-
-    return family_sup(family, b.grid, oscillation)[0]
+    table, counts = oscillation_table(b.values, family, b.grid)
+    if not counts.any():
+        raise PreconditionError("every region in the family is empty")
+    return float(table.max())
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,9 @@ def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormRe
     else:
         sums, _ = window_sums(fam, grid, [u])
         if spec.variant == "weak":
-            inner = family_table(fam, grid, lambda region, idx: local_weak_lp_norm(
-                f, params.p, region, spec.inner_weight))
+            a, m = np.abs(f.values), grid.cell_volume * u
+            inner = batch_table(fam, grid, lambda idx, counts, starts: _weak_lp(
+                a[idx], m[idx], counts, params.p))[0]
         else:
             llogl = YoungFunction.llogl(1.0)
             inner = luxemburg_table(fam, grid, f.values, llogl, spec.inner_weight)

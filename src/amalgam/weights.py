@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily, family_sup, window_sums
+from .grid import DiscreteFunction, Grid, RegionFamily, batch_table, window_sums
 
 __all__ = [
     "Weight",
@@ -86,15 +86,18 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
         raise ConfigurationError("muckenhoupt characteristic needs p >= 1")
     vals = w.values
 
-    def characteristic(region, idx) -> float:
+    def characteristic(idx, counts, starts):
         wb = vals[idx]
-        m1 = float(np.mean(wb))
+        m1 = np.add.reduceat(wb, starts) / counts
         if p == 1.0:
-            return m1 / float(np.min(wb))
-        m2 = float(np.mean(wb ** (-1.0 / (p - 1.0))))
+            return m1 / np.minimum.reduceat(wb, starts)
+        m2 = np.add.reduceat(wb ** (-1.0 / (p - 1.0)), starts) / counts
         return m1 * m2 ** (p - 1.0)
 
-    return family_sup(family, w.grid, characteristic, warn=True)[0]
+    table, counts = batch_table(family, w.grid, characteristic, warn=True)
+    if not counts.any():
+        raise PreconditionError("every region in the family is empty")
+    return float(table.max())
 
 
 @dataclass(frozen=True)

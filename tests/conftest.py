@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amalgam import Corpus, make_grid
+from amalgam import Corpus, make_grid, region_family
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,22 @@ def small_grid():
 @pytest.fixture(scope="session")
 def tiny_grid_2d():
     return make_grid(dim=2, half_width=2.0, points_per_axis=16)
+
+
+@pytest.fixture(scope="session")
+def spill_families_2d():
+    """A 2D grid with a ball and a cube family that reach past the box.
+
+    Centers are every seventh node per axis plus one point midway between
+    nodes; at the size h/4 that point's region holds no node, and every
+    other region holds at least one.
+    """
+    grid = make_grid(dim=2, half_width=2.0, points_per_axis=32)
+    h = grid.spacing
+    ax = grid.axis[::7]
+    centers = [(x, y) for x in ax for y in ax] + [(grid.axis[10] + h / 2, grid.axis[20] + h / 2)]
+    sizes = (h / 4, 0.5, 1.0, 3.0)
+    return grid, [region_family(grid, sizes, shape, centers=centers) for shape in ("ball", "cube")]
 
 
 @pytest.fixture(scope="session")

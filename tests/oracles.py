@@ -104,7 +104,8 @@ def brute_luxemburg(values, masses, Y, rel=1e-11):
         hi *= 4.0
     while g(lo) < 0:
         lo /= 4.0
-    return brentq(g, lo, hi, rtol=rel, maxiter=400)
+    # an xtol far below rel * lam leaves the relative tolerance in charge
+    return brentq(g, lo, hi, xtol=rel * lo, rtol=rel, maxiter=400)
 
 
 def brute_bump(u, v, p, r, mode, family):
@@ -144,8 +145,16 @@ def brute_bump(u, v, p, r, mode, family):
     return best
 
 
+def _llogl(t):
+    return t * (1.0 + np.log(np.maximum(t, 1.0)))
+
+
 def brute_maximal(f, regions, kind):
-    """Per-node supremum of region averages, accumulated in python."""
+    """Per-node supremum of region averages, accumulated in python.
+
+    hl and sharp average |f| and |f - avg f|; llogl takes the brentq
+    Luxemburg norm under t (1 + log+ t).
+    """
     grid = f.grid
     out = [-math.inf] * grid.n_nodes
     for region in regions:
@@ -155,6 +164,8 @@ def brute_maximal(f, regions, kind):
         seg = f.values[idx]
         if kind == "hl":
             val = math.fsum(np.abs(seg).tolist()) / idx.size
+        elif kind == "llogl":
+            val = brute_luxemburg(seg, np.ones(idx.size), _llogl)
         else:  # sharp
             mean = math.fsum(seg.tolist()) / idx.size
             val = math.fsum(np.abs(seg - mean).tolist()) / idx.size
@@ -233,14 +244,22 @@ def brute_bmo(b, family):
     return best
 
 
-def brute_amalgam_strong(f, family, p, alpha, q, w=None, mu=None):
-    """Triple loop over sizes, centers, and nodes for the strong norm."""
+def brute_amalgam_strong(f, family, p, alpha, q, w=None, mu=None, variant="strong", argmax=False):
+    """Triple loop over sizes, centers, and nodes for the amalgam norm.
+
+    variant strong takes the L^p norm of each region, weak the swept weak
+    L^p norm, and llogl the brentq averaged Luxemburg norm under
+    t (1 + log+ t) with the measure exponent 1/alpha - 1/q.  With argmax
+    the result is (value, size, center): the first size attaining the
+    sup, and the first largest center of that size.
+    """
     grid = f.grid
     cell = grid.cell_volume
     fv = np.abs(f.values)
     wv = np.ones(grid.n_nodes) if w is None else w.values
-    expo = 1.0 / alpha - 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
-    best = 0.0
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    expo = 1.0 / alpha - inv_q if variant == "llogl" else 1.0 / alpha - 1.0 / p - inv_q
+    best = (0.0, None, None)
     for size in family.sizes:
         vals = []
         mus = []
@@ -250,7 +269,12 @@ def brute_amalgam_strong(f, family, p, alpha, q, w=None, mu=None):
                 vals.append(0.0)
             else:
                 mass = math.fsum(wv[idx].tolist()) * cell
-                inner = (math.fsum((fv[idx] ** p * wv[idx]).tolist()) * cell) ** (1.0 / p)
+                if variant == "weak":
+                    inner = brute_weak_lp(fv[idx], wv[idx] * cell, p)
+                elif variant == "llogl":
+                    inner = brute_luxemburg(fv[idx], wv[idx] * cell, _llogl)
+                else:
+                    inner = (math.fsum((fv[idx] ** p * wv[idx]).tolist()) * cell) ** (1.0 / p)
                 vals.append(mass**expo * inner if inner > 0 else 0.0)
             if mu is None:
                 mus.append(1.0)
@@ -262,8 +286,9 @@ def brute_amalgam_strong(f, family, p, alpha, q, w=None, mu=None):
             outer = math.fsum(
                 (v**q * m * cell for v, m in zip(vals, mus))
             ) ** (1.0 / q)
-        best = max(best, outer)
-    return best
+        if best[1] is None or outer > best[0]:
+            best = (outer, size, family.centers[vals.index(max(vals))])
+    return best if argmax else best[0]
 
 
 def brute_morrey(f, family, p, alpha, w=None):

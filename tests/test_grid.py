@@ -31,7 +31,7 @@ from amalgam import (
     sample,
     write_function_csv,
 )
-from amalgam.grid import family_sup, node_batches, window_sums
+from amalgam.grid import node_batches, window_sums
 
 
 def test_grid_basic_geometry():
@@ -203,9 +203,11 @@ def _holder_sides(g, empty):
             id="muckenhoupt_characteristic",
         ),
         pytest.param(
-            lambda g, e: family_sup([e], g, lambda region, idx: 1.0, warn=True),
+            lambda g, e: muckenhoupt_characteristic(
+                constant_weight(g), 2.0, RegionFamily("ball", (e.center,), (e.size,))
+            ),
             PreconditionError,
-            id="family_sup-all-empty",
+            id="muckenhoupt_characteristic-all-empty",
         ),
     ],
 )

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Static checks on the package source.
 
-A stdlib-only stand-in for pyflakes' unused-import check: an imported name
-must be read in the module's code or in a quoted annotation, or be listed
-in the module's ``__all__``.
+Every name a package module imports is used in that module: a stdlib-only
+stand-in for pyflakes' unused-import check, where an imported name must be
+read in the module's code or in a quoted annotation, or be listed in the
+module's ``__all__``.
+
+Only grid.py turns regions into nodes: no other module calls
+``.node_indices(`` or issues an EmptyRegionWarning.
 """
 
 import ast
@@ -67,3 +71,53 @@ def test_unused_import_is_caught():
         "    return np.sum(x)\n"
     )
     assert _unused_imports(tree) == [(1, "Sequence")]
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _node_reads(tree: ast.Module):
+    """(line, what) of each .node_indices( call and each warn or raise of EmptyRegionWarning."""
+    found = []
+    for node in ast.walk(tree):
+        issued = []
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "node_indices":
+                found.append((node.lineno, "node_indices"))
+            if "warn" in _names(node.func):
+                issued = [*node.args, *(k.value for k in node.keywords)]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            issued = [node.exc]
+        if any("EmptyRegionWarning" in _names(arg) for arg in issued):
+            found.append((node.lineno, "EmptyRegionWarning"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "grid.py"), ids=lambda p: p.name
+)
+def test_only_grid_reads_region_nodes(path):
+    found = _node_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line} {what}" for line, what in found)
+
+
+def test_region_node_read_is_caught():
+    tree = ast.parse(
+        "import warnings\n"
+        "from .errors import EmptyRegionWarning\n"
+        "def f(region, grid):\n"
+        "    idx = region.node_indices(grid)\n"
+        "    if not idx.size:\n"
+        "        warnings.warn('empty', EmptyRegionWarning)\n"
+        "        raise EmptyRegionWarning('empty')\n"
+        "    warnings.simplefilter('ignore', EmptyRegionWarning)\n"
+        "    return idx\n"
+    )
+    assert _node_reads(tree) == [
+        (4, "node_indices"), (6, "EmptyRegionWarning"), (7, "EmptyRegionWarning")
+    ]
+    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
+    assert [what for _, what in _node_reads(grid_py)] == ["node_indices", "EmptyRegionWarning",
+                                                         "EmptyRegionWarning"]

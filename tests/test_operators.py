@@ -231,14 +231,22 @@ def test_zero_kernel_maps_to_zero(small_grid):
     assert np.all(out.values == 0.0)
 
 
-def test_maximal_matches_brute(small_grid, rng):
+def test_maximal_matches_brute(small_grid, spill_families_2d, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.5), center_stride=32)
-    regions = list(fam) + [covering_region(small_grid)]
-    for kind in ("hl", "sharp"):
-        got = maximal(f, kind, regions)
-        want = oracles.brute_maximal(f, regions, kind)
-        assert np.allclose(got.values, want, rtol=1e-12, atol=1e-14)
+    cases = [(f, list(fam) + [covering_region(small_grid)])]
+    grid, families = spill_families_2d
+    f2 = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
+    cases += [(f2, list(fam) + [covering_region(grid)]) for fam in families]
+    for f, regions in cases:
+        for kind in ("hl", "sharp"):
+            got = maximal(f, kind, regions)
+            want = oracles.brute_maximal(f, regions, kind)
+            assert np.allclose(got.values, want, rtol=1e-12, atol=1e-14)
+        # the oracle's brentq root carries a relative error of about 1e-11
+        got = maximal(f, "llogl", regions)
+        want = oracles.brute_maximal(f, regions, "llogl")
+        assert np.allclose(got.values, want, rtol=1e-9, atol=0.0)
 
 
 def test_maximal_delta_composition(small_grid, rng):

@@ -86,6 +86,14 @@ def test_luxemburg_matches_root_oracle(small_grid, rng):
                 f.values[idx], np.full(idx.size, cell), Y
             )
             assert got == pytest.approx(want, rel=1e-8)
+    # a norm of about 1e-2, where an absolute root tolerance would decide the oracle
+    grid = make_grid(dim=1, half_width=4.0, points_per_axis=4096)
+    spike = np.full(grid.n_nodes, 1e-3)
+    spike[2048] = 0.1
+    Y = YoungFunction.exponential()
+    got = luxemburg_norm(DiscreteFunction(grid, spike), Y)
+    want = oracles.brute_luxemburg(spike, np.full(grid.n_nodes, grid.cell_volume), Y)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_luxemburg_constant_fast_path(small_grid):

@@ -93,12 +93,16 @@ def test_region_mean_weighted(small_grid, rng):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_bmo_matches_brute(small_grid, rng):
+def test_bmo_matches_brute(small_grid, spill_families_2d, rng):
     b = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
-    fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
-    got = bmo_norm(b, fam)
-    want = oracles.brute_bmo(b, fam)
-    assert got == pytest.approx(want, rel=1e-12)
+    cases = [(b, region_family(small_grid, sizes=(0.5, 1.0), center_stride=32))]
+    grid, families = spill_families_2d
+    b2 = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
+    cases += [(b2, fam) for fam in families]
+    for b, fam in cases:
+        got = bmo_norm(b, fam)
+        want = oracles.brute_bmo(b, fam)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bmo_constant_is_zero(small_grid):
@@ -130,6 +134,27 @@ def test_amalgam_2d_matches_brute(shape, rng):
         spec = AmalgamSpec(SpaceParams(2.0, 4.0, q), fam, w, mu)
         want = oracles.brute_amalgam_strong(f, fam, 2.0, 4.0, q, w, mu)
         assert amalgam_norm(f, spec) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "variant, p, rel", [("weak", 2.0, 1e-12), ("llogl", 1.0, 1e-9)], ids=["weak", "llogl"]
+)
+def test_amalgam_variants_match_brute(small_grid, spill_families_2d, rng, variant, p, rel):
+    cases = [(small_grid, region_family(small_grid, sizes=(0.5, 1.0), center_stride=32))]
+    grid, families = spill_families_2d
+    cases += [(grid, fam) for fam in families]
+    for grid, fam in cases:
+        f = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
+        w = weight_from_expression("r**0.3", grid)
+        mu = weight_from_expression("1.0 + 0.5 * r", grid)
+        for q in (8.0, math.inf):
+            spec = AmalgamSpec(SpaceParams(p, 4.0, q), fam, w, mu, variant)
+            got = amalgam_norm_detail(f, spec)
+            value, size, center = oracles.brute_amalgam_strong(
+                f, fam, p, 4.0, q, w, mu, variant=variant, argmax=True
+            )
+            assert got.value == pytest.approx(value, rel=rel)
+            assert (got.argmax_size, got.argmax_center) == (size, center)
 
 
 def test_amalgam_with_outer_weight(small_grid, rng):
