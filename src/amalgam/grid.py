@@ -99,15 +99,11 @@ class Grid:
     def refined(self) -> "Grid":
         return Grid(self.dim, self.half_width, 2 * self.points_per_axis)
 
-    def node_index(self, point: Sequence[float]) -> int:
-        """Flat index of the node nearest to a point."""
-        h = self.spacing
-        idx = 0
-        for k in range(self.dim):
-            i = int(round((point[k] + self.half_width) / h))
-            i = min(max(i, 0), self.points_per_axis - 1)
-            idx = idx * self.points_per_axis + i
-        return idx
+    def node_index(self, point: Sequence[float]):
+        """Flat index of the node nearest to a point, or of each point of an [m, dim] array."""
+        ij = np.rint((np.asarray(point, dtype=np.float64) + self.half_width) / self.spacing)
+        ij = np.clip(ij, 0, self.points_per_axis - 1).astype(np.intp)
+        return np.ravel_multi_index(tuple(ij.T), (self.points_per_axis,) * self.dim)
 
 
 make_grid = Grid
@@ -387,17 +383,19 @@ def _family_runs(family: RegionFamily, grid: Grid):
 def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, np.ndarray]:
     """Sums of node arrays over every region of the family, and node counts.
 
-    arrays is [k, n_nodes].  Returns sums [k, size, center] and counts
-    [size, center]; a region without nodes reads 0 in both.  Each window is
-    summed from its own entries, one np.add.reduceat over the runs of each
-    size, never as a difference of prefix sums, so a positive array has a
-    positive sum on every region that holds nodes however widely it ranges.
+    arrays is a sequence of k node arrays.  Returns sums [k, size, center]
+    and counts [size, center]; a region without nodes reads 0 in both.  Each
+    window is summed from its own entries, one np.add.reduceat over the runs
+    of each size, never as a difference of prefix sums, so a positive array
+    has a positive sum on every region that holds nodes however widely it
+    ranges.
     """
-    arrays = np.atleast_2d(np.asarray(arrays, dtype=np.float64))
-    if arrays.shape[1] != grid.n_nodes:
-        raise ConfigurationError("arrays do not match the grid")
     # a trailing zero keeps a run that ends at the last node a valid reduceat index
-    padded = np.concatenate([arrays, np.zeros((len(arrays), 1))], axis=1)
+    padded = np.zeros((len(arrays), grid.n_nodes + 1))
+    for row, a in zip(padded, arrays):
+        if np.shape(a) != (grid.n_nodes,):
+            raise ConfigurationError("arrays do not match the grid")
+        row[:-1] = a
     sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
     counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
     for s, first, owner, start, stop, n in _family_runs(family, grid):

@@ -35,12 +35,10 @@ from .orlicz import YoungFunction, luxemburg_table, ratio
 from .spaces import (
     AmalgamSpec,
     SpaceParams,
-    amalgam_norm,
+    amalgam_norms,
     bmo_norm,
     local_lp_norm,
     local_weak_lp_norm,
-    outer_norm,
-    outer_weights,
     region_mean,
 )
 from .weights import Weight, doubling_profile, muckenhoupt_characteristic, weight_from_expression
@@ -77,6 +75,8 @@ THEOREMS = (
 _P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
 _COMMUTATOR_THEOREMS = ("commutator", "endpoint", "two_weight_endpoint", "two_weight_commutator")
 _TWO_WEIGHT_THEOREMS = ("two_weight_weak", "two_weight_endpoint", "two_weight_strong", "two_weight_commutator")
+# the theorems whose cases are the levels lam of each member
+_LEVEL_THEOREMS = ("endpoint", "two_weight_endpoint")
 
 
 @dataclass(frozen=True)
@@ -526,14 +526,12 @@ class _Context:
         self.u = weight_from_expression(spec.u_expr, grid)
         self.v = weight_from_expression(spec.v_expr, grid)
         self.mu = None if spec.mu_expr is None else weight_from_expression(spec.mu_expr, grid)
-        self.outer = outer_weights(grid, self.family, self.mu)
         self.b = (
             sample(spec.b_expr, grid) if spec.theorem in _COMMUTATOR_THEOREMS else None
         )
-        corpus = Corpus.generate(
+        self.corpus = Corpus.generate(
             spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, spec.dim
-        )
-        self.corpus = corpus.realize(grid)
+        ).realize(grid)
 
     @cached_property
     def bmo(self) -> float:
@@ -545,90 +543,67 @@ class _Context:
         return AmalgamSpec(params, self.family, inner, self.mu, variant)
 
 
-def _level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction,
-                  lam: float) -> Tuple[float, float]:
-    """One lambda level of the endpoint estimate.
+def _amalgam_sides(lhs_variant: str, lhs_weight: str, rhs_weight: str, bmo: bool = False):
+    """Both sides of an amalgam estimate, row by row; bmo scales the bound by the BMO norm of b."""
 
-    lhs aggregates the w-mass of the exceedance set of the image over the
-    family; rhs aggregates the w-weighted mass of Phi(|f| / lam) the same
-    way.  Both sides share the measure exponent 1/alpha - 1 - 1/q, so
-    scaling f and lam together leaves them fixed.
-    """
-    spec = ctx.spec
-    inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q
-    expo = 1.0 / spec.alpha - 1.0 - inv_q
-    phi_f = YoungFunction.phi()(np.abs(f.values) / lam)
-    exceed = np.abs(image.values) > lam
-    wv = ctx.w.values
-    sums, counts = window_sums(ctx.family, ctx.grid, [wv, wv * exceed, wv * phi_f])
-    mass, m_l, m_r = ctx.grid.cell_volume * sums
-    scale = np.power(mass, expo, out=np.zeros(mass.shape), where=counts > 0)
-    # a side reads 0 where its mass is 0, even where the scale overflows
-    lhs, rhs = [
-        outer_norm(np.multiply(scale, m, out=np.zeros(m.shape), where=m > 0.0), spec.q, ctx.outer)[0]
-        for m in (m_l, m_r)
-    ]
-    return lhs, rhs
-
-
-def _box_level_masses(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction,
-                      lam: float) -> Tuple[float, float]:
-    """One lambda level of the two-weight endpoint estimate over the whole box."""
-    cell = ctx.grid.cell_volume
-    exceed = np.abs(image.values) > lam
-    lhs = cell * float(np.sum(ctx.u.values[exceed]))
-    rhs = cell * float(np.sum(YoungFunction.phi()(np.abs(f.values) / lam) * ctx.v.values))
-    return lhs, rhs
-
-
-def _amalgam_sides(lhs_variant: str, lhs_weight: str, rhs_weight: str):
-    """Both sides of an amalgam estimate; commutators scale the bound by the BMO norm of b."""
-
-    def sides(ctx: _Context, image: DiscreteFunction, f: DiscreteFunction) -> Tuple[float, float]:
-        lhs = amalgam_norm(image, ctx.space(lhs_variant, getattr(ctx, lhs_weight)))
-        rhs = amalgam_norm(f, ctx.space("strong", getattr(ctx, rhs_weight)))
-        if ctx.b is not None:
-            rhs = ctx.bmo * rhs
-        return lhs, rhs
+    def sides(ctx: _Context, image_rows, f_rows) -> List[Tuple[float, float]]:
+        lhs = amalgam_norms(ctx.grid, image_rows, ctx.space(lhs_variant, getattr(ctx, lhs_weight)))
+        rhs = amalgam_norms(ctx.grid, f_rows, ctx.space("strong", getattr(ctx, rhs_weight)))
+        scale = ctx.bmo if bmo else 1.0
+        return [(left.value, scale * right.value) for left, right in zip(lhs, rhs)]
 
     return sides
 
 
-# theorem -> (lhs, rhs) of one case from (ctx, image, f).  The functions
-# look up the norms when called, so wrapping a module attribute reaches them.
+def _box_sides(weak_lhs: bool):
+    """Both sides as whole-box norms at the spec's p: weak L^p(u) or L^p(u) against L^p(v)."""
+
+    def sides(ctx: _Context, image_rows, f_rows) -> List[Tuple[float, float]]:
+        lhs_norm = local_weak_lp_norm if weak_lhs else local_lp_norm
+        p, grid = ctx.spec.p, ctx.grid
+        return [(lhs_norm(DiscreteFunction(grid, a), p, None, ctx.u),
+                 local_lp_norm(DiscreteFunction(grid, b), p, None, ctx.v))
+                for a, b in zip(image_rows, f_rows)]
+
+    return sides
+
+
+# theorem -> [(lhs, rhs)] of one member from (ctx, image rows, f rows): one
+# row each, or for the endpoint theorems the indicators of |image| > lam and
+# Phi(|f| / lam) at each level lam.  The functions look up the norms when
+# called, so wrapping a module attribute reaches them.
 _CASE_SIDES = {
     "strong": _amalgam_sides("strong", "w", "w"),
     "weak": _amalgam_sides("weak", "w", "w"),
-    "commutator": _amalgam_sides("strong", "w", "w"),
-    "two_weight_weak": lambda ctx, image, f: (
-        local_weak_lp_norm(image, ctx.spec.p, None, ctx.u),
-        local_lp_norm(f, ctx.spec.p, None, ctx.v),
-    ),
+    "commutator": _amalgam_sides("strong", "w", "w", bmo=True),
+    "endpoint": _amalgam_sides("strong", "w", "w"),
+    "two_weight_weak": _box_sides(weak_lhs=True),
+    "two_weight_endpoint": _box_sides(weak_lhs=False),
     "two_weight_strong": _amalgam_sides("strong", "u", "v"),
-    "two_weight_commutator": _amalgam_sides("strong", "u", "v"),
-}
-# theorem -> (lhs, rhs) at one level lam, from (ctx, image, f, lam)
-_LEVEL_SIDES = {
-    "endpoint": _level_masses,
-    "two_weight_endpoint": _box_level_masses,
+    "two_weight_commutator": _amalgam_sides("strong", "u", "v", bmo=True),
 }
 
 
 def _run_cases(ctx: _Context) -> List[CaseResult]:
     theorem = ctx.spec.theorem
+    sides = _CASE_SIDES[theorem]
     cases: List[CaseResult] = []
     for label, f in ctx.corpus:
         # ctx.b is set exactly for the commutator theorems
         image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-        if theorem in _CASE_SIDES:
-            cases.append(CaseResult(label, *_CASE_SIDES[theorem](ctx, image, f)))
+        if theorem not in _LEVEL_THEOREMS:
+            cases.append(CaseResult(label, *sides(ctx, [image.values], [f.values])[0]))
             continue
-        vmax = float(np.max(np.abs(f.values)))
+        a = np.abs(f.values)
+        vmax = float(np.max(a))
         if vmax == 0.0:
             continue
-        for factor in ctx.spec.lambda_factors:
-            lam = factor * vmax
-            lhs, rhs = _LEVEL_SIDES[theorem](ctx, image, f, lam)
+        lams = [factor * vmax for factor in ctx.spec.lambda_factors]
+        exceed = np.abs(image.values) > np.array(lams)[:, None]
+        phi = YoungFunction.phi()
+        # the Phi rows are made one at a time, as the norms read them
+        levels = sides(ctx, exceed, (phi(a / lam) for lam in lams))
+        for factor, lam, (lhs, rhs) in zip(ctx.spec.lambda_factors, lams, levels):
             cases.append(CaseResult(f"{label}@x{factor!r}", lhs, rhs, lam=lam))
     return cases
 
@@ -782,9 +757,7 @@ def theorem_experiment(
         "shape": spec.shape,
         "sizes": list(spec.sizes),
         "center_stride": spec.center_stride,
-        "corpus": [m.label for m in Corpus.generate(
-            spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, spec.dim
-        ).members],
+        "corpus": [label for label, _ in ctx.corpus],
         "seed": spec.seed,
     }
     return RatioReport(

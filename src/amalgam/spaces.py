@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "bmo_norm",
     "amalgam_norm",
     "amalgam_norm_detail",
+    "amalgam_norms",
 ]
 
 
@@ -190,7 +191,7 @@ def outer_weights(grid: Grid, family: RegionFamily, mu: Optional[Weight]):
     """Outer measure of each center: the cell volume, times mu at the center when mu is set."""
     if mu is None:
         return grid.cell_volume
-    return np.array([mu.values[grid.node_index(c)] for c in family.centers]) * grid.cell_volume
+    return mu.values[grid.node_index(family.centers)] * grid.cell_volume
 
 
 def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
@@ -214,33 +215,49 @@ def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
     return best, best_size, best_center
 
 
-def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormResult:
-    grid = f.grid
-    if spec.inner_weight is not None and spec.inner_weight.grid != grid:
-        raise ConfigurationError("inner weight lives on a different grid")
-    if spec.outer_weight is not None and spec.outer_weight.grid != grid:
-        raise ConfigurationError("outer weight lives on a different grid")
+def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult]:
+    """The amalgam norm of each node array in rows, in one pass over the family.
+
+    The strong variant sums the inner-weight mass and every |row|^p u in one
+    window_sums call; weak and llogl take one batched table per row.  Every
+    row then goes through outer_norm on its own.
+    """
+    for side, weight in (("inner", spec.inner_weight), ("outer", spec.outer_weight)):
+        if weight is not None and weight.grid != grid:
+            raise ConfigurationError(f"{side} weight lives on a different grid")
     fam = spec.family
     params = spec.params
+    cell = grid.cell_volume
     u = np.ones(grid.n_nodes) if spec.inner_weight is None else spec.inner_weight.values
     if spec.variant == "strong":
-        sums, _ = window_sums(fam, grid, [u, np.abs(f.values) ** params.p * u])
-        inner = (grid.cell_volume * sums[1]) ** (1.0 / params.p)
+        sums, _ = window_sums(fam, grid, [u, *(np.abs(r) ** params.p * u for r in rows)])
+        inners = (cell * sums[1:]) ** (1.0 / params.p)
     else:
         sums, _ = window_sums(fam, grid, [u])
-        if spec.variant == "weak":
-            a, m = np.abs(f.values), grid.cell_volume * u
-            inner = batch_table(fam, grid, lambda idx, counts, starts: _weak_lp(
-                a[idx], m[idx], counts, params.p))[0]
-        else:
-            llogl = YoungFunction.llogl(1.0)
-            inner = luxemburg_table(fam, grid, f.values, llogl, spec.inner_weight)
+        inners = [_inner_table(grid, r, spec, cell * u) for r in rows]
     expo = params.llogl_exponent if spec.variant == "llogl" else params.strong_exponent
-    # inner > 0 only on regions that hold nodes, whose u-mass is positive
-    mass = grid.cell_volume * sums[0]
-    table = np.power(mass, expo, out=np.zeros(mass.shape), where=inner > 0.0) * inner
-    value, s, c = outer_norm(table, params.q, outer_weights(grid, fam, spec.outer_weight))
-    return AmalgamNormResult(value, fam.sizes[s], fam.centers[c])
+    mass = cell * sums[0]
+    weights = outer_weights(grid, fam, spec.outer_weight)
+    results = []
+    for inner in inners:
+        # inner > 0 only on regions that hold nodes, whose u-mass is positive
+        table = np.power(mass, expo, out=np.zeros(mass.shape), where=inner > 0.0) * inner
+        value, s, c = outer_norm(table, params.q, weights)
+        results.append(AmalgamNormResult(value, fam.sizes[s], fam.centers[c]))
+    return results
+
+
+def _inner_table(grid: Grid, values: np.ndarray, spec: AmalgamSpec, m: np.ndarray) -> np.ndarray:
+    """Weak L^p or averaged LlogL norm of the values on every region, as [size, center]."""
+    if spec.variant == "weak":
+        a = np.abs(values)
+        return batch_table(spec.family, grid, lambda idx, counts, starts: _weak_lp(
+            a[idx], m[idx], counts, spec.params.p))[0]
+    return luxemburg_table(spec.family, grid, values, YoungFunction.llogl(1.0), spec.inner_weight)
+
+
+def amalgam_norm_detail(f: DiscreteFunction, spec: AmalgamSpec) -> AmalgamNormResult:
+    return amalgam_norms(f.grid, [f.values], spec)[0]
 
 
 def amalgam_norm(f: DiscreteFunction, spec: AmalgamSpec) -> float:

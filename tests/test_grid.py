@@ -82,6 +82,11 @@ def test_node_index_2d(tiny_grid_2d):
     g = tiny_grid_2d
     for i in (0, 17, 255):
         assert g.node_index(g.coords[i]) == i
+    # an [m, dim] array of points gives each point's index, clipped to the box
+    far = np.array([[-9.0, 9.0], [9.0, -9.0]])
+    far_index = [g.node_index(tuple(x)) for x in far]
+    assert g.node_index(g.coords).tolist() == list(range(g.n_nodes))
+    assert g.node_index(far).tolist() == far_index == [g.points_per_axis - 1, g.n_nodes - g.points_per_axis]
 
 
 def test_region_membership_is_strict(small_grid):

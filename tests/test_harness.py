@@ -338,6 +338,39 @@ def test_endpoint_levels_in_2d_match_oracle():
     assert exceeded >= len(report.cases) // 2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_two_weight_endpoint_levels_match_oracle(dim):
+    grid_args = dict(points=512, kernel_tag="hilbert") if dim == 1 else dict(
+        points=32, kernel_tag="riesz", center_stride=4)
+    spec = tiny_spec(
+        "two_weight_endpoint", dim=dim, u_expr="r**0.3", v_expr="1.0 + r**0.5",
+        lambda_factors=(2.0**-6, 2.0**-4, 0.25, 1.0), **grid_args,
+    )
+    report = theorem_experiment(spec, refinements=0, eps_stability=False)
+    by_label = {c.label: c for c in report.cases}
+    grid = make_grid(dim=dim, points_per_axis=spec.points)
+    u = sample(spec.u_expr, grid).values
+    v = sample(spec.v_expr, grid).values
+    b = sample(spec.b_expr, grid)
+    kernel = Kernel(spec.kernel_tag, dim)
+    corpus = Corpus.generate(spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, dim)
+    exceeded = 0
+    for label, f in corpus.realize(grid):
+        image = apply_operator(kernel, f, spec.eps_nodes * grid.spacing, b)
+        vmax = float(np.max(np.abs(f.values)))
+        for factor in spec.lambda_factors:
+            lhs, rhs = oracles.box_endpoint_level(
+                grid, image, f, factor * vmax, u, v, YoungFunction.phi()
+            )
+            case = by_label[f"{label}@x{factor!r}"]
+            assert rhs > 0.0
+            exceeded += lhs > 0.0
+            assert case.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+            assert case.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    assert len(by_label) == len(report.cases) == spec.corpus_n * len(spec.lambda_factors)
+    assert exceeded >= len(report.cases) // 2
+
+
 def test_commutator_gates_include_symbol():
     spec = tiny_spec("commutator")
     report = theorem_experiment(spec, refinements=0, eps_stability=False)

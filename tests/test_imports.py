@@ -7,6 +7,9 @@ module's ``__all__``.
 
 Only grid.py turns regions into nodes: no other module calls
 ``.node_indices(`` or issues an EmptyRegionWarning.
+
+Only spaces.py aggregates over centers and sizes: no other module names
+``outer_norm`` or ``outer_weights``.
 """
 
 import ast
@@ -121,3 +124,40 @@ def test_region_node_read_is_caught():
     grid_py = ast.parse((PACKAGE / "grid.py").read_text())
     assert [what for _, what in _node_reads(grid_py)] == ["node_indices", "EmptyRegionWarning",
                                                          "EmptyRegionWarning"]
+
+
+_OUTER = ("outer_norm", "outer_weights")
+
+
+def _outer_refs(tree: ast.Module):
+    """(line, name) of each name, attribute or import of the outer aggregation."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _OUTER:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _OUTER:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in _OUTER]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "spaces.py"), ids=lambda p: p.name
+)
+def test_only_spaces_aggregates_outer(path):
+    found = _outer_refs(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
+
+
+def test_outer_aggregation_ref_is_caught():
+    tree = ast.parse(
+        "from .spaces import outer_norm\n"
+        "from . import spaces\n"
+        "def f(table, grid, family):\n"
+        "    weights = spaces.outer_weights(grid, family, None)\n"
+        "    return outer_norm(table, 8.0, weights)\n"
+    )
+    assert _outer_refs(tree) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
+    spaces_py = ast.parse((PACKAGE / "spaces.py").read_text())
+    assert {name for _, name in _outer_refs(spaces_py)} == set(_OUTER)

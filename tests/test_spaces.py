@@ -14,6 +14,7 @@ from amalgam import (
     SpaceParams,
     amalgam_norm,
     amalgam_norm_detail,
+    amalgam_norms,
     bmo_norm,
     constant_weight,
     local_lp_norm,
@@ -137,7 +138,9 @@ def test_amalgam_2d_matches_brute(shape, rng):
 
 
 @pytest.mark.parametrize(
-    "variant, p, rel", [("weak", 2.0, 1e-12), ("llogl", 1.0, 1e-9)], ids=["weak", "llogl"]
+    "variant, p, rel",
+    [("strong", 1.0, 1e-12), ("weak", 2.0, 1e-12), ("llogl", 1.0, 1e-9)],
+    ids=["strong", "weak", "llogl"],
 )
 def test_amalgam_variants_match_brute(small_grid, spill_families_2d, rng, variant, p, rel):
     cases = [(small_grid, region_family(small_grid, sizes=(0.5, 1.0), center_stride=32))]
@@ -147,14 +150,20 @@ def test_amalgam_variants_match_brute(small_grid, spill_families_2d, rng, varian
         f = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
         w = weight_from_expression("r**0.3", grid)
         mu = weight_from_expression("1.0 + 0.5 * r", grid)
+        # a stack of rows, as the endpoint levels pass them: values, a bool indicator, zeros
+        rows = [f.values, np.abs(f.values) > 0.5, np.zeros(grid.n_nodes)]
         for q in (8.0, math.inf):
             spec = AmalgamSpec(SpaceParams(p, 4.0, q), fam, w, mu, variant)
-            got = amalgam_norm_detail(f, spec)
-            value, size, center = oracles.brute_amalgam_strong(
-                f, fam, p, 4.0, q, w, mu, variant=variant, argmax=True
-            )
-            assert got.value == pytest.approx(value, rel=rel)
-            assert (got.argmax_size, got.argmax_center) == (size, center)
+            stacked = amalgam_norms(grid, rows, spec)
+            assert len(stacked) == len(rows)
+            for row, got in zip(rows, stacked):
+                g = DiscreteFunction(grid, row)
+                assert got == amalgam_norm_detail(g, spec)
+                value, size, center = oracles.brute_amalgam_strong(
+                    g, fam, p, 4.0, q, w, mu, variant=variant, argmax=True
+                )
+                assert got.value == pytest.approx(value, rel=rel)
+                assert (got.argmax_size, got.argmax_center) == (size, center)
 
 
 def test_amalgam_with_outer_weight(small_grid, rng):
