@@ -500,6 +500,11 @@ class ExperimentSpec:
             )
         if self.eps_nodes < 2:
             raise ConfigurationError("eps_nodes must be at least 2")
+        if self.points < 16:
+            raise ConfigurationError(
+                f"points must be at least 16, since every theorem's plateau gate "
+                f"also runs on a half grid of points // 2; got {self.points}"
+            )
         if self.p is None:
             object.__setattr__(self, "p", 1.0 if self.theorem in _P1_THEOREMS else 2.0)
         if self.theorem in _P1_THEOREMS and self.p != 1.0:
@@ -510,9 +515,9 @@ class ExperimentSpec:
 
 
 class _Context:
-    """Everything rendered on the grid of one spec."""
+    """Everything rendered on the grid of one spec, at centers or every center_stride-th node."""
 
-    def __init__(self, spec: ExperimentSpec):
+    def __init__(self, spec: ExperimentSpec, centers: Optional[tuple] = None):
         self.spec = spec
         self.grid = grid = Grid(spec.dim, spec.half_width, spec.points)
         self.epsilon = spec.eps_nodes * grid.spacing
@@ -520,7 +525,7 @@ class _Context:
             spec.kernel_tag, grid.dim, spec.theta, component=spec.riesz_component
         )
         self.family = region_family(
-            grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride
+            grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride, centers=centers
         )
         self.w = weight_from_expression(spec.w_expr, grid)
         self.u = weight_from_expression(spec.u_expr, grid)
@@ -608,13 +613,18 @@ def _run_cases(ctx: _Context) -> List[CaseResult]:
     return cases
 
 
-def _plateau_gate(name: str, spec: ExperimentSpec, quantity, tol: float = 0.10) -> HypothesisResult:
-    """quantity(grid, family) at half, the same and twice the point count must settle."""
+def _plateau_gate(
+    name: str, spec: ExperimentSpec, centers: tuple, quantity, tol: float = 0.10
+) -> HypothesisResult:
+    """quantity(grid, family) at half, the same and twice the point count must settle.
+
+    Every grid evaluates the same centers, those of the base family; a
+    center off the half grid's nodes (odd stride) keeps its coordinates.
+    """
     values = []
     for points in (spec.points // 2, spec.points, spec.points * 2):
         grid = Grid(spec.dim, spec.half_width, points)
-        family = region_family(grid, spec.sizes, shape=spec.shape, center_stride=spec.center_stride)
-        values.append(quantity(grid, family))
+        values.append(quantity(grid, region_family(grid, spec.sizes, spec.shape, centers=centers)))
     lo, mid, hi = values
     d1 = abs(mid - lo) / lo if lo > 0 else math.inf
     d2 = abs(hi - mid) / mid if mid > 0 else math.inf
@@ -645,12 +655,13 @@ def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
             (di.dini, di.log_dini),
         )
     )
+    centers = ctx.family.centers
     if spec.theorem in ("strong", "weak", "commutator", "endpoint"):
-        gates.append(_plateau_gate("weight_class_plateau", spec, lambda grid, family: (
+        gates.append(_plateau_gate("weight_class_plateau", spec, centers, lambda grid, family: (
             muckenhoupt_characteristic(weight_from_expression(spec.w_expr, grid), spec.p, family)
         )))
     if spec.theorem in _TWO_WEIGHT_THEOREMS:
-        gates.append(_plateau_gate("bump_plateau", spec, lambda grid, family: bump_check(
+        gates.append(_plateau_gate("bump_plateau", spec, centers, lambda grid, family: bump_check(
             weight_from_expression(spec.u_expr, grid),
             weight_from_expression(spec.v_expr, grid),
             spec.bump,
@@ -715,7 +726,12 @@ def theorem_experiment(
     Stability deltas re-run the cases with the truncation halved and on a
     chain of `refinements` grid doublings: grid_refinement is the drift of
     the first refinement against the base grid, grid_refinement_k that of
-    refinement k against refinement k - 1.
+    refinement k against refinement k - 1.  The region centers are fixed
+    once, every center_stride-th node of the base grid, and every pass and
+    plateau gate evaluates those same centers, so a refinement changes how
+    finely each region is sampled and nothing else.  The outer weight stays
+    the cell volume of the grid evaluated, a uniform factor that every
+    ratio cancels.
     """
     ctx = _Context(spec)
     gates = _gates(spec, ctx)
@@ -728,7 +744,7 @@ def theorem_experiment(
     stability: dict = {}
     if eps_stability and spec.eps_nodes > 2:
         half_spec = replace(spec, eps_nodes=max(2, spec.eps_nodes // 2))
-        half_cases = _run_cases(_Context(half_spec))
+        half_cases = _run_cases(_Context(half_spec, ctx.family.centers))
         stability["epsilon_halving"] = _max_rel_drift(cases, half_cases)
     coarse_spec, coarse_cases = spec, cases
     for level in range(1, refinements + 1):
@@ -736,7 +752,7 @@ def theorem_experiment(
         # radius stays fixed and the delta isolates discretization error
         fine_spec = replace(coarse_spec, points=coarse_spec.points * 2,
                             eps_nodes=coarse_spec.eps_nodes * 2)
-        fine_cases = _run_cases(_Context(fine_spec))
+        fine_cases = _run_cases(_Context(fine_spec, ctx.family.centers))
         key = "grid_refinement" if level == 1 else f"grid_refinement_{level}"
         stability[key] = _max_rel_drift(coarse_cases, fine_cases)
         coarse_spec, coarse_cases = fine_spec, fine_cases

@@ -411,6 +411,14 @@ def test_verify_alpha_follows_p_only_by_default(tmp_path, capsys):
     assert "need 1 <= p <= alpha" in capsys.readouterr().err
 
 
+def test_verify_rejects_points_below_the_half_grid_gate(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": dict(VERIFY_CFG["experiment"], points=8)})
+    assert main(["verify", "strong", "--config", cfg, "--refine", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "points must be at least 16" in err
+    assert "got 8" in err
+
+
 def test_verify_rejects_negative_refine(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "strong", "--refine", "-3"])

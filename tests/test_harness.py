@@ -31,6 +31,7 @@ from amalgam import (
     theorem_experiment,
     weight_from_expression,
 )
+from amalgam import harness
 from amalgam.harness import _max_rel_drift
 
 TINY = dict(points=512, center_stride=128, corpus_n=3, sizes=(0.5, 1.0))
@@ -245,6 +246,36 @@ def test_experiment_spec_validation():
         ExperimentSpec("strong", p=1.0)
     with pytest.raises(ConfigurationError):
         ExperimentSpec("strong", eps_nodes=1)
+
+
+def test_experiment_spec_needs_a_half_grid():
+    # every theorem runs a plateau gate, whose half grid must be a valid grid
+    with pytest.raises(ConfigurationError, match="half grid"):
+        ExperimentSpec("strong", points=8)
+    assert ExperimentSpec("strong", points=16).points == 16
+
+
+@pytest.mark.parametrize("theorem", ["strong", "two_weight_strong"])
+@pytest.mark.parametrize("dim, points, stride", [
+    (1, 256, 3), (1, 256, 32), (2, 32, 3), (2, 32, 8),
+])
+def test_one_center_set_per_run(monkeypatch, theorem, dim, points, stride):
+    built = []
+
+    def recording_family(grid, *args, **kwargs):
+        family = region_family(grid, *args, **kwargs)
+        built.append((grid.points_per_axis, family.centers))
+        return family
+
+    monkeypatch.setattr(harness, "region_family", recording_family)
+    spec = tiny_spec(theorem, dim=dim, points=points, center_stride=stride, corpus_n=2,
+                     kernel_tag="riesz" if dim == 2 else "hilbert")
+    theorem_experiment(spec, refinements=2)
+    base = region_family(make_grid(dim=dim, points_per_axis=points), spec.sizes,
+                         center_stride=stride).centers
+    # the plateau gate's half, same and double grids, and two refinement levels
+    assert {n for n, _ in built} == {points // 2, points, 2 * points, 4 * points}
+    assert all(centers == base for _, centers in built)
 
 
 def test_strong_experiment_report():

@@ -12,6 +12,7 @@ from amalgam import (
     DiscreteFunction,
     Region,
     SpaceParams,
+    Weight,
     amalgam_norm,
     amalgam_norm_detail,
     amalgam_norms,
@@ -259,3 +260,32 @@ def test_outer_norm_monotone_in_sizes(tw, q, data):
     extra = data.draw(st.lists(entry, min_size=table.shape[1], max_size=table.shape[1]))
     grown = np.vstack([table, extra])
     assert outer_norm(grown, q, weights)[0] >= outer_norm(table, q, weights)[0]
+
+
+PROPERTY_GRID = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+PROPERTY_FAMILY = region_family(PROPERTY_GRID, (0.5, 1.0, 2.0), center_stride=4)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["strong", "weak", "llogl"]),
+    st.sampled_from([8.0, 16.0, math.inf]),
+    st.booleans(),
+    st.floats(1e-3, 1e3),
+)
+def test_uniform_outer_factor_scales_value_only(seed, variant, q, with_mu, c):
+    # a uniform factor c on the outer measure scales each norm by c^{1/q}
+    # and moves no argmax, so every ratio of two amalgam norms cancels it
+    rng = np.random.default_rng(seed)
+    grid, fam = PROPERTY_GRID, PROPERTY_FAMILY
+    rows = rng.normal(size=(2, grid.n_nodes)) * (rng.random((2, grid.n_nodes)) < 0.5)
+    inner = Weight(DiscreteFunction(grid, rng.uniform(0.5, 2.0, grid.n_nodes)))
+    mu = rng.uniform(0.5, 2.0, grid.n_nodes) if with_mu else np.ones(grid.n_nodes)
+    params = SpaceParams(1.0, 2.0, q) if variant == "llogl" else SpaceParams(2.0, 4.0, q)
+    spec = AmalgamSpec(params, fam, inner, Weight(DiscreteFunction(grid, mu)) if with_mu else None,
+                       variant)
+    scaled = AmalgamSpec(params, fam, inner, Weight(DiscreteFunction(grid, c * mu)), variant)
+    factor = 1.0 if math.isinf(q) else c ** (1.0 / q)
+    for base, got in zip(amalgam_norms(grid, rows, spec), amalgam_norms(grid, rows, scaled)):
+        assert got.value == pytest.approx(factor * base.value, rel=1e-12, abs=0.0)
+        assert (got.argmax_size, got.argmax_center) == (base.argmax_size, base.argmax_center)
