@@ -249,7 +249,7 @@ def _cmd_operator(args) -> int:
         "kernel": kernel.tag,
         "dini": di.dini,
         "log_dini": di.log_dini,
-        "max_abs": float(max(abs(v) for v in image.values)),
+        "max_abs": float(abs(image.values).max()),
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)

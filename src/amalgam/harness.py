@@ -13,7 +13,7 @@ outside the theory, not as a counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -515,12 +515,16 @@ class ExperimentSpec:
 
 
 class _Context:
-    """Everything rendered on the grid of one spec, at centers or every center_stride-th node."""
+    """Everything rendered on the grid of spec at points per axis; no other code renders a grid.
 
-    def __init__(self, spec: ExperimentSpec, centers: Optional[tuple] = None):
+    The family takes the given centers, or every center_stride-th node when
+    none are given.  The corpus and the bound side of each case render on
+    first use, so a plateau gate's grid renders only the weights.
+    """
+
+    def __init__(self, spec: ExperimentSpec, points: int, centers: Optional[tuple] = None):
         self.spec = spec
-        self.grid = grid = Grid(spec.dim, spec.half_width, spec.points)
-        self.epsilon = spec.eps_nodes * grid.spacing
+        self.grid = grid = Grid(spec.dim, spec.half_width, points)
         self.kernel = Kernel(
             spec.kernel_tag, grid.dim, spec.theta, component=spec.riesz_component
         )
@@ -531,103 +535,116 @@ class _Context:
         self.u = weight_from_expression(spec.u_expr, grid)
         self.v = weight_from_expression(spec.v_expr, grid)
         self.mu = None if spec.mu_expr is None else weight_from_expression(spec.mu_expr, grid)
-        self.b = (
-            sample(spec.b_expr, grid) if spec.theorem in _COMMUTATOR_THEOREMS else None
-        )
-        self.corpus = Corpus.generate(
+        self.b = sample(spec.b_expr, grid) if spec.theorem in _COMMUTATOR_THEOREMS else None
+
+    @cached_property
+    def corpus(self) -> List[Tuple[str, DiscreteFunction]]:
+        spec = self.spec
+        return Corpus.generate(
             spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, spec.dim
-        ).realize(grid)
+        ).realize(self.grid)
 
     @cached_property
     def bmo(self) -> float:
         """Oscillation norm of the symbol b over the family, for the commutator theorems."""
         return bmo_norm(self.b, self.family)
 
-    def space(self, variant: str, inner: Weight) -> AmalgamSpec:
-        params = SpaceParams(self.spec.p, self.spec.alpha, self.spec.q)
-        return AmalgamSpec(params, self.family, inner, self.mu, variant)
+    @cached_property
+    def bounds(self) -> List[Tuple[List[str], list, List[float]]]:
+        """(labels, levels lam, bound sides) of each member's cases; no bound depends on eps.
+
+        A member has one case, at lam None, or for the endpoint theorems one
+        per level lam of |f|, bounded by Phi(|f| / lam); a member with f = 0
+        has none.
+        """
+        spec, rhs = self.spec, _CASE_SIDES[self.spec.theorem][1]
+        out = []
+        for label, f in self.corpus:
+            if spec.theorem not in _LEVEL_THEOREMS:
+                out.append(([label], [None], rhs(self, [f.values])))
+                continue
+            a = np.abs(f.values)
+            vmax = float(np.max(a))
+            factors = spec.lambda_factors if vmax > 0.0 else ()
+            lams = [factor * vmax for factor in factors]
+            phi = YoungFunction.phi()
+            # the Phi rows are made one at a time, as the norms read them
+            out.append(([f"{label}@x{factor!r}" for factor in factors], lams,
+                        rhs(self, (phi(a / lam) for lam in lams))))
+        return out
 
 
-def _amalgam_sides(lhs_variant: str, lhs_weight: str, rhs_weight: str, bmo: bool = False):
-    """Both sides of an amalgam estimate, row by row; bmo scales the bound by the BMO norm of b."""
+def _amalgam_side(variant: str, weight: str, bmo: bool = False):
+    """One side as amalgam norms of the rows; bmo scales it by the BMO norm of b."""
 
-    def sides(ctx: _Context, image_rows, f_rows) -> List[Tuple[float, float]]:
-        lhs = amalgam_norms(ctx.grid, image_rows, ctx.space(lhs_variant, getattr(ctx, lhs_weight)))
-        rhs = amalgam_norms(ctx.grid, f_rows, ctx.space("strong", getattr(ctx, rhs_weight)))
+    def side(ctx: _Context, rows) -> List[float]:
+        params = SpaceParams(ctx.spec.p, ctx.spec.alpha, ctx.spec.q)
+        space = AmalgamSpec(params, ctx.family, getattr(ctx, weight), ctx.mu, variant)
+        norms = amalgam_norms(ctx.grid, rows, space)
         scale = ctx.bmo if bmo else 1.0
-        return [(left.value, scale * right.value) for left, right in zip(lhs, rhs)]
+        return [scale * norm.value for norm in norms]
 
-    return sides
-
-
-def _box_sides(weak_lhs: bool):
-    """Both sides as whole-box norms at the spec's p: weak L^p(u) or L^p(u) against L^p(v)."""
-
-    def sides(ctx: _Context, image_rows, f_rows) -> List[Tuple[float, float]]:
-        lhs_norm = local_weak_lp_norm if weak_lhs else local_lp_norm
-        p, grid = ctx.spec.p, ctx.grid
-        return [(lhs_norm(DiscreteFunction(grid, a), p, None, ctx.u),
-                 local_lp_norm(DiscreteFunction(grid, b), p, None, ctx.v))
-                for a, b in zip(image_rows, f_rows)]
-
-    return sides
+    return side
 
 
-# theorem -> [(lhs, rhs)] of one member from (ctx, image rows, f rows): one
-# row each, or for the endpoint theorems the indicators of |image| > lam and
-# Phi(|f| / lam) at each level lam.  The functions look up the norms when
-# called, so wrapping a module attribute reaches them.
+def _box_side(weak: bool, weight: str):
+    """One side as whole-box norms of the rows at the spec's p: weak L^p or L^p of the weight."""
+
+    def side(ctx: _Context, rows) -> List[float]:
+        norm = local_weak_lp_norm if weak else local_lp_norm
+        return [norm(DiscreteFunction(ctx.grid, row), ctx.spec.p, None, getattr(ctx, weight))
+                for row in rows]
+
+    return side
+
+
+# theorem -> (lhs, rhs), each a side(ctx, rows) of one member: the lhs reads
+# the image row, or for the endpoint theorems the indicators of |image| > lam
+# at each level lam; the rhs reads f, or Phi(|f| / lam).  The sides look up
+# the norms when called, so wrapping a module attribute reaches them.
 _CASE_SIDES = {
-    "strong": _amalgam_sides("strong", "w", "w"),
-    "weak": _amalgam_sides("weak", "w", "w"),
-    "commutator": _amalgam_sides("strong", "w", "w", bmo=True),
-    "endpoint": _amalgam_sides("strong", "w", "w"),
-    "two_weight_weak": _box_sides(weak_lhs=True),
-    "two_weight_endpoint": _box_sides(weak_lhs=False),
-    "two_weight_strong": _amalgam_sides("strong", "u", "v"),
-    "two_weight_commutator": _amalgam_sides("strong", "u", "v", bmo=True),
+    "strong": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w")),
+    "weak": (_amalgam_side("weak", "w"), _amalgam_side("strong", "w")),
+    "commutator": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w", bmo=True)),
+    "endpoint": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w")),
+    "two_weight_weak": (_box_side(True, "u"), _box_side(False, "v")),
+    "two_weight_endpoint": (_box_side(False, "u"), _box_side(False, "v")),
+    "two_weight_strong": (_amalgam_side("strong", "u"), _amalgam_side("strong", "v")),
+    "two_weight_commutator": (_amalgam_side("strong", "u"), _amalgam_side("strong", "v", bmo=True)),
 }
 
 
-def _run_cases(ctx: _Context) -> List[CaseResult]:
-    theorem = ctx.spec.theorem
-    sides = _CASE_SIDES[theorem]
+def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
+    """The cases on ctx at a truncation radius of eps_nodes cells; only the operator side is new."""
+    lhs = _CASE_SIDES[ctx.spec.theorem][0]
     cases: List[CaseResult] = []
-    for label, f in ctx.corpus:
+    for (_, f), (labels, lams, bounds) in zip(ctx.corpus, ctx.bounds):
         # ctx.b is set exactly for the commutator theorems
-        image = apply_operator(ctx.kernel, f, ctx.epsilon, ctx.b)
-        if theorem not in _LEVEL_THEOREMS:
-            cases.append(CaseResult(label, *sides(ctx, [image.values], [f.values])[0]))
-            continue
-        a = np.abs(f.values)
-        vmax = float(np.max(a))
-        if vmax == 0.0:
-            continue
-        lams = [factor * vmax for factor in ctx.spec.lambda_factors]
-        exceed = np.abs(image.values) > np.array(lams)[:, None]
-        phi = YoungFunction.phi()
-        # the Phi rows are made one at a time, as the norms read them
-        levels = sides(ctx, exceed, (phi(a / lam) for lam in lams))
-        for factor, lam, (lhs, rhs) in zip(ctx.spec.lambda_factors, lams, levels):
-            cases.append(CaseResult(f"{label}@x{factor!r}", lhs, rhs, lam=lam))
+        image = apply_operator(ctx.kernel, f, eps_nodes * ctx.grid.spacing, ctx.b).values
+        if ctx.spec.theorem in _LEVEL_THEOREMS:
+            rows = np.abs(image) > np.array(lams)[:, None]
+        else:
+            rows = [image]
+        cases.extend(CaseResult(*case) for case in zip(labels, lhs(ctx, rows), bounds, lams))
     return cases
 
 
-def _plateau_gate(
-    name: str, spec: ExperimentSpec, centers: tuple, quantity, tol: float = 0.10
-) -> HypothesisResult:
-    """quantity(grid, family) at half, the same and twice the point count must settle.
+def _drift(r0: float, r1: float) -> float:
+    """|r1 - r0| / |r0|, or |r1 - r0| when r0 = 0; inf when either value is not finite."""
+    if not (math.isfinite(r0) and math.isfinite(r1)):
+        return math.inf
+    drift = abs(r1 - r0)
+    return drift / abs(r0) if r0 != 0.0 else drift
+
+
+def _plateau_gate(name: str, contexts: tuple, quantity, tol: float = 0.10) -> HypothesisResult:
+    """quantity(ctx) on the contexts of the half, same and double grids must settle.
 
     Every grid evaluates the same centers, those of the base family; a
     center off the half grid's nodes (odd stride) keeps its coordinates.
     """
-    values = []
-    for points in (spec.points // 2, spec.points, spec.points * 2):
-        grid = Grid(spec.dim, spec.half_width, points)
-        values.append(quantity(grid, region_family(grid, spec.sizes, spec.shape, centers=centers)))
-    lo, mid, hi = values
-    d1 = abs(mid - lo) / lo if lo > 0 else math.inf
-    d2 = abs(hi - mid) / mid if mid > 0 else math.inf
+    lo, mid, hi = (quantity(ctx) for ctx in contexts)
+    d1, d2 = _drift(lo, mid), _drift(mid, hi)
     growth = hi / lo if lo > 0 else math.inf
     passed = d1 < tol and d2 < tol
     detail = (
@@ -637,79 +654,43 @@ def _plateau_gate(
     return HypothesisResult(name, passed, detail, (lo, mid, hi, growth))
 
 
-def _gates(spec: ExperimentSpec, ctx: _Context) -> List[HypothesisResult]:
+def _gates(half: _Context, ctx: _Context, double: _Context) -> List[HypothesisResult]:
+    """The gates of ctx.spec; the plateau gates read the half, base and double grid contexts."""
+    spec = ctx.spec
     gates: List[HypothesisResult] = []
-    needs_log = spec.theorem in _COMMUTATOR_THEOREMS
     di = dini_integrals(spec.theta)
-    if needs_log:
+    if spec.theorem in _COMMUTATOR_THEOREMS:
         ok = di.converged
         detail = f"dini={di.dini!r}, log_dini={di.log_dini!r}"
     else:
         ok = math.isfinite(di.dini)
         detail = f"dini={di.dini!r}"
-    gates.append(
-        HypothesisResult(
-            "dini_modulus",
-            ok,
-            detail,
-            (di.dini, di.log_dini),
-        )
-    )
-    centers = ctx.family.centers
+    gates.append(HypothesisResult("dini_modulus", ok, detail, (di.dini, di.log_dini)))
+    contexts = (half, ctx, double)
     if spec.theorem in ("strong", "weak", "commutator", "endpoint"):
-        gates.append(_plateau_gate("weight_class_plateau", spec, centers, lambda grid, family: (
-            muckenhoupt_characteristic(weight_from_expression(spec.w_expr, grid), spec.p, family)
-        )))
+        gates.append(_plateau_gate("weight_class_plateau", contexts,
+                                   lambda c: muckenhoupt_characteristic(c.w, spec.p, c.family)))
     if spec.theorem in _TWO_WEIGHT_THEOREMS:
-        gates.append(_plateau_gate("bump_plateau", spec, centers, lambda grid, family: bump_check(
-            weight_from_expression(spec.u_expr, grid),
-            weight_from_expression(spec.v_expr, grid),
-            spec.bump,
-            family,
-        ).value))
+        gates.append(_plateau_gate("bump_plateau", contexts,
+                                   lambda c: bump_check(c.u, c.v, spec.bump, c.family).value))
     if spec.mu_expr is not None:
         profile = doubling_profile(ctx.mu, ctx.family)
-        ok = profile.doubling_constant < 1e6 and profile.reverse_doubling_constant > 1.01
-        gates.append(
-            HypothesisResult(
-                "measure_doubling",
-                ok,
-                f"doubling={profile.doubling_constant:.4g}, "
-                f"reverse={profile.reverse_doubling_constant:.4g}",
-                (profile.doubling_constant, profile.reverse_doubling_constant),
-            )
-        )
+        d, r = profile.doubling_constant, profile.reverse_doubling_constant
+        gates.append(HypothesisResult("measure_doubling", d < 1e6 and r > 1.01,
+                                      f"doubling={d:.4g}, reverse={r:.4g}", (d, r)))
     if ctx.b is not None:
         norm = ctx.bmo
+        ok = norm > 0.0 and math.isfinite(norm)
         gates.append(
-            HypothesisResult(
-                "symbol_oscillation",
-                norm > 0.0 and math.isfinite(norm),
-                f"oscillation norm {norm!r}",
-                (norm,),
-            )
-        )
+            HypothesisResult("symbol_oscillation", ok, f"oscillation norm {norm!r}", (norm,)))
     return gates
 
 
 def _max_rel_drift(base: List[CaseResult], other: List[CaseResult]) -> float:
-    """Largest drift of a case ratio from base to other, matched by label.
-
-    The drift is |r1 - r0| / |r0|, or |r1 - r0| when the base ratio r0 is 0.
-    """
-    by_label = {c.label: c for c in other}
-    worst = 0.0
-    for c in base:
-        o = by_label.get(c.label)
-        if o is None:
-            continue
-        r0, r1 = c.ratio, o.ratio
-        if not (math.isfinite(r0) and math.isfinite(r1)):
-            worst = math.inf
-            continue
-        drift = abs(r1 - r0)
-        worst = max(worst, drift / abs(r0) if r0 != 0.0 else drift)
-    return worst
+    """Largest _drift of a case ratio from base to other, matched by label."""
+    by_label = {c.label: c.ratio for c in other}
+    return max((_drift(c.ratio, by_label[c.label]) for c in base if c.label in by_label),
+               default=0.0)
 
 
 def theorem_experiment(
@@ -731,31 +712,37 @@ def theorem_experiment(
     plateau gate evaluates those same centers, so a refinement changes how
     finely each region is sampled and nothing else.  The outer weight stays
     the cell volume of the grid evaluated, a uniform factor that every
-    ratio cancels.
+    ratio cancels.  Each grid is rendered once, as one _Context: the
+    plateau gates read the half, base and double grids, the truncation
+    pass reuses the base grid's bound sides, and refinement level 1 runs
+    on the gates' double grid.
     """
-    ctx = _Context(spec)
-    gates = _gates(spec, ctx)
+    ctx = _Context(spec, spec.points)
+    centers = ctx.family.centers
+    fine = _Context(spec, spec.points * 2, centers)
+    # the half grid's context is read by the gates only, and released with them
+    gates = _gates(_Context(spec, spec.points // 2, centers), ctx, fine)
     if strict:
         for g in gates:
             if not g.passed:
                 raise HypothesisError(g.name, g.detail)
-    cases = _run_cases(ctx)
+    cases = _run_cases(ctx, spec.eps_nodes)
 
     stability: dict = {}
     if eps_stability and spec.eps_nodes > 2:
-        half_spec = replace(spec, eps_nodes=max(2, spec.eps_nodes // 2))
-        half_cases = _run_cases(_Context(half_spec, ctx.family.centers))
+        half_cases = _run_cases(ctx, max(2, spec.eps_nodes // 2))
         stability["epsilon_halving"] = _max_rel_drift(cases, half_cases)
-    coarse_spec, coarse_cases = spec, cases
+    coarse_cases = cases
     for level in range(1, refinements + 1):
-        # double eps_nodes with the point count so the physical truncation
-        # radius stays fixed and the delta isolates discretization error
-        fine_spec = replace(coarse_spec, points=coarse_spec.points * 2,
-                            eps_nodes=coarse_spec.eps_nodes * 2)
-        fine_cases = _run_cases(_Context(fine_spec, ctx.family.centers))
+        # level 1 runs on the gates' double grid; double eps_nodes with the
+        # point count so the physical truncation radius stays fixed and the
+        # delta isolates discretization error
+        fine = fine or _Context(spec, spec.points << level, centers)
+        fine_cases = _run_cases(fine, spec.eps_nodes << level)
+        fine = None  # a level's context is released once its cases are in
         key = "grid_refinement" if level == 1 else f"grid_refinement_{level}"
         stability[key] = _max_rel_drift(coarse_cases, fine_cases)
-        coarse_spec, coarse_cases = fine_spec, fine_cases
+        coarse_cases = fine_cases
 
     metadata = {
         "dim": spec.dim,
@@ -764,7 +751,7 @@ def theorem_experiment(
         "kernel": spec.kernel_tag,
         "theta": {"tag": spec.theta.tag, "param": spec.theta.param},
         "eps_nodes": spec.eps_nodes,
-        "epsilon": ctx.epsilon,
+        "epsilon": spec.eps_nodes * ctx.grid.spacing,
         "p": spec.p,
         "alpha": spec.alpha,
         "q": spec.q,

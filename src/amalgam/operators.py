@@ -101,6 +101,9 @@ class DiniIntegrals:
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(32)
+_DINI_REL_TOL = 1e-6  # dini_integrals stops once both pieces fall below this share of the totals
+_DINI_BLOWUP = 1e12  # totals past this come back as inf
+_DINI_MAX_LEVELS = 1008  # past this level the dyadic endpoints leave float64 range
 
 
 def _tail_estimate(piece: float, ratio: float, level: int) -> float:
@@ -118,28 +121,21 @@ def _tail_estimate(piece: float, ratio: float, level: int) -> float:
     return piece * level / (a - 1.0)
 
 
-def dini_integrals(
-    theta: ThetaModulus,
-    rel_tol: float = 1e-6,
-    blowup: float = 1e12,
-    max_levels: int = 1008,
-) -> DiniIntegrals:
+def dini_integrals(theta: ThetaModulus) -> DiniIntegrals:
     """Dyadic Gauss quadrature of the two Dini integrals of a modulus.
 
     The integrand is evaluated on [2^{-k-1}, 2^{-k}] until both pieces fall
-    below rel_tol of their running totals, then the tail is extrapolated.
-    Totals past the blowup cutoff, and tails that fail to decay summably,
-    come back as inf.
+    below _DINI_REL_TOL of their running totals, then the tail is
+    extrapolated.  Totals past _DINI_BLOWUP, and tails that fail to decay
+    summably, come back as inf.
     """
-    # below level ~1008 the dyadic endpoints leave float64 range
-    max_levels = min(max_levels, 1008)
     total1 = 0.0
     total2 = 0.0
     prev1 = prev2 = 0.0
     p1 = p2 = 0.0
     k = 0
     tiny = 1e-300
-    for k in range(max_levels):
+    for k in range(_DINI_MAX_LEVELS):
         b = 2.0**-k
         a = b / 2.0
         t = 0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_NODES
@@ -151,9 +147,10 @@ def dini_integrals(
             p2 = scale * float(np.sum(th * (-np.log(t)) / t * _GAUSS_WEIGHTS))
         total1 += p1
         total2 += p2
-        if total1 > blowup or total2 > blowup:
+        if total1 > _DINI_BLOWUP or total2 > _DINI_BLOWUP:
             return DiniIntegrals(math.inf, math.inf)
-        if k >= 8 and p1 <= rel_tol * max(total1, tiny) and p2 <= rel_tol * max(total2, tiny):
+        if (k >= 8 and p1 <= _DINI_REL_TOL * max(total1, tiny)
+                and p2 <= _DINI_REL_TOL * max(total2, tiny)):
             break
     r1 = 0.0 if (prev1 <= 0.0 or p1 <= 0.0) else p1 / prev1
     r2 = 0.0 if (prev2 <= 0.0 or p2 <= 0.0) else p2 / prev2
@@ -161,9 +158,9 @@ def dini_integrals(
     tail2 = _tail_estimate(p2, r2, k + 1)
     total1 = total1 + tail1
     total2 = total2 + tail2
-    if total1 > blowup:
+    if total1 > _DINI_BLOWUP:
         total1 = math.inf
-    if total2 > blowup:
+    if total2 > _DINI_BLOWUP:
         total2 = math.inf
     return DiniIntegrals(total1, total2)
 

@@ -273,9 +273,22 @@ def test_one_center_set_per_run(monkeypatch, theorem, dim, points, stride):
     theorem_experiment(spec, refinements=2)
     base = region_family(make_grid(dim=dim, points_per_axis=points), spec.sizes,
                          center_stride=stride).centers
-    # the plateau gate's half, same and double grids, and two refinement levels
-    assert {n for n, _ in built} == {points // 2, points, 2 * points, 4 * points}
+    # the plateau gate's half, same and double grids, and two refinement
+    # levels, the first on the gate's double grid: each grid is built once
+    assert sorted(n for n, _ in built) == [points // 2, points, 2 * points, 4 * points]
     assert all(centers == base for _, centers in built)
+
+
+@pytest.mark.parametrize("theorem", ["weak", "endpoint"])
+def test_odd_eps_nodes_halves_to_the_two_node_floor(theorem):
+    # eps_nodes = 3 halves to 1, below the floor of 2 cells, so the pass runs at 2
+    spec = tiny_spec(theorem, eps_nodes=3, lambda_factors=(0.5, 2.0))
+    report = theorem_experiment(spec, refinements=0)
+    at = {n: theorem_experiment(replace(spec, eps_nodes=n), refinements=0, eps_stability=False)
+          for n in (2, 3)}
+    assert report.cases == at[3].cases
+    assert report.stability["epsilon_halving"] == _max_rel_drift(at[3].cases, at[2].cases)
+    assert report.stability["epsilon_halving"] > 0.0
 
 
 def test_strong_experiment_report():

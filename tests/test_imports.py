@@ -10,6 +10,10 @@ Only grid.py turns regions into nodes: no other module calls
 
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
+
+Only ``harness._Context`` renders a grid in harness.py: no other code there
+builds a Grid or a region family, or renders a weight, a symbol or the
+corpus (``Corpus.realize`` samples the members for it).
 """
 
 import ast
@@ -161,3 +165,45 @@ def test_outer_aggregation_ref_is_caught():
     assert _outer_refs(tree) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
     spaces_py = ast.parse((PACKAGE / "spaces.py").read_text())
     assert {name for _, name in _outer_refs(spaces_py)} == set(_OUTER)
+
+
+_RENDERERS = ("Grid", "region_family", "weight_from_expression", "sample", "generate")
+
+
+def _render_calls(tree: ast.Module, owners=("_Context", "realize")):
+    """(line, name) of each call that renders on a grid outside the owner classes and functions."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in owners:
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _RENDERERS:
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(found)
+
+
+def test_only_the_context_renders_in_harness():
+    harness_py = ast.parse((PACKAGE / "harness.py").read_text())
+    found = _render_calls(harness_py)
+    assert not found, ", ".join(f"harness.py:{line} {name}" for line, name in found)
+    assert {name for _, name in _render_calls(harness_py, owners=())} == set(_RENDERERS)
+
+
+def test_render_outside_the_context_is_caught():
+    tree = ast.parse(
+        "class _Context:\n"
+        "    def __init__(self, spec):\n"
+        "        self.grid = Grid(1, 4.0, spec.points)\n"
+        "def gate(spec, grid):\n"
+        "    w = weight_from_expression(spec.w_expr, Grid(1, 4.0, 8))\n"
+        "    return region_family(grid, spec.sizes), Corpus.generate(3), sample('x', grid)\n"
+    )
+    assert _render_calls(tree) == [(5, "Grid"), (5, "weight_from_expression"),
+                                   (6, "generate"), (6, "region_family"), (6, "sample")]
