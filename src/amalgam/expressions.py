@@ -49,28 +49,22 @@ Examples:
 
 
 def _make_namespace(grid: "Grid") -> dict:
-    h = grid.spacing
-    if grid.dim == 1:
-        x = grid.coords[:, 0]
-        y = None
-        ax = np.abs(x)
-    else:
-        x = grid.coords[:, 0]
-        y = grid.coords[:, 1]
-        ax = np.sqrt(x * x + y * y)
-    r = np.maximum(ax, h / 2.0)
+    axes = dict(zip("xy", grid.coords.T))
+    x = axes["x"]
 
     def _dist(c):
-        if grid.dim == 1:
-            return np.abs(x - c)
-        return np.sqrt((x - c) ** 2 + (y - c) ** 2)
+        return np.sqrt(sum((a - c) ** 2 for a in axes.values()))
+
+    ax = _dist(0.0)
+    r = np.maximum(ax, grid.spacing / 2.0)
 
     def ind(lo, hi):
         return np.where((x >= lo) & (x < hi), 1.0, 0.0)
 
     def ind2(lo1, hi1, lo2, hi2):
-        if y is None:
+        if "y" not in axes:
             raise ExpressionError("ind2 needs a 2d grid")
+        y = axes["y"]
         return np.where((x >= lo1) & (x < hi1) & (y >= lo2) & (y < hi2), 1.0, 0.0)
 
     def gauss(c, s):
@@ -90,8 +84,8 @@ def _make_namespace(grid: "Grid") -> dict:
         base = r if a < 0 else ax
         return base**a
 
-    ns = {
-        "x": x,
+    return {
+        **axes,
         "ax": ax,
         "r": r,
         "logabs": np.log(r),
@@ -113,9 +107,6 @@ def _make_namespace(grid: "Grid") -> dict:
         "maximum": np.maximum,
         "where": np.where,
     }
-    if y is not None:
-        ns["y"] = y
-    return ns
 
 
 def evaluate(expression: str, grid: "Grid") -> np.ndarray:

@@ -17,6 +17,7 @@ node_batches hands out, many regions at once in bounded batches.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,11 +89,8 @@ class Grid:
     @cached_property
     def coords(self) -> np.ndarray:
         """Node coordinates, shape (n_nodes, dim)."""
-        if self.dim == 1:
-            out = self.axis[:, None].copy()
-        else:
-            X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-            out = np.column_stack([X.ravel(), Y.ravel()])
+        mesh = np.meshgrid(*[self.axis] * self.dim, indexing="ij")
+        out = np.stack([m.ravel() for m in mesh], axis=-1)
         out.flags.writeable = False
         return out
 
@@ -307,11 +305,7 @@ def region_family(
     if centers is None:
         if center_stride < 1:
             raise ConfigurationError("center_stride must be >= 1")
-        ax = grid.axis[::center_stride]
-        if grid.dim == 1:
-            centers = [(float(c),) for c in ax]
-        else:
-            centers = [(float(cx), float(cy)) for cx in ax for cy in ax]
+        centers = list(itertools.product(grid.axis[::center_stride].tolist(), repeat=grid.dim))
     else:
         centers = [tuple(float(x) for x in np.atleast_1d(c)) for c in centers]
     return RegionFamily(shape, tuple(centers), tuple(float(s) for s in sizes))
@@ -454,11 +448,6 @@ def write_function_csv(f: DiscreteFunction, path: str) -> None:
     g = f.grid
     with open(path, "w", newline="") as fh:
         fh.write(f"# dim={g.dim} half_width={g.half_width!r} points_per_axis={g.points_per_axis}\n")
-        if g.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(g.axis, f.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x,y,value\n")
-            for (x, y), v in zip(g.coords, f.values):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+        fh.write(",".join([*"xy"[:g.dim], "value"]) + "\n")
+        for row, v in zip(g.coords.tolist(), f.values.tolist()):
+            fh.write(",".join(map(repr, [*row, v])) + "\n")

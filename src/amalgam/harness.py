@@ -120,6 +120,11 @@ class Corpus:
             room = reach - extent
             return float(rng.uniform(-room, room)) if room > 0 else 0.0
 
+        def ind(lo: float, hi: float) -> str:
+            if dim == 1:
+                return f"ind({lo!r},{hi!r})"
+            return f"ind2({lo!r},{hi!r},{lo!r},{hi!r})"
+
         for i in range(n):
             if i == 0:
                 a = float(rng.uniform(0.5, 2.0))
@@ -137,19 +142,12 @@ class Corpus:
                 width = float(rng.uniform(0.3, 1.5))
                 lo = draw_center(width) - width / 2.0
                 hi = lo + width
-                if dim == 1:
-                    expr = f"{a!r}*ind({lo!r},{hi!r})"
-                else:
-                    expr = f"{a!r}*ind2({lo!r},{hi!r},{lo!r},{hi!r})"
-                members.append(CorpusMember(f"ind{i}", expr))
+                members.append(CorpusMember(f"ind{i}", f"{a!r}*{ind(lo, hi)}"))
             elif kind == 1:
                 a = float(rng.uniform(0.5, 2.0))
                 s = float(rng.uniform(0.3, 0.8))
                 c = draw_center(3.0 * s)
-                if dim == 1:
-                    cut = f"ind({c - 3 * s!r},{c + 3 * s!r})"
-                else:
-                    cut = f"ind2({c - 3 * s!r},{c + 3 * s!r},{c - 3 * s!r},{c + 3 * s!r})"
+                cut = ind(c - 3 * s, c + 3 * s)
                 members.append(CorpusMember(f"gauss{i}", f"{a!r}*gauss({c!r},{s!r})*{cut}"))
             else:
                 parts = []
@@ -158,10 +156,7 @@ class Corpus:
                     width = float(rng.uniform(0.2, 0.8))
                     lo = draw_center(width) - width / 2.0
                     hi = lo + width
-                    if dim == 1:
-                        parts.append(f"{a!r}*ind({lo!r},{hi!r})")
-                    else:
-                        parts.append(f"{a!r}*ind2({lo!r},{hi!r},{lo!r},{hi!r})")
+                    parts.append(f"{a!r}*{ind(lo, hi)}")
                 members.append(CorpusMember(f"steps{i}", " + ".join(parts)))
         return cls(tuple(members), seed, dim)
 
@@ -364,12 +359,15 @@ def bmo_lemma_check(
 
     diffs[j-1] is the mean of b over 2^{j+1}B minus its mean over B;
     growth_ratios normalizes by (j + 1) times the oscillation norm.  With
-    (p, w) given, weighted_ratios additionally checks the weighted local
-    oscillation against the same budget.
+    p and w given (one without the other is an error), weighted_ratios
+    additionally checks the weighted local oscillation against the same budget.
     """
     grid = b.grid
     if jmax < 1:
         raise ConfigurationError("jmax must be at least 1")
+    if (p is None) != (w is None):
+        missing = "the weight" if w is None else "p"
+        raise ConfigurationError(f"the weighted check needs p and a weight; {missing} is missing")
     top = region.dilate(2.0 ** (jmax + 1))
     if not top.fits_box(grid):
         raise PreconditionError(
@@ -379,29 +377,16 @@ def bmo_lemma_check(
     if norm == 0.0:
         raise PreconditionError("b has zero oscillation; the lemma check is vacuous")
     base_mean = region_mean(b, region)
-    diffs = []
-    growth = []
-    weighted = [] if (p is not None and w is not None) else None
-    osc = (
-        DiscreteFunction(grid, np.abs(b.values - base_mean) ** p)
-        if weighted is not None
-        else None
-    )
-    for j in range(1, jmax + 1):
-        shell = region.dilate(2.0 ** (j + 1))
-        mean_j = region_mean(b, shell)
-        d = mean_j - base_mean
-        diffs.append(d)
-        growth.append(abs(d) / ((j + 1) * norm))
-        if weighted is not None:
-            avg = region_mean(osc, shell, w)
-            weighted.append(avg ** (1.0 / p) / ((j + 1) * norm))
-    return BmoLemmaResult(
-        norm,
-        tuple(diffs),
-        tuple(growth),
-        None if weighted is None else tuple(weighted),
-    )
+    shells = [region.dilate(2.0 ** (j + 1)) for j in range(1, jmax + 1)]
+    budgets = [(j + 1) * norm for j in range(1, jmax + 1)]
+    diffs = tuple(region_mean(b, shell) - base_mean for shell in shells)
+    growth = tuple(abs(d) / budget for d, budget in zip(diffs, budgets))
+    weighted = None
+    if p is not None:
+        osc = DiscreteFunction(grid, np.abs(b.values - base_mean) ** p)
+        weighted = tuple(region_mean(osc, shell, w) ** (1.0 / p) / budget
+                         for shell, budget in zip(shells, budgets))
+    return BmoLemmaResult(norm, diffs, growth, weighted)
 
 
 @dataclass(frozen=True)

@@ -191,23 +191,16 @@ class Kernel:
 
     def pointwise(self, diff: np.ndarray) -> np.ndarray:
         """Kernel value at displacement diff, shape (..., dim); zero at 0."""
-        diff = np.asarray(diff, dtype=np.float64)
-        if self.dim == 1:
-            d = diff.reshape(-1)
-            rho = np.abs(d)
-        else:
-            d = diff.reshape(-1, self.dim)
-            rho = np.sqrt(np.sum(d * d, axis=-1))
+        d = np.asarray(diff, dtype=np.float64).reshape(-1, self.dim)
+        rho = np.sqrt(np.sum(d * d, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.tag == "hilbert":
-                out = 1.0 / (math.pi * d)
+                out = 1.0 / (math.pi * d[:, 0])
             elif self.tag == "riesz":
-                num = d if self.dim == 1 else d[:, self.component]
-                out = num / rho ** (self.dim + 1)
+                out = d[:, self.component] / rho ** (self.dim + 1)
             else:
                 out = np.zeros_like(rho)
-        out = np.where(rho > 0, out, 0.0)
-        return out
+        return np.where(rho > 0, out, 0.0)
 
 
 @functools.lru_cache(maxsize=64)

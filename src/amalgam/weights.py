@@ -37,7 +37,8 @@ class Weight:
 
     def __post_init__(self):
         if not np.all(self.function.values > 0):
-            raise ConfigurationError("weights must be strictly positive")
+            what = f"weight expression {self.expression!r}" if self.expression else "weights"
+            raise ConfigurationError(f"{what} must be strictly positive on the grid")
 
     @property
     def grid(self) -> Grid:
@@ -49,12 +50,7 @@ class Weight:
 
 
 def weight_from_expression(expression: str, grid: Grid) -> Weight:
-    vals = evaluate(expression, grid)
-    if not np.all(vals > 0):
-        raise ConfigurationError(
-            f"weight expression {expression!r} is not strictly positive on the grid"
-        )
-    return Weight(DiscreteFunction(grid, vals), expression)
+    return Weight(DiscreteFunction(grid, evaluate(expression, grid)), expression)
 
 
 def power_weight(grid: Grid, a: float) -> Weight:

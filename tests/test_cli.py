@@ -193,6 +193,20 @@ def test_bmo_command_with_lemma(tmp_path, capsys):
     assert len(payload["lemma"]["diffs"]) == 3
 
 
+@pytest.mark.parametrize(
+    "given, missing",
+    [({"p": 2.0}, "the weight is missing"), ({"weight": "1.0 + r"}, "p is missing")],
+    ids=["p_only", "weight_only"],
+)
+def test_bmo_lemma_half_set_weighted_check_rejected(tmp_path, capsys, given, missing):
+    lemma = {"center": [0.0], "size": 0.125, **given}
+    cfg = write_cfg(tmp_path, "bmo.json", {"grid": GRID_SMALL, "symbol": "logabs", "lemma": lemma})
+    assert main(["bmo", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert missing in captured.err
+
+
 VERIFY_CFG = {
     "experiment": {
         "points": 512,

@@ -62,7 +62,7 @@ def test_indicator_2d(tiny_grid_2d):
     assert np.array_equal(out, want)
 
 
-def test_gauss_and_bump(small_grid):
+def test_gauss_and_bump(small_grid, tiny_grid_2d):
     x = small_grid.axis
     out = evaluate("gauss(0.5, 0.3)", small_grid)
     assert np.allclose(out, np.exp(-((x - 0.5) ** 2) / (2 * 0.3**2)))
@@ -72,6 +72,17 @@ def test_gauss_and_bump(small_grid):
     assert b[i0] == pytest.approx(1.0)
     assert np.all(b >= 0.0)
     assert np.all(np.isfinite(b))
+    # bit for bit: |x - c| in 1D, sqrt((x - c)^2 + (y - c)^2) in 2D
+    c2 = tiny_grid_2d.coords
+    for grid, dist in ((small_grid, lambda c: np.abs(x - c)),
+                       (tiny_grid_2d, lambda c: np.sqrt((c2[:, 0] - c) ** 2 + (c2[:, 1] - c) ** 2))):
+        d = dist(0.5)
+        assert np.array_equal(evaluate("gauss(0.5, 0.3)", grid), np.exp(-(d * d) / (2.0 * 0.3 * 0.3)))
+        t2 = (dist(0.25) / 1.5) ** 2
+        want = np.zeros_like(t2)
+        want[t2 < 1.0] = np.exp(1.0 - 1.0 / (1.0 - t2[t2 < 1.0]))
+        assert np.array_equal(evaluate("bump(0.25, 1.5)", grid), want)
+        assert np.array_equal(evaluate("ax", grid), dist(0.0))
 
 
 def test_abspow_negative_uses_clip(small_grid):

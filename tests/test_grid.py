@@ -232,19 +232,22 @@ def test_sample_rejects_bad_expressions(small_grid):
             sample(expr, small_grid)
 
 
-def test_csv_roundtrip_is_exact(small_grid, rng, tmp_path):
-    f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
-    path = tmp_path / "f.csv"
-    write_function_csv(f, str(path))
-    with open(path) as fh:
-        header = dict(tok.split("=") for tok in fh.readline()[1:].split())
-    grid = Grid(int(header["dim"]), float(header["half_width"]), int(header["points_per_axis"]))
-    values = np.loadtxt(path, delimiter=",", skiprows=2)[:, -1]
-    assert grid == small_grid
-    assert np.array_equal(values, f.values)
-    # byte determinism
-    write_function_csv(f, str(tmp_path / "f2.csv"))
-    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
+def test_csv_roundtrip_is_exact(small_grid, tiny_grid_2d, rng, tmp_path):
+    for g, columns in ((small_grid, "x,value"), (tiny_grid_2d, "x,y,value")):
+        f = DiscreteFunction(g, rng.normal(size=g.n_nodes))
+        path = tmp_path / f"f{g.dim}.csv"
+        write_function_csv(f, str(path))
+        with open(path) as fh:
+            header = dict(tok.split("=") for tok in fh.readline()[1:].split())
+            assert fh.readline() == columns + "\n"
+        grid = Grid(int(header["dim"]), float(header["half_width"]), int(header["points_per_axis"]))
+        table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        assert grid == g
+        assert np.array_equal(table[:, :-1], g.coords)
+        assert np.array_equal(table[:, -1], f.values)
+        # byte determinism
+        write_function_csv(f, str(tmp_path / "again.csv"))
+        assert path.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
 @st.composite

@@ -14,6 +14,11 @@ Only spaces.py aggregates over centers and sizes: no other module names
 Only ``harness._Context`` renders a grid in harness.py: no other code there
 builds a Grid or a region family, or renders a weight, a symbol or the
 corpus (``Corpus.realize`` samples the members for it).
+
+One code path serves both dimensions: only ``grid._runs`` (balls slide per
+row), ``Kernel.__post_init__`` (the Hilbert kernel is one dimensional) and
+``Corpus.generate`` (``ind`` or ``ind2`` in the expression strings) compare
+a ``dim`` with 1 or 2.
 """
 
 import ast
@@ -207,3 +212,55 @@ def test_render_outside_the_context_is_caught():
     )
     assert _render_calls(tree) == [(5, "Grid"), (5, "weight_from_expression"),
                                    (6, "generate"), (6, "region_family"), (6, "sample")]
+
+
+_FORK_OWNERS = ("_runs", "Kernel.__post_init__", "Corpus.generate")
+
+
+def _is_dim(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "dim") or (
+        isinstance(node, ast.Attribute) and node.attr == "dim")
+
+
+def _dim_forks(tree: ast.Module, owners=_FORK_OWNERS):
+    """(line, scope) of each ==/!= between a dim and the literal 1 or 2 outside the owners."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in owners:
+                return
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for op, *pair in zip(node.ops, sides, sides[1:]):
+                literal = any(isinstance(s, ast.Constant) and s.value in (1, 2) for s in pair)
+                if isinstance(op, (ast.Eq, ast.NotEq)) and literal and any(map(_is_dim, pair)):
+                    found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_code_path_for_both_dimensions(path):
+    found = _dim_forks(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line} in {scope}" for line, scope in found)
+
+
+def test_dimension_fork_is_caught():
+    tree = ast.parse(
+        "class Grid:\n"
+        "    def coords(self):\n"
+        "        if self.dim == 1:\n"
+        "            return self.axis\n"
+        "        return 2 != dim or self.dim in (1, 2)\n"
+        "def _runs(grid):\n"
+        "    return grid.dim == 1\n"
+    )
+    assert _dim_forks(tree) == [(3, "Grid.coords"), (5, "Grid.coords")]
+    owners = {scope for path in PACKAGE.glob("*.py")
+              for _, scope in _dim_forks(ast.parse(path.read_text()), owners=())}
+    assert owners == {"_runs", "Kernel.__post_init__", "Corpus.generate.ind"}

@@ -112,6 +112,19 @@ def test_hilbert_pointwise():
     assert out[1] == pytest.approx(-2.0 / math.pi)
     assert out[2] == pytest.approx(0.5 / math.pi)
     assert out[3] == 0.0
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(out, np.where(d != 0, 1.0 / (math.pi * d), 0.0))
+    assert np.array_equal(k.pointwise(d[:, None]), out)
+
+
+def test_riesz_pointwise_1d():
+    k = Kernel("riesz", 1)
+    d = np.array([0.5, -0.5, 2.0, 0.0, -3.0 * 2.0**-12])
+    out = k.pointwise(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(out, np.where(d != 0, d / np.abs(d) ** 2, 0.0))
+    assert out.tolist()[:4] == [2.0, -2.0, 0.5, 0.0]
+    assert np.array_equal(k.pointwise(d[:, None]), out)
 
 
 def test_riesz_pointwise_2d():

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from amalgam import (
     ConfigurationError,
+    DiscreteFunction,
     PreconditionError,
     Weight,
     constant_weight,
@@ -19,10 +20,12 @@ from amalgam import (
 
 
 def test_weight_requires_positive_values(small_grid):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="weight expression 'x' must be strictly positive"):
         weight_from_expression("x", small_grid)  # changes sign
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="weight expression '0.0' must be strictly positive"):
         weight_from_expression("0.0", small_grid)
+    with pytest.raises(ConfigurationError, match="weights must be strictly positive"):
+        Weight(DiscreteFunction(small_grid, np.zeros(small_grid.n_nodes)))
     w = weight_from_expression("1.0 + ax", small_grid)
     assert np.all(w.values > 0)
 
@@ -41,8 +44,6 @@ def test_power_weight_clipped(small_grid):
 @pytest.mark.filterwarnings("ignore::amalgam.EmptyRegionWarning")
 def test_characteristic_matches_brute_force(small_grid, spill_families_2d, rng):
     vals = np.exp(rng.normal(scale=0.4, size=small_grid.n_nodes))
-    from amalgam import DiscreteFunction
-
     w = Weight(DiscreteFunction(small_grid, vals))
     cases = [(w, region_family(small_grid, sizes=(0.5, 1.0), center_stride=32))]
     grid, families = spill_families_2d
