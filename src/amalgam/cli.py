@@ -375,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lang.set_defaults(func=_cmd_language)
 
     for name, fn, help_text in (
-        ("norm", _cmd_norm, None),
-        ("weights", _cmd_weights, None),
-        ("holder", _cmd_holder, None),
+        ("norm", _cmd_norm, "weighted amalgam norm of a function over a region family"),
+        ("weights", _cmd_weights, "A_p characteristic and doubling profile of a weight"),
+        ("holder", _cmd_holder, "test a Holder-type product inequality on two functions"),
         ("operator", _cmd_operator, "apply a truncated operator to a function"),
-        ("bump", _cmd_bump, None),
-        ("bmo", _cmd_bmo, None),
+        ("bump", _cmd_bump, "two-weight bump condition of u and v over a family"),
+        ("bmo", _cmd_bmo, "BMO norm of a symbol, and optionally the BMO lemma check"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a JSON config")
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a ratio experiment for one estimate")
     p_ver.add_argument("theorem", choices=THEOREMS)
-    p_ver.add_argument("--config", default=None)
+    p_ver.add_argument("--config", default=None, help="path to a JSON config; defaults if omitted")
     p_ver.add_argument("--out", default=None, help="directory for report.json and cases.csv")
     p_ver.add_argument("--refine", type=_levels, default=1, help="grid refinement passes")
     p_ver.add_argument("--seed", type=int, default=None, help="override the corpus seed")

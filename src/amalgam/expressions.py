@@ -48,15 +48,16 @@ Examples:
 """
 
 
-def _make_namespace(grid: "Grid") -> dict:
+def _make_namespace(grid: "Grid", names) -> dict:
+    """The variables and helpers among names; a variable is rendered only when named."""
     axes = dict(zip("xy", grid.coords.T))
     x = axes["x"]
 
     def _dist(c):
         return np.sqrt(sum((a - c) ** 2 for a in axes.values()))
 
-    ax = _dist(0.0)
-    r = np.maximum(ax, grid.spacing / 2.0)
+    def r():
+        return np.maximum(_dist(0.0), grid.spacing / 2.0)
 
     def ind(lo, hi):
         return np.where((x >= lo) & (x < hi), 1.0, 0.0)
@@ -81,32 +82,16 @@ def _make_namespace(grid: "Grid") -> dict:
         return out
 
     def abspow(a):
-        base = r if a < 0 else ax
+        base = r() if a < 0 else _dist(0.0)
         return base**a
 
-    return {
-        **axes,
-        "ax": ax,
-        "r": r,
-        "logabs": np.log(r),
-        "sgn": np.where(x >= 0, 1.0, -1.0),
-        "e": math.e,
-        "pi": math.pi,
-        "ind": ind,
-        "ind2": ind2,
-        "gauss": gauss,
-        "bump": bump,
-        "abspow": abspow,
-        "exp": np.exp,
-        "log": np.log,
-        "sqrt": np.sqrt,
-        "sin": np.sin,
-        "cos": np.cos,
-        "abs": np.abs,
-        "minimum": np.minimum,
-        "maximum": np.maximum,
-        "where": np.where,
-    }
+    rendered = {"ax": lambda: _dist(0.0), "r": r, "logabs": lambda: np.log(r()),
+                "sgn": lambda: np.where(x >= 0, 1.0, -1.0)}
+    ns = {**axes, **rendered, "e": math.e, "pi": math.pi, "ind": ind, "ind2": ind2,
+          "gauss": gauss, "bump": bump, "abspow": abspow}
+    ns.update((f, getattr(np, f)) for f in
+              ("exp", "log", "sqrt", "sin", "cos", "abs", "minimum", "maximum", "where"))
+    return {k: rendered[k]() if k in rendered else v for k, v in ns.items() if k in names}
 
 
 def evaluate(expression: str, grid: "Grid") -> np.ndarray:
@@ -123,7 +108,8 @@ def evaluate(expression: str, grid: "Grid") -> np.ndarray:
         code = compile(expression, "<expression>", "eval")
     except SyntaxError as exc:
         raise ExpressionError(f"syntax error in {expression!r}: {exc.msg}") from exc
-    ns = _make_namespace(grid)
+    # names inside a lambda or comprehension resolve as globals, which hold none
+    ns = _make_namespace(grid, code.co_names)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             result = eval(code, {"__builtins__": {}}, ns)

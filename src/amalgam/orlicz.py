@@ -88,22 +88,29 @@ class YoungFunction:
                 out = (t * (1.0 + np.log(np.maximum(t, 1.0)))) ** self.param
         return out if out.ndim else float(out)
 
-    def _with_slope(self, t, log_t):
-        """Y(t) and t Y'(t) from t and log t, with the right derivative at t = 1."""
+    def _with_slope(self, t, log_t, out=None):
+        """Y(t) and t Y'(t), with the right derivative at t = 1, into out ([2, n]) or a new array.
+
+        t and log_t are only read, since the Newton pass hands in its work rows.
+        """
+        y, ty = np.empty((2, t.size)) if out is None else out
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.tag == "power":
-                y = t**self.param
-                return y, self.param * y
-            if self.tag == "exp":
-                y = np.expm1(t)
-                return y, t * (y + 1.0)
-            lift = 1.0 + np.maximum(log_t, 0.0)
-            above = log_t >= 0.0
+            if self.tag in ("power", "exp"):
+                y[:] = t**self.param if self.tag == "power" else np.expm1(t)
+                ty[:] = self.param * y if self.tag == "power" else t * (y + 1.0)
+                return y, ty
+            lift = np.maximum(log_t, 0.0)
+            lift += 1.0
             if self.tag == "llogl":
-                y = t * lift**self.param
-                return y, y * (lift + self.param * above) / lift
-            y = (t * lift) ** self.param
-            return y, self.param * y * (lift + above) / lift
+                np.multiply(t, lift**self.param, out=y)
+                np.multiply(y, lift + self.param * (log_t >= 0.0), out=ty)
+            else:
+                np.multiply(t, lift, out=y)
+                y **= self.param
+                np.multiply(self.param, y, out=ty)
+                ty *= lift + (log_t >= 0.0)
+            ty /= lift
+        return y, ty
 
     @property
     def unit_argument(self) -> float:
@@ -137,24 +144,30 @@ def luxemburg_table(
     vals = np.abs(np.asarray(values, dtype=np.float64))
     w = _weight_values(weight, grid)
     masses = (np.ones(grid.n_nodes) if w is None else w) * grid.cell_volume
+    # one Newton work array serves every batch; only the pages a batch uses are touched
+    work = np.empty((4, grid.n_nodes))
     return batch_table(family, grid, lambda idx, counts, starts: _solve(
-        Y, vals[idx], masses[idx], counts))[0]
+        Y, vals[idx], masses[idx], counts, work))[0]
 
 
 def _shrink(keep, counts, *entries):
     """The segments where keep holds: their counts, and their part of each entry array."""
+    if keep.all():
+        return (counts,) + entries
     rows = np.repeat(keep, counts)
     return (counts[keep],) + tuple(x[rows] for x in entries)
 
 
-def _solve(Y: YoungFunction, a, m, counts) -> np.ndarray:
+def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m."""
     lam = np.zeros(counts.size)
     # entries without mass drop out, and so do segments without any
-    running = np.concatenate(([0], np.cumsum(m > 0)))[np.cumsum(counts)]
-    kept = np.diff(running, prepend=0)
-    ids = np.flatnonzero(kept)
-    counts, a, m = kept[ids], a[m > 0], m[m > 0]
+    pos = m > 0
+    if not pos.all():
+        counts = np.diff(np.concatenate(([0], np.cumsum(pos)))[np.cumsum(counts)], prepend=0)
+        a, m = a[pos], m[pos]
+    ids = np.flatnonzero(counts)
+    counts = counts[ids]
     starts = np.cumsum(counts) - counts
     total, amax = np.add.reduceat(m, starts), np.maximum.reduceat(a, starts)
     # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0
@@ -164,7 +177,7 @@ def _solve(Y: YoungFunction, a, m, counts) -> np.ndarray:
         # lam scales with f, so the solve runs on |f| / max|f|
         c, a_n, m_n = _shrink(~flat, counts, a, m)
         top = amax[~flat]
-        lam[ids[~flat]] = top / _newton(Y, a_n / np.repeat(top, c), m_n, c, total[~flat])
+        lam[ids[~flat]] = top / _newton(Y, a_n / np.repeat(top, c), m_n, c, total[~flat], work)
     # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
     live = lam[ids] > 0
     counts, a, m = _shrink(live, counts, a, m)
@@ -184,7 +197,7 @@ def _solve(Y: YoungFunction, a, m, counts) -> np.ndarray:
     raise ConfigurationError("luxemburg norm failed to meet its constraint")
 
 
-def _newton(Y: YoungFunction, a, m, counts, total) -> np.ndarray:
+def _newton(Y: YoungFunction, a, m, counts, total, work=None) -> np.ndarray:
     """The root s of G(s) = sum Y(s a) m / sum m = 1 on each segment, where max a = 1.
 
     Newton from s0 = u / avg a, u = Y.unit_argument, never overshoots the
@@ -200,9 +213,20 @@ def _newton(Y: YoungFunction, a, m, counts, total) -> np.ndarray:
     s = u * total / np.add.reduceat(a * m, starts)
     lo, hi, prev = np.full(s.size, u), s.copy(), np.full(s.size, np.inf)
     newton, root, ids = np.ones(s.size, dtype=bool), np.empty(s.size), np.arange(s.size)
+    # each pass writes t = s a and log t, then Y(t) m and t Y'(t) m, into a [4, n] work array
+    if work is None or work.shape[1] < a.size:
+        work = np.empty((4, a.size))
+    rows = np.repeat(ids, counts)
     for _ in range(200):
-        y, ty = Y._with_slope(a * np.repeat(s, counts), log_a + np.repeat(np.log(s), counts))
-        mass, slope = np.add.reduceat(y * m, starts), np.add.reduceat(ty * m, starts)
+        t, log_t, y, ty = work[:, :a.size]
+        np.take(s, rows, out=t, mode="clip")  # "clip" writes out unbuffered
+        t *= a
+        np.take(np.log(s), rows, out=log_t, mode="clip")
+        log_t += log_a
+        Y._with_slope(t, log_t, work[2:, :a.size])
+        y *= m
+        ty *= m
+        mass, slope = np.add.reduceat(y, starts), np.add.reduceat(ty, starts)
         # G'(s) = sum t Y'(t) m / (s sum m) at t = s a; inf / inf where exp overflows
         with np.errstate(invalid="ignore"):
             step = s * (mass - total) / slope
@@ -217,7 +241,7 @@ def _newton(Y: YoungFunction, a, m, counts, total) -> np.ndarray:
             return root
         if done.any():
             counts, a, log_a, m = _shrink(~done, counts, a, log_a, m)
-            starts = np.cumsum(counts) - counts
+            starts, rows = np.cumsum(counts) - counts, np.repeat(np.arange(counts.size), counts)
             ids, total, s, lo, hi, prev, newton = (
                 x[~done] for x in (ids, total, s, lo, hi, prev, newton)
             )

@@ -30,6 +30,20 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_subcommand_and_option_has_help():
+    import argparse
+
+    from amalgam.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = {action.dest: action.help for action in sub._choices_actions}
+    assert set(listed) == set(sub.choices)
+    assert all(listed.values()), [name for name, text in listed.items() if not text]
+    for name, parser in sub.choices.items():
+        bare = [a.dest for a in parser._actions if a.option_strings and not a.help]
+        assert not bare, f"{name}: {bare}"
+
+
 def test_language_prints_reference(capsys):
     assert main(["language"]) == 0
     out = capsys.readouterr().out

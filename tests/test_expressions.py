@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from amalgam import ExpressionError, make_grid
+from amalgam import expressions
 from amalgam.expressions import EXPRESSION_LANGUAGE, evaluate
+
+EXPRESSION_NAMES = ("x", "ax", "r", "logabs", "sgn", "e", "pi", "ind", "ind2", "gauss", "bump",
+                    "abspow", "exp", "log", "sqrt", "sin", "cos", "abs", "minimum", "maximum",
+                    "where")
 
 
 def test_coordinates_and_constants(small_grid):
@@ -102,6 +107,29 @@ def test_function_calls_compose(small_grid):
     assert np.array_equal(out, want)
     out = evaluate("maximum(x, 0.0) + minimum(x, 0.0)", small_grid)
     assert np.allclose(out, x)
+
+
+@pytest.mark.parametrize("expr, names", [
+    ("1.0", set()),
+    ("2 * pi", {"pi"}),
+    ("r**-0.5 + 0 * logabs", {"r", "logabs"}),
+    ("abspow(-0.5) + gauss(0.5, 0.3) * sgn", {"abspow", "gauss", "sgn"}),
+    ("(lambda: 1)() + 0 * x", {"x"}),
+])
+def test_namespace_renders_only_the_names_read(monkeypatch, small_grid, expr, names):
+    built = []
+    make = expressions._make_namespace
+    monkeypatch.setattr(expressions, "_make_namespace",
+                        lambda *args: built.append(make(*args)) or built[-1])
+    out = evaluate(expr, small_grid)
+    assert set(built[0]) == names
+    # each name reads as it does in the namespace of every name
+    everything = make(small_grid, set(EXPRESSION_NAMES))
+    for name in names & {"ax", "r", "logabs", "sgn"}:
+        assert np.array_equal(built[0][name], everything[name])
+    monkeypatch.undo()
+    want = eval(expr, {"__builtins__": {}}, everything)
+    assert np.array_equal(out, np.broadcast_to(want, out.shape))
 
 
 def test_rejections(small_grid):

@@ -342,3 +342,47 @@ def test_node_batches_hand_out_each_region_once(dim, shape, limit):
     for s, size in enumerate(fam.sizes):
         for c, center in enumerate(centers):
             assert np.array_equal(nodes[s, c], oracles.region_nodes(grid, center, size, shape))
+
+
+def test_one_family_on_several_grids_reads_each_grid_layout():
+    # the layout of a family is kept per (family, grid): the same family on
+    # 64^2, 128^2 and 256^2, visited in turn, must read each grid's own runs
+    grids = {n: make_grid(dim=2, half_width=2.0, points_per_axis=n) for n in (64, 128, 256)}
+    centers = [(cx, cy) for cx in (-1.0, 0.0, 0.7) for cy in (-0.5, 0.33)]
+    fam = region_family(grids[64], (0.2, 0.9), centers=centers)
+    amalgam.grid._family_runs.cache_clear()
+    for n in (64, 128, 256, 128, 64, 256):
+        grid = grids[n]
+        arr = sample("1.0 + gauss(0.25, 0.5) * r", grid).values
+        sums, counts = window_sums(fam, grid, [arr])
+        batches = {(s, first + k): region_idx for s, first, idx, n_in in node_batches(fam, grid)
+                   for k, region_idx in enumerate(np.split(idx, np.cumsum(n_in)[:-1]))}
+        for s, size in enumerate(fam.sizes):
+            for c, center in enumerate(centers):
+                want = oracles.region_nodes(grid, center, size, "ball")
+                assert counts[s, c] == want.size > 0
+                assert sums[0, s, c] == pytest.approx(math.fsum(arr[want].tolist()), rel=1e-12)
+                assert np.array_equal(batches[s, c], want)
+    # each layout was built once, and only the last three are kept
+    info = amalgam.grid._family_runs.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (3, 3, 3)
+    window_sums(fam, make_grid(dim=2, half_width=2.0, points_per_axis=32), [np.ones(32 * 32)])
+    assert amalgam.grid._family_runs.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
+    # the runs are summed in start order; their sums must still reach each
+    # region in center-then-row order, so that the result is bit for bit the same
+    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=512 if dim == 1 else 64)
+    rng = np.random.default_rng(7)
+    arrays = rng.standard_normal((2, grid.n_nodes)) * np.exp(rng.uniform(-20, 20, grid.n_nodes))
+    fam = region_family(grid, (0.1, 0.5, 1.3), shape=shape, center_stride=5)
+    sums, counts = window_sums(fam, grid, arrays)
+    padded = np.pad(arrays, ((0, 0), (0, 1)))
+    centers = np.array(fam.centers)
+    for s, size in enumerate(fam.sizes):
+        want = np.zeros((2, len(centers)))
+        for owner, start, stop in zip(*amalgam.grid._runs(shape, centers, size, grid)):
+            want[:, owner] += np.add.reduceat(padded, [start, stop], axis=1)[:, 0]
+        assert np.array_equal(sums[:, s], want)

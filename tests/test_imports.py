@@ -15,6 +15,9 @@ Only ``harness._Context`` renders a grid in harness.py: no other code there
 builds a Grid or a region family, or renders a weight, a symbol or the
 corpus (``Corpus.realize`` samples the members for it).
 
+Each family's node runs are laid out once: only ``_family_runs``, which keeps
+the layout, and ``Region.node_indices`` (one region) call ``grid._runs``.
+
 One code path serves both dimensions: only ``grid._runs`` (balls slide per
 row), ``Kernel.__post_init__`` (the Hilbert kernel is one dimensional) and
 ``Corpus.generate`` (``ind`` or ``ind2`` in the expression strings) compare
@@ -264,3 +267,48 @@ def test_dimension_fork_is_caught():
     owners = {scope for path in PACKAGE.glob("*.py")
               for _, scope in _dim_forks(ast.parse(path.read_text()), owners=())}
     assert owners == {"_runs", "Kernel.__post_init__", "Corpus.generate.ind"}
+
+
+_RUN_OWNERS = ("_family_runs", "Region.node_indices")
+
+
+def _run_calls(tree: ast.Module, owners=_RUN_OWNERS):
+    """(line, scope) of each call to _runs outside the owners."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in owners:
+                return
+        if isinstance(node, ast.Call) and "_runs" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_runs_are_laid_out_only_by_the_family_layout(path):
+    found = _run_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line} in {scope}" for line, scope in found)
+
+
+def test_runs_call_outside_the_layout_is_caught():
+    tree = ast.parse(
+        "def _family_runs(family, grid):\n"
+        "    return _runs('ball', family.centers, 1.0, grid)\n"
+        "def window_sums(family, grid):\n"
+        "    return _runs('ball', family.centers, 1.0, grid), grid_mod._runs('cube', c, 2, grid)\n"
+        "class Region:\n"
+        "    def node_indices(self, grid):\n"
+        "        return _runs(self.shape, [self.center], self.size, grid)\n"
+        "    def fits_box(self, grid):\n"
+        "        return _runs(self.shape, [self.center], self.size, grid)\n"
+    )
+    assert _run_calls(tree) == [(4, "window_sums"), (4, "window_sums"), (9, "Region.fits_box")]
+    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
+    assert {scope for _, scope in _run_calls(grid_py, owners=())} == set(_RUN_OWNERS)

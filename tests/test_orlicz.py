@@ -204,6 +204,28 @@ def test_young_slope_is_t_times_the_derivative():
         assert np.allclose(ty, want, rtol=1e-6), Y.tag
 
 
+ALL_TAGS = [YoungFunction.power(1.0), YoungFunction.power(2.5), YoungFunction.llogl(0.0),
+            YoungFunction.llogl(1.5), YoungFunction.exponential(), YoungFunction.bump(1.5),
+            YoungFunction.bump(2.0)]
+
+
+@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_young_slope_only_reads_its_arguments(Y):
+    # the Newton pass hands in its work rows as t and log t
+    t = np.array([0.0, 0.01, 0.3, 1.0, 1.5, 4.0, 30.0, 800.0])
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
+    kept = t.copy(), log_t.copy()
+    y, ty = Y._with_slope(t, log_t)
+    assert np.array_equal(t, kept[0]) and np.array_equal(log_t, kept[1])
+    # read-only arguments, and the results written into a given array
+    t.flags.writeable = log_t.flags.writeable = False
+    out = np.full((2, t.size), np.nan)
+    got = Y._with_slope(t, log_t, out)
+    assert all(np.shares_memory(row, out) for row in got)
+    assert np.array_equal(out, np.stack([y, ty]))
+
+
 @st.composite
 def young_functions(draw):
     tag = draw(st.sampled_from(["power", "llogl", "exp", "bump"]))
