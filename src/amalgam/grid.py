@@ -355,16 +355,44 @@ def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
 
 
 _CENTER_CHUNK = 128
+# mean run below which B = 1: per window_sums call, 2D rows of 12-165 nodes take 1.2-1.7x as
+# long at B = 8-64; the 4096-node endpoint family (rows of 251-1791) 1.47 ms at B = 1, 0.49 ms
+_BLOCK_MIN_RUN = 256
+
+
+def _in_start_order(lo, hi):
+    """np.add.reduceat edges of the runs [lo, hi) in start order, and each run's place in them."""
+    order = np.argsort(lo)
+    edges = np.column_stack([lo[order], hi[order]]).ravel()
+    return edges.astype(np.int32), np.argsort(order).astype(np.int32)
+
+
+def _segments(start, stop, n, runs):
+    """(B, cuts, edges, place): how window_sums adds the runs [start, stop) of one layout entry.
+
+    B is a power of two near the square root of the mean run, 1 below a mean of
+    _BLOCK_MIN_RUN.  The n nodes are cut at every multiple of B and every run end,
+    and a run adds its segments: edges and place are the _in_start_order over cuts.
+    With B = 1 there are no cuts, and edges and place are runs, the runs' own.
+    """
+    mean = (stop - start).mean() if start.size else 0.0
+    b = 1 << int(np.round(np.log2(mean) / 2)) if mean >= _BLOCK_MIN_RUN else 1
+    if b == 1:
+        return 1, np.empty(0, np.int32), *runs
+    # not np.union1d: np.unique imports numpy.ma on first use, 9 ms and 1.6 MB per process
+    cuts = np.flatnonzero(np.bincount(np.concatenate([np.arange(0, n + 1, b), start, stop])))
+    lo, hi = (np.searchsorted(cuts, e) for e in (start, stop))
+    return b, cuts.astype(np.int32), *_in_start_order(lo, hi)
 
 
 @lru_cache(maxsize=3)
 def _family_runs(family: RegionFamily, grid: Grid):
-    """(size index, first center, start, stop, start order, node counts, bounds) per size and chunk.
+    """(size index, first center, edges, place, node counts, bounds, segments) per size and chunk.
 
     Centers go in chunks so that the runs of a 2D size stay a few MB.  The
     runs are in center then row order, those of center k of the chunk at
-    bounds[k]:bounds[k + 1].  The layout is kept, read-only, for the last
-    three (family, grid) pairs; the run arrays are int32.
+    bounds[k]:bounds[k + 1], kept as their _in_start_order and _segments,
+    read-only, for the last three (family, grid) pairs, in int32 arrays.
     """
     centers = np.array(family.centers)
     if centers.shape[1] != grid.dim:
@@ -376,9 +404,11 @@ def _family_runs(family: RegionFamily, grid: Grid):
             owner, start, stop = _runs(family.shape, chunk, size, grid)
             counts = np.bincount(owner, stop - start, minlength=len(chunk)).astype(np.intp)
             bounds = np.searchsorted(owner, np.arange(len(chunk) + 1))
-            block = np.stack([start, stop, np.argsort(start)]).astype(np.int32)
-            block.flags.writeable = counts.flags.writeable = bounds.flags.writeable = False
-            layout.append((s, first, *block, counts, bounds))
+            runs = _in_start_order(start, stop)
+            segments = _segments(start, stop, grid.n_nodes, runs)
+            for a in (counts, bounds, *runs, *segments[1:]):
+                a.flags.writeable = False
+            layout.append((s, first, *runs, counts, bounds, segments))
     return tuple(layout)
 
 
@@ -387,10 +417,9 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
 
     arrays is a sequence of k node arrays.  Returns sums [k, size, center]
     and counts [size, center]; a region without nodes reads 0 in both.  Each
-    window is summed from its own entries, one np.add.reduceat over the runs
-    of each size, never as a difference of prefix sums, so a positive array
-    has a positive sum on every region that holds nodes however widely it
-    ranges.
+    window adds its own entries, or their sums over segments of at most B
+    nodes (_segments), never a difference of prefix sums, so a positive array
+    has a positive sum on every region that holds nodes however widely it ranges.
     """
     # a trailing zero keeps a run that ends at the last node a valid reduceat index
     padded = np.zeros((len(arrays), grid.n_nodes + 1))
@@ -400,12 +429,11 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
         row[:-1] = a
     sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
     counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
-    for s, first, start, stop, order, n, bounds in _family_runs(family, grid):
-        # reduceat sums between consecutive indices and the even slots are the runs;
+    for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):
+        segments = np.add.reduceat(padded, cuts, axis=1) if cuts.size else padded
+        # reduceat sums between consecutive edges and the even slots are the runs;
         # in start order an odd slot is short, in center order it spans most of a row
-        edges = np.column_stack([start[order], stop[order]]).ravel()
-        runs = np.empty((len(arrays), order.size))
-        runs[:, order] = np.add.reduceat(padded, edges, axis=1)[:, ::2]
+        runs = np.add.reduceat(segments, edges, axis=1)[:, ::2][:, place]
         owner = np.repeat(np.arange(n.size), np.diff(bounds))
         for k, run_sums in enumerate(runs):
             sums[k, s, first:first + n.size] = np.bincount(owner, run_sums, minlength=n.size)
@@ -425,7 +453,8 @@ def node_batches(family: RegionFamily, grid: Grid):
     centers of one size, at least one; each region's nodes are contiguous,
     in center order.  Only the runs are kept, so memory stays bounded by a batch.
     """
-    for s, first, start, stop, _, counts, bounds in _family_runs(family, grid):
+    for s, first, edges, place, counts, bounds, _ in _family_runs(family, grid):
+        start, stop = edges[2 * place], edges[2 * place + 1]
         per = max(1, _BATCH_NODES // max(int(counts.max()), 1))
         for lo in range(0, counts.size, per):
             r0, r1 = bounds[lo], bounds[min(lo + per, counts.size)]

@@ -318,6 +318,50 @@ def test_window_sums_of_a_wide_ranging_weight(dim, shape):
     assert empty == len(centers) // 2
 
 
+@st.composite
+def long_run_families(draw):
+    """A 1D grid, a family of one long and one free size, and node arrays.
+
+    Three or more centers in the box hold at least 600 nodes each at the long
+    size, so its runs average more than _BLOCK_MIN_RUN; up to three centers
+    past the box edge hold a run of a few nodes or none.
+    """
+    n = draw(st.sampled_from([1024, 2048, 4096]))
+    grid = make_grid(dim=1, half_width=draw(st.sampled_from([4.0, 3.0])), points_per_axis=n)
+    h, reach = grid.spacing, grid.half_width
+    long = draw(st.integers(600, n).map(lambda m: m * h) | st.floats(600 * h, 2 * reach))
+    other = draw(st.floats(1e-3, 2 * reach) | st.integers(1, n).map(lambda m: m * h))
+    # centers on nodes, midway between them, or anywhere in the box
+    node = st.integers(0, n - 1).map(lambda i: float(grid.axis[i]))
+    inside = node | node.map(lambda x: x + h / 2) | st.floats(-reach, reach - h)
+    edge = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-2, 40))
+    past = edge.map(lambda e: e[0] * (reach + long - e[1] * h))
+    centers = draw(st.lists(inside, min_size=3, max_size=12)) + draw(st.lists(past, max_size=3))
+    fam = region_family(grid, (long, other), centers=[(x,) for x in centers])
+    # nonnegative entries over up to 300 decades, some of them zero
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.floats(0.0, 300.0))
+    arrays = 10.0 ** rng.uniform(-decades / 2, decades / 2, (2, n))
+    arrays[rng.random((2, n)) < draw(st.sampled_from([0.0, 0.5, 0.99]))] = 0.0
+    return grid, fam, arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_run_families())
+def test_blocked_window_sums_match_fsum(case):
+    grid, fam, arrays = case
+    sums, counts = window_sums(fam, grid, arrays)
+    assert max(entry[6][0] for entry in amalgam.grid._family_runs(fam, grid)) > 1
+    for s, size in enumerate(fam.sizes):
+        for c, center in enumerate(fam.centers):
+            idx = oracles.region_indices(grid, center, size, "ball")
+            assert counts[s, c] == idx.size
+            for k, arr in enumerate(arrays):
+                want = math.fsum(arr[idx].tolist())
+                assert sums[k, s, c] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert (sums[k, s, c] > 0.0) == (want > 0.0)
+
+
 @pytest.mark.parametrize("limit", [1, 100, 2**14])
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
 def test_node_batches_hand_out_each_region_once(dim, shape, limit):
@@ -372,17 +416,32 @@ def test_one_family_on_several_grids_reads_each_grid_layout():
 
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
 def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
-    # the runs are summed in start order; their sums must still reach each
-    # region in center-then-row order, so that the result is bit for bit the same
-    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=512 if dim == 1 else 64)
+    # each run adds the sums of its segments, the pieces between the multiples
+    # of B and the ends of the layout entry's runs, and the run sums reach each
+    # region in center-then-row order: bit for bit the same
+    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=2048 if dim == 1 else 64)
     rng = np.random.default_rng(7)
     arrays = rng.standard_normal((2, grid.n_nodes)) * np.exp(rng.uniform(-20, 20, grid.n_nodes))
     fam = region_family(grid, (0.1, 0.5, 1.3), shape=shape, center_stride=5)
     sums, counts = window_sums(fam, grid, arrays)
     padded = np.pad(arrays, ((0, 0), (0, 1)))
+
+    def run_sum(a, start, stop):
+        return np.add.reduceat(a, [start, stop], axis=1)[:, 0]
+
     centers = np.array(fam.centers)
-    for s, size in enumerate(fam.sizes):
-        want = np.zeros((2, len(centers)))
-        for owner, start, stop in zip(*amalgam.grid._runs(shape, centers, size, grid)):
-            want[:, owner] += np.add.reduceat(padded, [start, stop], axis=1)[:, 0]
-        assert np.array_equal(sums[:, s], want)
+    want = np.zeros(sums.shape)
+    used = set()
+    for s, first, *_, (b, *_) in amalgam.grid._family_runs(fam, grid):
+        used.add(b)
+        chunk = centers[first:first + amalgam.grid._CENTER_CHUNK]
+        owner, start, stop = amalgam.grid._runs(shape, chunk, fam.sizes[s], grid)
+        cuts = sorted({*range(0, grid.n_nodes + 1, b), *start.tolist(), *stop.tolist()})
+        pieces = [run_sum(padded, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        segments = np.column_stack([*pieces, np.zeros(2)])
+        at = {c: j for j, c in enumerate(cuts)}
+        for k, lo, hi in zip(owner, start, stop):
+            want[:, s, first + k] += run_sum(segments, at[lo], at[hi])
+    assert np.array_equal(sums, want)
+    # the 1D runs of 0.5 and 1.3 are long enough for blocks, the 2D rows are not
+    assert used == ({1, 16, 32} if dim == 1 else {1})
