@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, PreconditionError
 from .grid import DiscreteFunction, Grid, Region, RegionFamily, node_batches, window_sums
@@ -100,69 +99,30 @@ class DiniIntegrals:
         return math.isfinite(self.dini) and math.isfinite(self.log_dini)
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(32)
-_DINI_REL_TOL = 1e-6  # dini_integrals stops once both pieces fall below this share of the totals
-_DINI_BLOWUP = 1e12  # totals past this come back as inf
-_DINI_MAX_LEVELS = 1008  # past this level the dyadic endpoints leave float64 range
-
-
-def _tail_estimate(piece: float, ratio: float, level: int) -> float:
-    """Geometric or power-law extrapolation of the remaining dyadic pieces."""
-    if piece <= 0.0:
-        return 0.0
-    if ratio >= 1.0:
-        return math.inf
-    if ratio < 0.95:
-        return piece * ratio / (1.0 - ratio)
-    # slow decay: model piece_k ~ k^{-a}
-    a = level * (1.0 - ratio)
-    if a <= 1.1:
-        return math.inf
-    return piece * level / (a - 1.0)
+_DINI_BLOWUP = 1e12  # integrals past this come back as inf
 
 
 def dini_integrals(theta: ThetaModulus) -> DiniIntegrals:
-    """Dyadic Gauss quadrature of the two Dini integrals of a modulus.
+    """The two Dini integrals of a modulus, in closed form.
 
-    The integrand is evaluated on [2^{-k-1}, 2^{-k}] until both pieces fall
-    below _DINI_REL_TOL of their running totals, then the tail is
-    extrapolated.  Totals past _DINI_BLOWUP, and tails that fail to decay
-    summably, come back as inf.
+    power delta:  int_0^1 t^{delta-1} dt = 1/delta and
+                  int_0^1 t^{delta-1} log(1/t) dt = 1/delta^2.
+    log beta:     with s = log(1/t), int_0^inf (1 + s)^{-beta} ds = 1/(beta-1)
+                  for beta > 1 and int_0^inf (1 + s)^{-beta} s ds =
+                  1/((beta-1)(beta-2)) for beta > 2; otherwise divergent.
+    zero:         0 and 0.
+    Integrals past _DINI_BLOWUP come back as inf, as divergent ones do.
     """
-    total1 = 0.0
-    total2 = 0.0
-    prev1 = prev2 = 0.0
-    p1 = p2 = 0.0
-    k = 0
-    tiny = 1e-300
-    for k in range(_DINI_MAX_LEVELS):
-        b = 2.0**-k
-        a = b / 2.0
-        t = 0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_NODES
-        th = np.asarray(theta(t))
-        scale = 0.5 * (b - a)
-        prev1, prev2 = p1, p2
-        with np.errstate(over="ignore"):
-            p1 = scale * float(np.sum(th / t * _GAUSS_WEIGHTS))
-            p2 = scale * float(np.sum(th * (-np.log(t)) / t * _GAUSS_WEIGHTS))
-        total1 += p1
-        total2 += p2
-        if total1 > _DINI_BLOWUP or total2 > _DINI_BLOWUP:
-            return DiniIntegrals(math.inf, math.inf)
-        if (k >= 8 and p1 <= _DINI_REL_TOL * max(total1, tiny)
-                and p2 <= _DINI_REL_TOL * max(total2, tiny)):
-            break
-    r1 = 0.0 if (prev1 <= 0.0 or p1 <= 0.0) else p1 / prev1
-    r2 = 0.0 if (prev2 <= 0.0 or p2 <= 0.0) else p2 / prev2
-    tail1 = _tail_estimate(p1, r1, k + 1)
-    tail2 = _tail_estimate(p2, r2, k + 1)
-    total1 = total1 + tail1
-    total2 = total2 + tail2
-    if total1 > _DINI_BLOWUP:
-        total1 = math.inf
-    if total2 > _DINI_BLOWUP:
-        total2 = math.inf
-    return DiniIntegrals(total1, total2)
+    b = theta.param
+    if theta.tag == "power":
+        dini = 1.0 / b
+        log_dini = dini * dini  # a float product overflows to inf, a power would raise
+    elif theta.tag == "log":
+        dini = 1.0 / (b - 1.0) if b > 1.0 else math.inf
+        log_dini = 1.0 / ((b - 1.0) * (b - 2.0)) if b > 2.0 else math.inf
+    else:
+        dini = log_dini = 0.0
+    return DiniIntegrals(*(math.inf if v > _DINI_BLOWUP else v for v in (dini, log_dini)))
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class SpaceParams:
             raise ConfigurationError("need alpha < q")
 
     @property
-    def p_prime(self) -> float:
-        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
-
-    @property
     def inv_q(self) -> float:
         return 0.0 if math.isinf(self.q) else 1.0 / self.q
 

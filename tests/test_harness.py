@@ -305,6 +305,20 @@ def test_strong_experiment_report():
     assert "weight_class_plateau" in gate_names
 
 
+@pytest.mark.parametrize("theorem, tag, param, passed", [
+    ("strong", "log", 1.05, True),  # Dini integral 1/(beta - 1) = 20
+    ("strong", "power", 0.001, True),  # 1/delta = 1000
+    ("commutator", "log", 2.1, True),  # log-Dini 1/((beta - 1)(beta - 2)) = 9.09
+    ("strong", "log", 1.0, False),  # the Dini integral diverges for beta <= 1
+    ("commutator", "log", 1.5, False),  # the log-Dini integral diverges for beta <= 2
+])
+def test_dini_gate_verdict(theorem, tag, param, passed):
+    spec = ExperimentSpec(theorem, points=64, corpus_n=2, theta=ThetaModulus(tag, param))
+    report = theorem_experiment(spec, refinements=0, eps_stability=False)
+    gate = next(h for h in report.hypotheses if h.name == "dini_modulus")
+    assert gate.passed is passed
+
+
 def test_experiment_stability_fields():
     spec = tiny_spec("strong")
     report = theorem_experiment(spec, refinements=1, eps_stability=True)

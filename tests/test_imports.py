@@ -22,9 +22,17 @@ One code path serves both dimensions: only ``grid._runs`` (balls slide per
 row), ``Kernel.__post_init__`` (the Hilbert kernel is one dimensional) and
 ``Corpus.generate`` (``ind`` or ``ind2`` in the expression strings) compare
 a ``dim`` with 1 or 2.
+
+A run loads no numpy submodule it does not use: after a tiny experiment of
+every theorem in 1D and a 2D riesz run, ``numpy.polynomial`` and ``numpy.ma``
+are still absent from ``sys.modules`` (each import costs milliseconds and
+over a megabyte of resident memory in every process).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -312,3 +320,26 @@ def test_runs_call_outside_the_layout_is_caught():
     assert _run_calls(tree) == [(4, "window_sums"), (4, "window_sums"), (9, "Region.fits_box")]
     grid_py = ast.parse((PACKAGE / "grid.py").read_text())
     assert {scope for _, scope in _run_calls(grid_py, owners=())} == set(_RUN_OWNERS)
+
+
+_UNUSED_SUBMODULES = ("numpy.polynomial", "numpy.ma")
+
+_EVERY_THEOREM_RUN = f"""
+import sys
+import amalgam.cli
+from amalgam import ExperimentSpec, theorem_experiment
+from amalgam.harness import THEOREMS
+for theorem in THEOREMS:
+    theorem_experiment(ExperimentSpec(theorem, points=64, corpus_n=2))
+theorem_experiment(ExperimentSpec("strong", dim=2, points=32, kernel_tag="riesz",
+                                  center_stride=8, corpus_n=2))
+print(" ".join(m for m in {_UNUSED_SUBMODULES!r} if m in sys.modules))
+"""
+
+
+def test_runs_leave_unused_numpy_submodules_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _EVERY_THEOREM_RUN], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

@@ -56,23 +56,24 @@ def test_dini_closed_forms():
     cases = [
         ("power", 0.5),
         ("power", 1.0),
+        ("power", 0.001),
         ("log", 0.5),
+        ("log", 1.05),
+        ("log", 1.1),
         ("log", 1.5),
         ("log", 2.0),
+        ("log", 2.1),
         ("log", 4.0),
     ]
     for tag, param in cases:
         th = ThetaModulus(tag, param)
         got = dini_integrals(th)
         want_d, want_ld = oracles.dini_closed_forms(tag, param)
-        # log moduli converge like a power of 1/log(1/t), so their tail
-        # estimate is honest but coarse; power moduli converge geometrically
-        rel = 1e-6 if tag == "power" else 1e-3
         for got_v, want_v in ((got.dini, want_d), (got.log_dini, want_ld)):
             if math.isinf(want_v):
                 assert math.isinf(got_v)
             else:
-                assert got_v == pytest.approx(want_v, rel=rel)
+                assert got_v == pytest.approx(want_v, rel=1e-12)
 
 
 def test_dini_zero_modulus():

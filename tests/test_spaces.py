@@ -45,8 +45,6 @@ def test_space_params_exponents():
     sp = SpaceParams(2.0, 4.0, 8.0)
     assert sp.strong_exponent == pytest.approx(0.25 - 0.5 - 0.125)
     assert sp.llogl_exponent == pytest.approx(0.25 - 0.125)
-    assert sp.p_prime == 2.0
-    assert SpaceParams(1.0, 2.0, 4.0).p_prime == math.inf
     assert SpaceParams(2.0, 4.0, math.inf).inv_q == 0.0
 
 
