@@ -441,9 +441,13 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
     return sums, counts
 
 
-# nodes per batch: a solver pass over 2^14 entries keeps its temporaries in
-# cache; a luxemburg_table runs about 1.4 times as fast per entry as with 2^17
-_BATCH_NODES = 2**14
+# nodes per batch: a solver pass pays a fixed cost per numpy call, so larger
+# batches take fewer passes.  On two_weight_2d (bench/run.py, 2-vCPU Xeon VM,
+# four rounds) median cpu_s read 0.45, 0.41 and 0.36 s at 2^14, 2^15 and 2^16,
+# peak RSS 65.8-66.3 MB for all three; endpoint_1d_dense, whose 1D batches of
+# whole-grid regions grow with the size, gained 0.15 MB of peak RSS at 2^15
+# and 0.5 MB at 2^16
+_BATCH_NODES = 2**15
 
 
 def node_batches(family: RegionFamily, grid: Grid):

@@ -8,7 +8,15 @@ is the one that enters the local space estimates.
 One solver computes them, for one region or a whole family at once: in
 s = 1/lam, G(s) = avg Y(s|f|) is convex and increasing, and Newton from
 the Jensen point s0 = Y^{-1}(1) / avg|f|, where G(s0) >= 1, converges
-from the right.  lam is then stepped up until avg Y(|f|/lam) <= 1 holds.
+from the right.  Its steps shrink quadratically, so a step of at most
+1e-8 s ends it at that step's trial.  lam is then stepped up until
+avg Y(|f|/lam) <= 1 holds.
+
+A family's solve keeps every intermediate as long as a batch of node
+values in one work array of eight rows: the gathered |f| and masses, |f|
+scaled to max 1 (then the contract's terms), its log, and four rows for
+Y(t), t Y'(t), the lift 1 + log+ t and the derivative's factor.  Only
+the broadcasts of s and log s, made by np.repeat, are new each pass.
 """
 
 from __future__ import annotations
@@ -78,37 +86,61 @@ class YoungFunction:
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         with np.errstate(over="ignore"):
-            if self.tag == "power":
-                out = t**self.param
-            elif self.tag == "llogl":
-                out = t * (1.0 + np.log(np.maximum(t, 1.0))) ** self.param
-            elif self.tag == "exp":
-                out = np.expm1(t)
-            else:
-                out = (t * (1.0 + np.log(np.maximum(t, 1.0)))) ** self.param
+            out = self._values(t, np.empty_like(t))
         return out if out.ndim else float(out)
 
-    def _with_slope(self, t, log_t, out=None):
-        """Y(t) and t Y'(t), with the right derivative at t = 1, into out ([2, n]) or a new array.
+    def _values(self, t, out):
+        """Y(t) into out, an array of t's shape other than t; t is only read."""
+        if self.tag == "power":
+            return _power(t, self.param, out)
+        if self.tag == "exp":
+            return np.expm1(t, out=out)
+        # 1 + log+ t, raised to kappa before the factor t (llogl) or with it (bump)
+        np.maximum(t, 1.0, out=out)
+        np.log(out, out=out)
+        out += 1.0
+        if self.tag == "llogl":
+            _power(out, self.param, out)
+        out *= t
+        return _power(out, self.param, out) if self.tag == "bump" else out
 
-        t and log_t are only read, since the Newton pass hands in its work rows.
+    def _with_slope(self, t, log_t, out=None):
+        """Y(t) and t Y'(t), with the right derivative at t = 1, into out[0] and out[1].
+
+        t and log_t are only read, since the Newton pass hands in its work
+        rows.  llogl and bump build the lift 1 + log+ t in out[2] and the
+        derivative's factor in out[3]; given fewer rows, they take new ones.
         """
-        y, ty = np.empty((2, t.size)) if out is None else out
+        if out is None:
+            out = np.empty((4, t.size))
+        y, ty = out[0], out[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.tag in ("power", "exp"):
-                y[:] = t**self.param if self.tag == "power" else np.expm1(t)
-                ty[:] = self.param * y if self.tag == "power" else t * (y + 1.0)
-                return y, ty
-            lift = np.maximum(log_t, 0.0)
-            lift += 1.0
-            if self.tag == "llogl":
-                np.multiply(t, lift**self.param, out=y)
-                np.multiply(y, lift + self.param * (log_t >= 0.0), out=ty)
-            else:
-                np.multiply(t, lift, out=y)
-                y **= self.param
+            if self.tag == "power":
+                _power(t, self.param, y)
                 np.multiply(self.param, y, out=ty)
-                ty *= lift + (log_t >= 0.0)
+                return y, ty
+            if self.tag == "exp":
+                np.expm1(t, out=y)
+                np.add(y, 1.0, out=ty)
+                ty *= t
+                return y, ty
+            lift, factor = out[2:4] if len(out) >= 4 else np.empty((2, t.size))
+            np.maximum(log_t, 0.0, out=lift)
+            lift += 1.0
+            # factor = lift + kappa [log_t >= 0] (llogl) or lift + [log_t >= 0] (bump)
+            np.greater_equal(log_t, 0.0, out=factor)
+            if self.tag == "llogl":
+                factor *= self.param
+                factor += lift
+                _power(lift, self.param, y)
+                y *= t
+                np.multiply(y, factor, out=ty)
+            else:
+                factor += lift
+                np.multiply(t, lift, out=y)
+                _power(y, self.param, y)
+                np.multiply(self.param, y, out=ty)
+                ty *= factor
             ty /= lift
         return y, ty
 
@@ -116,6 +148,11 @@ class YoungFunction:
     def unit_argument(self) -> float:
         """The argument u with Y(u) = 1."""
         return math.log(2.0) if self.tag == "exp" else 1.0
+
+
+def _power(x, p, out):
+    """x ** p into out.  For p = 2 numpy's power forms x * x: np.square, three times as fast."""
+    return np.square(x, out=out) if p == 2.0 else np.power(x, p, out=out)
 
 
 def luxemburg_norm(
@@ -144,10 +181,27 @@ def luxemburg_table(
     vals = np.abs(np.asarray(values, dtype=np.float64))
     w = _weight_values(weight, grid)
     masses = (np.ones(grid.n_nodes) if w is None else w) * grid.cell_volume
-    # one Newton work array serves every batch; only the pages a batch uses are touched
-    work = np.empty((4, grid.n_nodes))
-    return batch_table(family, grid, lambda idx, counts, starts: _solve(
-        Y, vals[idx], masses[idx], counts, work))[0]
+    # one work array serves every batch, gathers in rows 0 and 1 and the solve in
+    # the rest; only the pages a batch uses are touched
+    work = np.empty((2 + _SOLVE_ROWS, grid.n_nodes))
+
+    def solve(idx, counts, starts):
+        nonlocal work
+        if work.shape[1] < idx.size:  # a batch of overlapping regions can outnumber the nodes
+            work = np.empty((work.shape[0], idx.size))
+        rows = work[:, :idx.size]
+        np.take(vals, idx, out=rows[0], mode="clip")  # "clip" writes out unbuffered
+        np.take(masses, idx, out=rows[1], mode="clip")
+        return _solve(Y, rows[0], rows[1], counts, rows[2:])
+
+    return batch_table(family, grid, solve)[0]
+
+
+# work rows of _solve: |f| / max|f| and then the contract's terms, and _newton's five
+_SOLVE_ROWS = 6
+# Newton's last step: once a step moves s by at most this share of s, the
+# trial is the root to rounding, since the next step would be about its square
+_STEP_STOP = 1e-8
 
 
 def _shrink(keep, counts, *entries):
@@ -158,14 +212,22 @@ def _shrink(keep, counts, *entries):
     return (counts[keep],) + tuple(x[rows] for x in entries)
 
 
+# log 0 = -inf, and inf / inf where exp overflows, are part of the solve
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
-    """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m."""
+    """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m.
+
+    Every full-length intermediate goes into the _SOLVE_ROWS rows of work, at
+    least a.size wide, or of a new array when work is not given.
+    """
     lam = np.zeros(counts.size)
     # entries without mass drop out, and so do segments without any
     pos = m > 0
     if not pos.all():
         counts = np.diff(np.concatenate(([0], np.cumsum(pos)))[np.cumsum(counts)], prepend=0)
         a, m = a[pos], m[pos]
+    if work is None:
+        work = np.empty((_SOLVE_ROWS, a.size))
     ids = np.flatnonzero(counts)
     counts = counts[ids]
     starts = np.cumsum(counts) - counts
@@ -177,15 +239,18 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
         # lam scales with f, so the solve runs on |f| / max|f|
         c, a_n, m_n = _shrink(~flat, counts, a, m)
         top = amax[~flat]
-        lam[ids[~flat]] = top / _newton(Y, a_n / np.repeat(top, c), m_n, c, total[~flat], work)
+        a_n = np.divide(a_n, np.repeat(top, c), out=work[0, :a_n.size])
+        lam[ids[~flat]] = top / _newton(Y, a_n, m_n, c, total[~flat], work[1:])
     # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
     live = lam[ids] > 0
     counts, a, m = _shrink(live, counts, a, m)
     ids, total = ids[live], total[live]
     step = np.spacing(lam[ids])
     for _ in range(64):
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = Y(a / np.repeat(lam[ids], counts)) * m
+        t = np.repeat(lam[ids], counts)
+        np.divide(a, t, out=t)
+        terms = Y._values(t, work[0, :a.size])
+        terms *= m
         G = np.add.reduceat(terms, np.cumsum(counts) - counts) / total
         fails = ~(G <= 1.0)
         if not fails.any():
@@ -197,51 +262,55 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     raise ConfigurationError("luxemburg norm failed to meet its constraint")
 
 
-def _newton(Y: YoungFunction, a, m, counts, total, work=None) -> np.ndarray:
+def _newton(Y: YoungFunction, a, m, counts, total, work) -> np.ndarray:
     """The root s of G(s) = sum Y(s a) m / sum m = 1 on each segment, where max a = 1.
 
     Newton from s0 = u / avg a, u = Y.unit_argument, never overshoots the
     root of the convex G, so a Newton trial at G <= 1 is the root up to
     rounding.  The root lies in [u, s0].  A step that is not finite, leaves
     that bracket or exceeds half the move before it (exp, far from the
-    root) gives way to a geometric bisection.  A relative step of 1e-14 ends it.
+    root) gives way to a geometric bisection.  The relative steps shrink
+    quadratically (1e-2, 1e-4, 1e-8), so a finite-slope step of at most
+    _STEP_STOP times s ends it at its trial, a pass before the step would
+    fall to rounding.
+
+    work has five rows: log a in row 0, and Y._with_slope's four rows after
+    it.  Each pass spreads s and log s over the segments with np.repeat into
+    t = s a and log t = log s + log a, has Y(t) and t Y'(t) written into
+    rows 1 and 2, and sums them, times m, per segment.  It runs under
+    _solve's errstate.
     """
     starts = np.cumsum(counts) - counts
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
     u = Y.unit_argument
-    s = u * total / np.add.reduceat(a * m, starts)
+    s = u * total / np.add.reduceat(np.multiply(a, m, out=work[1, :a.size]), starts)
+    log_a = np.log(a, out=work[0, :a.size])
     lo, hi, prev = np.full(s.size, u), s.copy(), np.full(s.size, np.inf)
     newton, root, ids = np.ones(s.size, dtype=bool), np.empty(s.size), np.arange(s.size)
-    # each pass writes t = s a and log t, then Y(t) m and t Y'(t) m, into a [4, n] work array
-    if work is None or work.shape[1] < a.size:
-        work = np.empty((4, a.size))
-    rows = np.repeat(ids, counts)
     for _ in range(200):
-        t, log_t, y, ty = work[:, :a.size]
-        np.take(s, rows, out=t, mode="clip")  # "clip" writes out unbuffered
+        t = np.repeat(s, counts)
         t *= a
-        np.take(np.log(s), rows, out=log_t, mode="clip")
+        log_t = np.repeat(np.log(s), counts)
         log_t += log_a
-        Y._with_slope(t, log_t, work[2:, :a.size])
-        y *= m
-        ty *= m
-        mass, slope = np.add.reduceat(y, starts), np.add.reduceat(ty, starts)
+        out = work[1:5, :a.size]
+        Y._with_slope(t, log_t, out)
+        out[:2] *= m
+        mass, slope = np.add.reduceat(out[:2], starts, axis=1)
         # G'(s) = sum t Y'(t) m / (s sum m) at t = s a; inf / inf where exp overflows
-        with np.errstate(invalid="ignore"):
-            step = s * (mass - total) / slope
+        step = s * (mass - total) / slope
         low = mass <= total
-        lo, hi, trial = np.where(low, s, lo), np.where(low, hi, s), s - step
-        done = (low & newton) | (np.abs(step) <= 1e-14 * s)
-        root[ids[done]] = np.where(low & newton, s, trial)[done]
-        newton = (trial > lo) & (trial < hi) & (np.abs(step) <= 0.5 * prev)
+        lo, hi, trial, size = np.where(low, s, lo), np.where(low, hi, s), s - step, np.abs(step)
+        # a slope that overflows leaves a zero step, not a root
+        at_root = low & newton
+        done = at_root | ((size <= _STEP_STOP * s) & (slope < np.inf))
+        root[ids[done]] = np.where(at_root, s, trial)[done]
+        newton = (trial > lo) & (trial < hi) & (size <= 0.5 * prev)
         nxt = np.where(newton, trial, np.sqrt(lo) * np.sqrt(hi))
         prev, s = np.abs(nxt - s), nxt
         if done.all():
             return root
         if done.any():
             counts, a, log_a, m = _shrink(~done, counts, a, log_a, m)
-            starts, rows = np.cumsum(counts) - counts, np.repeat(np.arange(counts.size), counts)
+            starts = np.cumsum(counts) - counts
             ids, total, s, lo, hi, prev, newton = (
                 x[~done] for x in (ids, total, s, lo, hi, prev, newton)
             )

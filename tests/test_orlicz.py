@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import amalgam.grid
+import amalgam.orlicz
 import oracles
 from amalgam import (
     ConfigurationError,
@@ -227,6 +229,24 @@ def test_young_slope_only_reads_its_arguments(Y):
     assert np.array_equal(out, np.stack([y, ty]))
 
 
+@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_young_slope_in_work_rows_allocates_no_float_row(Y):
+    # handed all four work rows, a Newton pass allocates no temporary of its length
+    n = 2**14
+    t = np.linspace(0.0, 40.0, n)
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
+    out = np.empty((4, n))
+    Y._with_slope(t, log_t, out)
+    tracemalloc.start()
+    try:
+        Y._with_slope(t, log_t, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 @st.composite
 def young_functions(draw):
     tag = draw(st.sampled_from(["power", "llogl", "exp", "bump"]))
@@ -331,3 +351,46 @@ def test_luxemburg_exp_spike_pass_bound(monkeypatch, spike_at):
     want = oracles.brute_luxemburg(vals, np.full(grid.n_nodes, grid.cell_volume), Y)
     assert got == pytest.approx(want, rel=1e-8)
     assert len(passes) <= EXP_SPIKE_PASSES
+
+
+def test_luxemburg_exp_overflowing_slope():
+    # at the Jensen start t Y'(t) overflows while Y(t) does not, so the Newton
+    # step reads 0 there; the solve must bisect on rather than stop at s0
+    grid = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+    vals = np.zeros(grid.n_nodes)
+    vals[:3] = [211.0, 1e-3, 1.0]
+    w = np.ones(grid.n_nodes)
+    w[1] = 961.0
+    Y = YoungFunction.exponential()
+    got = luxemburg_norm(DiscreteFunction(grid, vals), Y, weight=w)
+    want = oracles.brute_luxemburg(vals, w * grid.cell_volume, Y)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_luxemburg_stop_saves_a_pass_per_batch(monkeypatch):
+    # the bump gate's solve: v^(-1/p) for v = r^0.3 and p = 2, under (t (1 + log+ t))^2
+    grid = make_grid(dim=2, half_width=2.0, points_per_axis=128)
+    values = sample("r**-0.15", grid).values
+    fam = region_family(grid, sizes=(0.25, 0.5, 1.0), shape="ball", center_stride=8)
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(YoungFunction, "_with_slope", counted("passes", YoungFunction._with_slope))
+    monkeypatch.setattr(YoungFunction, "_values", counted("contract", YoungFunction._values))
+    monkeypatch.setattr(amalgam.orlicz, "_solve", counted("batches", amalgam.orlicz._solve))
+    runs = []
+    # the stop, and a Newton run on to a relative step of 1e-14
+    for stop in (amalgam.orlicz._STEP_STOP, 1e-14):
+        monkeypatch.setattr(amalgam.orlicz, "_STEP_STOP", stop)
+        counts.update(passes=0, contract=0, batches=0)
+        luxemburg_table(fam, grid, values, YoungFunction.bump(2.0))
+        runs.append(dict(counts))
+    new, old = runs
+    assert new["passes"] <= 4 * new["batches"]
+    # the contract evaluations the stop adds cost less than the passes it removes
+    assert new["contract"] - old["contract"] < old["passes"] - new["passes"]
