@@ -37,8 +37,6 @@ from .spaces import (
     SpaceParams,
     amalgam_norms,
     bmo_norm,
-    local_lp_norm,
-    local_weak_lp_norm,
     region_mean,
 )
 from .weights import Weight, doubling_profile, muckenhoupt_characteristic, weight_from_expression
@@ -61,20 +59,25 @@ __all__ = [
     "THEOREMS",
 ]
 
-THEOREMS = (
-    "strong",
-    "weak",
-    "commutator",
-    "endpoint",
-    "two_weight_weak",
-    "two_weight_endpoint",
-    "two_weight_strong",
-    "two_weight_commutator",
-)
+# theorem -> (lhs, rhs), each side an amalgam norm given as (variant, inner
+# weight, scaled by the BMO norm of b).  The lhs reads the image row, or for
+# the endpoint theorems the indicators of |image| > lam at each level lam;
+# the rhs reads f, or Phi(|f| / lam).  The outer measure is always mu.
+_CASE_SIDES = {
+    "strong": (("strong", "w", False), ("strong", "w", False)),
+    "weak": (("weak", "w", False), ("strong", "w", False)),
+    "commutator": (("strong", "w", False), ("strong", "w", True)),
+    "endpoint": (("strong", "w", False), ("strong", "w", False)),
+    "two_weight_weak": (("weak", "u", False), ("strong", "v", False)),
+    "two_weight_endpoint": (("strong", "u", False), ("strong", "v", False)),
+    "two_weight_strong": (("strong", "u", False), ("strong", "v", False)),
+    "two_weight_commutator": (("strong", "u", False), ("strong", "v", True)),
+}
+THEOREMS = tuple(_CASE_SIDES)
 
 _P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
 _COMMUTATOR_THEOREMS = ("commutator", "endpoint", "two_weight_endpoint", "two_weight_commutator")
-_TWO_WEIGHT_THEOREMS = ("two_weight_weak", "two_weight_endpoint", "two_weight_strong", "two_weight_commutator")
+_TWO_WEIGHT_THEOREMS = tuple(t for t, (lhs, _) in _CASE_SIDES.items() if lhs[1] == "u")
 # the theorems whose cases are the levels lam of each member
 _LEVEL_THEOREMS = ("endpoint", "two_weight_endpoint")
 
@@ -214,16 +217,22 @@ class RatioReport:
     stability: dict
 
     @property
-    def max_ratio(self) -> float:
-        finite = [c.ratio for c in self.cases if not c.violation]
-        return max(finite) if finite else 0.0
-
-    @property
-    def argmax_label(self) -> str:
+    def _best(self) -> Optional[CaseResult]:
+        """The first case that is no violation and has the largest ratio; None when there is none."""
         best = None
         for c in self.cases:
             if not c.violation and (best is None or c.ratio > best.ratio):
                 best = c
+        return best
+
+    @property
+    def max_ratio(self) -> float:
+        best = self._best
+        return best.ratio if best else 0.0
+
+    @property
+    def argmax_label(self) -> str:
+        best = self._best
         return best.label if best else ""
 
     @property
@@ -546,7 +555,7 @@ class _Context:
         out = []
         for label, f in self.corpus:
             if spec.theorem not in _LEVEL_THEOREMS:
-                out.append(([label], [None], rhs(self, [f.values])))
+                out.append(([label], [None], _side(self, rhs, [f.values])))
                 continue
             a = np.abs(f.values)
             vmax = float(np.max(a))
@@ -555,48 +564,17 @@ class _Context:
             phi = YoungFunction.phi()
             # the Phi rows are made one at a time, as the norms read them
             out.append(([f"{label}@x{factor!r}" for factor in factors], lams,
-                        rhs(self, (phi(a / lam) for lam in lams))))
+                        _side(self, rhs, (phi(a / lam) for lam in lams))))
         return out
 
 
-def _amalgam_side(variant: str, weight: str, bmo: bool = False):
-    """One side as amalgam norms of the rows; bmo scales it by the BMO norm of b."""
-
-    def side(ctx: _Context, rows) -> List[float]:
-        params = SpaceParams(ctx.spec.p, ctx.spec.alpha, ctx.spec.q)
-        space = AmalgamSpec(params, ctx.family, getattr(ctx, weight), ctx.mu, variant)
-        norms = amalgam_norms(ctx.grid, rows, space)
-        scale = ctx.bmo if bmo else 1.0
-        return [scale * norm.value for norm in norms]
-
-    return side
-
-
-def _box_side(weak: bool, weight: str):
-    """One side as whole-box norms of the rows at the spec's p: weak L^p or L^p of the weight."""
-
-    def side(ctx: _Context, rows) -> List[float]:
-        norm = local_weak_lp_norm if weak else local_lp_norm
-        return [norm(DiscreteFunction(ctx.grid, row), ctx.spec.p, None, getattr(ctx, weight))
-                for row in rows]
-
-    return side
-
-
-# theorem -> (lhs, rhs), each a side(ctx, rows) of one member: the lhs reads
-# the image row, or for the endpoint theorems the indicators of |image| > lam
-# at each level lam; the rhs reads f, or Phi(|f| / lam).  The sides look up
-# the norms when called, so wrapping a module attribute reaches them.
-_CASE_SIDES = {
-    "strong": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w")),
-    "weak": (_amalgam_side("weak", "w"), _amalgam_side("strong", "w")),
-    "commutator": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w", bmo=True)),
-    "endpoint": (_amalgam_side("strong", "w"), _amalgam_side("strong", "w")),
-    "two_weight_weak": (_box_side(True, "u"), _box_side(False, "v")),
-    "two_weight_endpoint": (_box_side(False, "u"), _box_side(False, "v")),
-    "two_weight_strong": (_amalgam_side("strong", "u"), _amalgam_side("strong", "v")),
-    "two_weight_commutator": (_amalgam_side("strong", "u"), _amalgam_side("strong", "v", bmo=True)),
-}
+def _side(ctx: _Context, side: Tuple[str, str, bool], rows) -> List[float]:
+    """The amalgam norms of the rows on ctx for one entry of _CASE_SIDES."""
+    variant, weight, bmo = side
+    params = SpaceParams(ctx.spec.p, ctx.spec.alpha, ctx.spec.q)
+    space = AmalgamSpec(params, ctx.family, getattr(ctx, weight), ctx.mu, variant)
+    scale = ctx.bmo if bmo else 1.0
+    return [scale * norm.value for norm in amalgam_norms(ctx.grid, rows, space)]
 
 
 def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
@@ -610,7 +588,7 @@ def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
             rows = np.abs(image) > np.array(lams)[:, None]
         else:
             rows = [image]
-        cases.extend(CaseResult(*case) for case in zip(labels, lhs(ctx, rows), bounds, lams))
+        cases.extend(CaseResult(*case) for case in zip(labels, _side(ctx, lhs, rows), bounds, lams))
     return cases
 
 
@@ -652,12 +630,12 @@ def _gates(half: _Context, ctx: _Context, double: _Context) -> List[HypothesisRe
         detail = f"dini={di.dini!r}"
     gates.append(HypothesisResult("dini_modulus", ok, detail, (di.dini, di.log_dini)))
     contexts = (half, ctx, double)
-    if spec.theorem in ("strong", "weak", "commutator", "endpoint"):
-        gates.append(_plateau_gate("weight_class_plateau", contexts,
-                                   lambda c: muckenhoupt_characteristic(c.w, spec.p, c.family)))
     if spec.theorem in _TWO_WEIGHT_THEOREMS:
         gates.append(_plateau_gate("bump_plateau", contexts,
                                    lambda c: bump_check(c.u, c.v, spec.bump, c.family).value))
+    else:
+        gates.append(_plateau_gate("weight_class_plateau", contexts,
+                                   lambda c: muckenhoupt_characteristic(c.w, spec.p, c.family)))
     if spec.mu_expr is not None:
         profile = doubling_profile(ctx.mu, ctx.family)
         d, r = profile.doubling_constant, profile.reverse_doubling_constant

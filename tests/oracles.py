@@ -378,14 +378,3 @@ def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, ph
         best_r = max(best_r, out_r)
     return best_l, best_r
 
-
-def box_endpoint_level(grid, image, f, lam, u_vals, v_vals, phi):
-    """Reference two-weight endpoint level over the whole box, by direct sums.
-
-    Returns (lhs, rhs): h^d times the sum of u over {|image| > lam}, and
-    h^d times the sum of v phi(|f| / lam).
-    """
-    exceed = np.abs(image.values) > lam
-    lhs = grid.cell_volume * math.fsum(u_vals[exceed].tolist())
-    rhs = grid.cell_volume * math.fsum((v_vals * phi(np.abs(f.values) / lam)).tolist())
-    return lhs, rhs

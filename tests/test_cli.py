@@ -9,6 +9,7 @@ import pytest
 
 import amalgam
 from amalgam.cli import main
+from amalgam.harness import THEOREMS
 
 
 def write_cfg(tmp_path, name, payload):
@@ -471,3 +472,10 @@ def test_readme_example_runs(tmp_path, command, text):
     if command == "verify":
         argv.insert(1, "strong")
     assert main(argv) == 0
+
+
+def test_readme_side_table_lists_the_theorems():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| tag | lhs | rhs |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]  # below the |---| rule
+    assert [row.split("`")[1] for row in rows] == list(THEOREMS)

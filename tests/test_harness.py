@@ -396,30 +396,38 @@ def test_endpoint_levels_in_2d_match_oracle():
     assert exceeded >= len(report.cases) // 2
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_two_weight_endpoint_levels_match_oracle(dim):
+def _two_weight_run(theorem, dim, **kw):
+    """A tiny two-weight run under an outer measure, with its grid, family, weights and images."""
     grid_args = dict(points=512, kernel_tag="hilbert") if dim == 1 else dict(
         points=32, kernel_tag="riesz", center_stride=4)
-    spec = tiny_spec(
-        "two_weight_endpoint", dim=dim, u_expr="r**0.3", v_expr="1.0 + r**0.5",
-        lambda_factors=(2.0**-6, 2.0**-4, 0.25, 1.0), **grid_args,
-    )
+    spec = tiny_spec(theorem, dim=dim, u_expr="r**0.3", v_expr="1.0 + r**0.5",
+                     mu_expr="1.0 + 0.5 * r", **grid_args, **kw)
     report = theorem_experiment(spec, refinements=0, eps_stability=False)
-    by_label = {c.label: c for c in report.cases}
     grid = make_grid(dim=dim, points_per_axis=spec.points)
-    u = sample(spec.u_expr, grid).values
-    v = sample(spec.v_expr, grid).values
-    b = sample(spec.b_expr, grid)
+    fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
+    u, v, mu = (sample(e, grid) for e in (spec.u_expr, spec.v_expr, spec.mu_expr))
+    b = sample(spec.b_expr, grid) if theorem == "two_weight_endpoint" else None
     kernel = Kernel(spec.kernel_tag, dim)
     corpus = Corpus.generate(spec.corpus_n, spec.seed, spec.half_width, spec.corpus_margin, dim)
+    members = [(label, f, apply_operator(kernel, f, spec.eps_nodes * grid.spacing, b))
+               for label, f in corpus.realize(grid)]
+    return spec, report, grid, fam, (u, v, mu), members
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_two_weight_endpoint_levels_match_oracle(dim):
+    spec, report, grid, fam, (u, v, mu), members = _two_weight_run(
+        "two_weight_endpoint", dim, lambda_factors=(2.0**-6, 2.0**-4, 0.25, 1.0))
+    by_label = {c.label: c for c in report.cases}
     exceeded = 0
-    for label, f in corpus.realize(grid):
-        image = apply_operator(kernel, f, spec.eps_nodes * grid.spacing, b)
+    for label, f, image in members:
         vmax = float(np.max(np.abs(f.values)))
         for factor in spec.lambda_factors:
-            lhs, rhs = oracles.box_endpoint_level(
-                grid, image, f, factor * vmax, u, v, YoungFunction.phi()
-            )
+            # the oracle scales both sides by the mass of its first weight
+            level = [oracles.endpoint_level(grid, fam, image, f, factor * vmax, wt.values, wt.values,
+                                            spec.alpha, spec.q, YoungFunction.phi(), mu.values)
+                     for wt in (u, v)]
+            lhs, rhs = level[0][0], level[1][1]
             case = by_label[f"{label}@x{factor!r}"]
             assert rhs > 0.0
             exceeded += lhs > 0.0
@@ -427,6 +435,19 @@ def test_two_weight_endpoint_levels_match_oracle(dim):
             assert case.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
     assert len(by_label) == len(report.cases) == spec.corpus_n * len(spec.lambda_factors)
     assert exceeded >= len(report.cases) // 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_two_weight_weak_matches_oracle(dim):
+    spec, report, grid, fam, (u, v, mu), members = _two_weight_run("two_weight_weak", dim)
+    assert [c.label for c in report.cases] == [label for label, _, _ in members]
+    for case, (_, f, image) in zip(report.cases, members):
+        lhs = oracles.brute_amalgam_strong(image, fam, spec.p, spec.alpha, spec.q, w=u, mu=mu,
+                                           variant="weak")
+        rhs = oracles.brute_amalgam_strong(f, fam, spec.p, spec.alpha, spec.q, w=v, mu=mu)
+        assert lhs > 0.0 and rhs > 0.0
+        assert case.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert case.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_commutator_gates_include_symbol():

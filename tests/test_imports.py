@@ -11,6 +11,9 @@ Only grid.py turns regions into nodes: no other module calls
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
 
+Every case side of harness.py is one ``amalgam_norms`` call: harness.py names
+no ``local_lp_norm``, ``local_weak_lp_norm`` or ``gather``.
+
 Only ``harness._Context`` renders a grid in harness.py: no other code there
 builds a Grid or a region family, or renders a weight, a symbol or the
 corpus (``Corpus.realize`` samples the members for it).
@@ -149,16 +152,16 @@ def test_region_node_read_is_caught():
 _OUTER = ("outer_norm", "outer_weights")
 
 
-def _outer_refs(tree: ast.Module):
-    """(line, name) of each name, attribute or import of the outer aggregation."""
+def _refs(tree: ast.Module, names):
+    """(line, name) of each name, attribute or import of one of names."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in _OUTER:
+        if isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in _OUTER:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, a.name) for a in node.names if a.name in _OUTER]
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
     return sorted(found)
 
 
@@ -166,7 +169,7 @@ def _outer_refs(tree: ast.Module):
     "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "spaces.py"), ids=lambda p: p.name
 )
 def test_only_spaces_aggregates_outer(path):
-    found = _outer_refs(ast.parse(path.read_text(), filename=str(path)))
+    found = _refs(ast.parse(path.read_text(), filename=str(path)), _OUTER)
     assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
 
 
@@ -178,9 +181,32 @@ def test_outer_aggregation_ref_is_caught():
         "    weights = spaces.outer_weights(grid, family, None)\n"
         "    return outer_norm(table, 8.0, weights)\n"
     )
-    assert _outer_refs(tree) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
+    assert _refs(tree, _OUTER) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
     spaces_py = ast.parse((PACKAGE / "spaces.py").read_text())
-    assert {name for _, name in _outer_refs(spaces_py)} == set(_OUTER)
+    assert {name for _, name in _refs(spaces_py, _OUTER)} == set(_OUTER)
+
+
+_BOX_NORMS = ("local_lp_norm", "local_weak_lp_norm", "gather")
+
+
+def test_harness_sides_are_amalgam_norms():
+    found = _refs(ast.parse((PACKAGE / "harness.py").read_text()), _BOX_NORMS)
+    assert not found, ", ".join(f"harness.py:{line} {name}" for line, name in found)
+
+
+def test_box_norm_in_harness_is_caught():
+    tree = ast.parse(
+        "from .spaces import local_lp_norm, amalgam_norms\n"
+        "from . import grid\n"
+        "def side(ctx, rows):\n"
+        "    vals, masses = grid.gather(rows[0], None, ctx.u)\n"
+        "    return [spaces.local_weak_lp_norm(r, 2.0) for r in rows], local_lp_norm\n"
+    )
+    assert _refs(tree, _BOX_NORMS) == [(1, "local_lp_norm"), (4, "gather"),
+                                       (5, "local_lp_norm"), (5, "local_weak_lp_norm")]
+    from amalgam import spaces  # the guarded names still exist, so the guard is not vacuous
+
+    assert all(callable(getattr(spaces, name, None)) for name in _BOX_NORMS)
 
 
 _RENDERERS = ("Grid", "region_family", "weight_from_expression", "sample", "generate")
