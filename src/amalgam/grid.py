@@ -7,12 +7,13 @@ varying fastest.
 
 Only this module turns regions into nodes.  A region is a set of flat
 [start, stop) node runs: one in 1D, one per grid row in 2D.  Nodes are read
-three ways: gather reads one region's nodes, the concatenation of its runs;
-window_sums adds node arrays run by run over a whole family, which is how
-the linear family statistics (masses, L^p sums, level masses) are computed;
-and batch_table evaluates a nonlinear statistic (Luxemburg norm, weak L^p,
-mean oscillation, A_p characteristic) on the node batches of a family that
-node_batches hands out, many regions at once in bounded batches.
+two ways: window_sums adds node arrays run by run over a whole family, which
+is how the linear family statistics (masses, L^p sums, level masses) are
+computed; and batch_table evaluates a nonlinear statistic (Luxemburg norm,
+weak L^p, mean oscillation, A_p characteristic) on the node batches of a
+family that node_batches hands out, many regions at once in bounded batches.
+A statistic on one region is a batch_table over a family of one
+(region_statistic).
 """
 
 from __future__ import annotations
@@ -323,35 +324,14 @@ def sample(expression: str, grid: Grid) -> DiscreteFunction:
     return DiscreteFunction(grid, evaluate(expression, grid))
 
 
-def _weight_values(weight, grid: Grid) -> Optional[np.ndarray]:
+def node_masses(grid: Grid, weight=None) -> np.ndarray:
+    """The weight (a Weight or a node array), or one when there is none, times the cell volume."""
     if weight is None:
-        return None
-    vals = getattr(weight, "values", weight)
-    arr = np.asarray(vals, dtype=np.float64)
-    if arr.shape != (grid.n_nodes,):
+        return np.full(grid.n_nodes, grid.cell_volume)
+    w = np.asarray(getattr(weight, "values", weight), dtype=np.float64)
+    if w.shape != (grid.n_nodes,):
         raise ConfigurationError("weight does not match the grid")
-    return arr
-
-
-def gather(f: DiscreteFunction, region: Optional[Region], weight=None):
-    """Values of f and node masses (weight times cell volume) on a region.
-
-    With no region the whole box is gathered.  A region without nodes warns
-    and gives empty arrays, on which every local statistic reads its
-    neutral value.
-    """
-    grid = f.grid
-    w = _weight_values(weight, grid)
-    if region is None:
-        vals = f.values
-        wts = np.ones_like(vals) if w is None else w
-    else:
-        idx = region.node_indices(grid)
-        if idx.size == 0:
-            warnings.warn("region contains no grid nodes", EmptyRegionWarning, stacklevel=3)
-        vals = f.values[idx]
-        wts = np.ones(idx.size) if w is None else w[idx]
-    return vals, wts * grid.cell_volume
+    return w * grid.cell_volume
 
 
 _CENTER_CHUNK = 128
@@ -486,6 +466,26 @@ def batch_table(
         warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
                       EmptyRegionWarning, stacklevel=3)
     return table, counts
+
+
+def region_statistic(
+    f: DiscreteFunction, region: Optional[Region], weight, value: Callable
+) -> float:
+    """A statistic of f on one region, as a batch_table over a family of one.
+
+    value(values, masses, counts, starts) is batch_table's value handed the
+    nodes' f values and node_masses in place of their indices.  With no region
+    the family is covering_region, every node in flat order.  A region without
+    nodes reads 0, with an EmptyRegionWarning.
+    """
+    grid = f.grid
+    if region is None:
+        region = covering_region(grid)
+    masses = node_masses(grid, weight)
+    family = RegionFamily(region.shape, (region.center,), (region.size,))
+    table, _ = batch_table(family, grid, lambda idx, counts, starts: value(
+        f.values[idx], masses[idx], counts, starts), warn=True)
+    return float(table[0, 0])
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

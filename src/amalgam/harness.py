@@ -13,7 +13,7 @@ outside the theory, not as a counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -244,35 +244,17 @@ class RatioReport:
         return all(h.passed for h in self.hypotheses)
 
     def to_dict(self) -> dict:
-        return {
+        return _json_safe({
             "experiment": self.experiment,
-            "metadata": _json_safe(self.metadata),
-            "hypotheses": [
-                {
-                    "name": h.name,
-                    "passed": h.passed,
-                    "detail": h.detail,
-                    "values": _json_safe(list(h.values)),
-                }
-                for h in self.hypotheses
-            ],
-            "cases": [
-                {
-                    "label": c.label,
-                    "lhs": _json_safe(c.lhs),
-                    "rhs": _json_safe(c.rhs),
-                    "ratio": _json_safe(c.ratio),
-                    "lam": _json_safe(c.lam),
-                    "violation": c.violation,
-                }
-                for c in self.cases
-            ],
-            "max_ratio": _json_safe(self.max_ratio),
+            "metadata": self.metadata,
+            "hypotheses": [asdict(h) for h in self.hypotheses],
+            "cases": [dict(asdict(c), ratio=c.ratio, violation=c.violation) for c in self.cases],
+            "max_ratio": self.max_ratio,
             "argmax_label": self.argmax_label,
-            "stability": _json_safe(self.stability),
+            "stability": self.stability,
             "violations": list(self.violations),
             "hypotheses_ok": self.hypotheses_ok,
-        }
+        })
 
     def csv_rows(self) -> List[List[str]]:
         rows = [["label", "lhs", "rhs", "ratio", "lam", "violation"]]

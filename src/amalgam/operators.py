@@ -209,7 +209,8 @@ def apply_operator(
         bs = np.ldexp(b.values, -shift)
     data = np.stack([f.values] if b is None else [f.values, bs * f.values])
     spectrum = np.fft.rfftn(data.reshape((-1,) + (n,) * grid.dim), s=lattice, axes=axes)
-    full = np.fft.irfftn(spectrum * _kernel_spectrum(kernel, grid, epsilon), s=lattice, axes=axes)
+    spectrum *= _kernel_spectrum(kernel, grid, epsilon)
+    full = np.fft.irfftn(spectrum, s=lattice, axes=axes)
     images = grid.cell_volume * full[(slice(None),) + (slice(n),) * grid.dim].reshape(len(data), -1)
     out = images[0] if b is None else np.ldexp(bs * images[0] - images[1], shift)
     return DiscreteFunction(grid, out)

@@ -28,7 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import DiscreteFunction, Grid, Region, RegionFamily, _weight_values, batch_table, gather
+from .grid import (
+    DiscreteFunction, Grid, Region, RegionFamily, batch_table, node_masses, region_statistic,
+)
 
 __all__ = [
     "YoungFunction",
@@ -167,8 +169,8 @@ def luxemburg_norm(
     the average weighted by the optional weight times the cell volume.  So
     Holder-type products built from lam stay valid bounds.
     """
-    vals, masses = gather(f, region, weight)
-    return float(_solve(Y, np.abs(vals), masses, np.array([vals.size]))[0])
+    return region_statistic(f, region, weight, lambda a, m, counts, starts: _solve(
+        Y, np.abs(a), m, counts))
 
 
 def luxemburg_table(
@@ -179,8 +181,7 @@ def luxemburg_table(
     A region without nodes reads 0.
     """
     vals = np.abs(np.asarray(values, dtype=np.float64))
-    w = _weight_values(weight, grid)
-    masses = (np.ones(grid.n_nodes) if w is None else w) * grid.cell_volume
+    masses = node_masses(grid, weight)
     # one work array serves every batch, gathers in rows 0 and 1 and the solve in
     # the rest; only the pages a batch uses are touched
     work = np.empty((2 + _SOLVE_ROWS, grid.n_nodes))
@@ -317,6 +318,13 @@ def _newton(Y: YoungFunction, a, m, counts, total, work) -> np.ndarray:
     raise ConfigurationError("luxemburg norm did not converge")
 
 
+def _average(a, m, counts, starts) -> np.ndarray:
+    """Mass-weighted average of each segment of values a and masses m, 0 where the mass is 0."""
+    total = np.add.reduceat(m, starts)
+    sums = np.add.reduceat(a * m, starts)
+    return np.divide(sums, total, out=np.zeros(total.size), where=total > 0)
+
+
 def ratio(lhs: float, rhs: float) -> float:
     """lhs / rhs, reading 0 / 0 as 0 and a nonzero lhs over 0 as inf."""
     if rhs == 0.0:
@@ -363,7 +371,6 @@ def holder_check(
     else:
         Y1, Y2, const = YoungFunction.power(p), YoungFunction.power(p / (p - 1.0)), 1.0
     fg = DiscreteFunction(f.grid, np.abs(f.values * g.values))
-    vals, masses = gather(fg, region, weight)
-    lhs = ratio(float(np.sum(vals * masses)), float(np.sum(masses)))
+    lhs = region_statistic(fg, region, weight, _average)
     rhs = const * luxemburg_norm(f, Y1, region, weight) * luxemburg_norm(g, Y2, region, weight)
     return HolderResult(pairing, lhs, rhs)

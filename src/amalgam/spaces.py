@@ -17,8 +17,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .grid import DiscreteFunction, Grid, Region, RegionFamily, batch_table, gather, window_sums
-from .orlicz import YoungFunction, luxemburg_table
+from .grid import (
+    DiscreteFunction, Grid, Region, RegionFamily, batch_table, region_statistic, window_sums,
+)
+from .orlicz import YoungFunction, _average, luxemburg_table
 from .weights import Weight
 
 __all__ = [
@@ -73,8 +75,8 @@ def local_lp_norm(
     """Unnormalized norm (integral form) of f in L^p with an optional weight."""
     if p < 1:
         raise ConfigurationError("local_lp_norm needs p >= 1")
-    vals, masses = gather(f, region, weight)
-    return float(np.sum(np.abs(vals) ** p * masses)) ** (1.0 / p)
+    return region_statistic(f, region, weight, lambda a, m, counts, starts: np.add.reduceat(
+        np.abs(a) ** p * m, starts) ** (1.0 / p))
 
 
 def local_weak_lp_norm(
@@ -91,8 +93,8 @@ def local_weak_lp_norm(
     """
     if p < 1:
         raise ConfigurationError("local_weak_lp_norm needs p >= 1")
-    vals, masses = gather(f, region, weight)
-    return float(_weak_lp(np.abs(vals), masses, np.array([vals.size]), p)[0])
+    return region_statistic(f, region, weight, lambda a, m, counts, starts: _weak_lp(
+        np.abs(a), m, counts, p))
 
 
 def _weak_lp(a, m, counts, p: float) -> np.ndarray:
@@ -127,11 +129,7 @@ def region_mean(
     r = m h centered on the singularity the mean of ``logabs`` is
     log r - 1 + (log pi - 1) / (2m - 1) + O(m^-2), about log r - 1 + 0.072 h / r.
     """
-    vals, masses = gather(f, region, weight)
-    total = float(np.sum(masses))
-    if total <= 0.0:
-        return 0.0
-    return float(np.sum(vals * masses)) / total
+    return region_statistic(f, region, weight, _average)
 
 
 def oscillation_table(b: np.ndarray, family: RegionFamily, grid: Grid):

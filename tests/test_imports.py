@@ -6,13 +6,17 @@ read in the module's code or in a quoted annotation, or be listed in the
 module's ``__all__``.
 
 Only grid.py turns regions into nodes: no other module calls
-``.node_indices(`` or issues an EmptyRegionWarning.
+``.node_indices(`` or issues an EmptyRegionWarning.  Inside grid.py every
+statistic reads its nodes through the family layer: grid.py calls no
+``.node_indices(`` either (``Region.node_indices`` is kept as the tests'
+reference), and ``batch_table`` is the one site that issues an
+EmptyRegionWarning, for single regions as for families.
 
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
 
 Every case side of harness.py is one ``amalgam_norms`` call: harness.py names
-no ``local_lp_norm``, ``local_weak_lp_norm`` or ``gather``.
+no ``local_lp_norm`` or ``local_weak_lp_norm``.
 
 Only ``harness._Context`` renders a grid in harness.py: no other code there
 builds a Grid or a region family, or renders a weight, a symbol or the
@@ -105,19 +109,26 @@ def _names(node) -> set:
 
 
 def _node_reads(tree: ast.Module):
-    """(line, what) of each .node_indices( call and each warn or raise of EmptyRegionWarning."""
+    """(line, scope, what) of each .node_indices( call and each warn or raise of EmptyRegionWarning."""
     found = []
-    for node in ast.walk(tree):
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
         issued = []
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute) and node.func.attr == "node_indices":
-                found.append((node.lineno, "node_indices"))
+                found.append((node.lineno, scope, "node_indices"))
             if "warn" in _names(node.func):
                 issued = [*node.args, *(k.value for k in node.keywords)]
         elif isinstance(node, ast.Raise) and node.exc is not None:
             issued = [node.exc]
         if any("EmptyRegionWarning" in _names(arg) for arg in issued):
-            found.append((node.lineno, "EmptyRegionWarning"))
+            found.append((node.lineno, scope, "EmptyRegionWarning"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
     return sorted(found)
 
 
@@ -126,7 +137,12 @@ def _node_reads(tree: ast.Module):
 )
 def test_only_grid_reads_region_nodes(path):
     found = _node_reads(ast.parse(path.read_text(), filename=str(path)))
-    assert not found, ", ".join(f"{path.name}:{line} {what}" for line, what in found)
+    assert not found, ", ".join(f"{path.name}:{line} {what}" for line, _, what in found)
+
+
+def test_grid_reads_region_nodes_through_the_family_layer():
+    found = _node_reads(ast.parse((PACKAGE / "grid.py").read_text()))
+    assert [(scope, what) for _, scope, what in found] == [("batch_table", "EmptyRegionWarning")]
 
 
 def test_region_node_read_is_caught():
@@ -140,13 +156,14 @@ def test_region_node_read_is_caught():
         "        raise EmptyRegionWarning('empty')\n"
         "    warnings.simplefilter('ignore', EmptyRegionWarning)\n"
         "    return idx\n"
+        "class Region:\n"
+        "    def gather(self, f, grid):\n"
+        "        return f.values[self.node_indices(grid)]\n"
     )
     assert _node_reads(tree) == [
-        (4, "node_indices"), (6, "EmptyRegionWarning"), (7, "EmptyRegionWarning")
+        (4, "f", "node_indices"), (6, "f", "EmptyRegionWarning"), (7, "f", "EmptyRegionWarning"),
+        (12, "Region.gather", "node_indices"),
     ]
-    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
-    assert [what for _, what in _node_reads(grid_py)] == ["node_indices", "EmptyRegionWarning",
-                                                         "EmptyRegionWarning"]
 
 
 _OUTER = ("outer_norm", "outer_weights")
@@ -186,7 +203,7 @@ def test_outer_aggregation_ref_is_caught():
     assert {name for _, name in _refs(spaces_py, _OUTER)} == set(_OUTER)
 
 
-_BOX_NORMS = ("local_lp_norm", "local_weak_lp_norm", "gather")
+_BOX_NORMS = ("local_lp_norm", "local_weak_lp_norm")
 
 
 def test_harness_sides_are_amalgam_norms():
@@ -197,13 +214,12 @@ def test_harness_sides_are_amalgam_norms():
 def test_box_norm_in_harness_is_caught():
     tree = ast.parse(
         "from .spaces import local_lp_norm, amalgam_norms\n"
-        "from . import grid\n"
+        "from . import spaces\n"
         "def side(ctx, rows):\n"
-        "    vals, masses = grid.gather(rows[0], None, ctx.u)\n"
         "    return [spaces.local_weak_lp_norm(r, 2.0) for r in rows], local_lp_norm\n"
     )
-    assert _refs(tree, _BOX_NORMS) == [(1, "local_lp_norm"), (4, "gather"),
-                                       (5, "local_lp_norm"), (5, "local_weak_lp_norm")]
+    assert _refs(tree, _BOX_NORMS) == [(1, "local_lp_norm"), (4, "local_lp_norm"),
+                                       (4, "local_weak_lp_norm")]
     from amalgam import spaces  # the guarded names still exist, so the guard is not vacuous
 
     assert all(callable(getattr(spaces, name, None)) for name in _BOX_NORMS)

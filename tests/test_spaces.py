@@ -13,13 +13,17 @@ from amalgam import (
     Region,
     SpaceParams,
     Weight,
+    YoungFunction,
     amalgam_norm,
     amalgam_norm_detail,
     amalgam_norms,
     bmo_norm,
     constant_weight,
+    covering_region,
+    holder_check,
     local_lp_norm,
     local_weak_lp_norm,
+    luxemburg_norm,
     make_grid,
     power_weight,
     region_family,
@@ -91,6 +95,26 @@ def test_region_mean_weighted(small_grid, rng):
     got = region_mean(f, reg, w)
     want = float(np.sum(f.values[idx] * w[idx]) / np.sum(w[idx]))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_no_region_is_the_covering_region(dim, weighted, rng):
+    # region=None means the whole box: covering_region, every node in flat order
+    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=64 if dim == 1 else 16)
+    f, g = (DiscreteFunction(grid, rng.normal(size=grid.n_nodes)) for _ in range(2))
+    w = power_weight(grid, 0.3) if weighted else None
+    stats = [
+        lambda reg: local_lp_norm(f, 2.5, reg, w),
+        lambda reg: local_weak_lp_norm(f, 1.5, reg, w),
+        lambda reg: region_mean(f, reg, w),
+        lambda reg: luxemburg_norm(f, YoungFunction.llogl(1.0), reg, w),
+        lambda reg: holder_check(f, g, "llogl_expl", reg, w).lhs,
+        lambda reg: holder_check(f, g, "conjugate", reg, w, p=3.0).rhs,
+    ]
+    cover = covering_region(grid)
+    for stat in stats:
+        assert stat(None) == stat(cover)
 
 
 def test_bmo_matches_brute(small_grid, spill_families_2d, rng):
