@@ -163,21 +163,76 @@ class Kernel:
         return np.where(rho > 0, out, 0.0)
 
 
-@functools.lru_cache(maxsize=64)
+# lattice entries per block: each transient of a spectrum build or an apply
+# holds a few blocks, so memory past the spectrum stays a few node arrays
+_BLOCK = 2**16
+
+
+@functools.lru_cache(maxsize=2)
 def _kernel_spectrum(kernel: Kernel, grid: Grid, epsilon: float) -> np.ndarray:
     """rfftn of the eps-truncated kernel laid out circularly on (2n)^dim.
 
     Offsets run 0..n-1, then -n..-1 along each axis.  Inputs and outputs sit
     at indices 0..n-1, so no displacement exceeds n-1 and nothing wraps.
+    rfftn's own axis sequence, run in blocks: the kernel values and their
+    last-axis rfft a block of lattice rows at a time, then the first axis's
+    fft a block of columns at a time.  A verify run reads each spectrum in
+    one stretch, so the cache keeps the last two.
     """
     n = grid.points_per_axis
     m = np.concatenate([np.arange(n), np.arange(-n, 0)]) * grid.spacing
-    diff = np.meshgrid(*[m] * grid.dim, indexing="ij")
-    rho = np.sqrt(sum(d * d for d in diff))
-    vals = kernel.pointwise(np.stack(diff, axis=-1)).reshape(rho.shape)
-    spectrum = np.fft.rfftn(np.where(rho > epsilon * (1.0 + 1e-12), vals, 0.0))
+    n_rows = (2 * n) ** (grid.dim - 1)
+    rows = None
+    per = max(1, _BLOCK // (2 * n))
+    for r in range(0, n_rows, per):
+        k = min(per, n_rows - r)
+        # a row's leading offset is m[row] in 2D; the one 1D row has none
+        diff = np.empty((k, 2 * n, grid.dim))
+        diff[..., :-1] = m[r:r + k, None, None]
+        diff[..., -1] = m
+        rho = np.sqrt(np.sum(diff * diff, axis=-1))
+        vals = kernel.pointwise(diff).reshape(rho.shape)
+        lattice = np.where(rho > epsilon * (1.0 + 1e-12), vals, 0.0)
+        if rows is None:
+            # allocated above the first block's temporaries, whose freed memory then
+            # stays in the heap for every apply; allocated before them, it went back to
+            # the system, and a 1D 16384 verify strong took three times the page faults
+            rows = np.empty((n_rows, n + 1), dtype=complex)
+        np.fft.rfft(lattice, out=rows[r:r + k])
+    spectrum = rows.reshape((2 * n,) * (grid.dim - 1) + (n + 1,))
+    cols = max(1, _BLOCK // n_rows)
+    for c in range(0, n + 1, cols):
+        for axis in range(grid.dim - 1):  # the first axis in 2D; none in 1D
+            spectrum[..., c:c + cols] = np.fft.fft(spectrum[..., c:c + cols], axis=axis)
     spectrum.flags.writeable = False
     return spectrum
+
+
+def _convolve(values: np.ndarray, spectrum: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """h^dim times the circular product of values with the spectrum, on nodes, into out.
+
+    irfftn(rfftn(values, s) * spectrum, s) in numpy's own axis sequence, by
+    blocks: a last-axis rfft, then per block of columns the first axis's
+    fft, the product and the ifft, keeping rows 0..n-1, then a last-axis
+    irfft in blocks of rows, keeping columns 0..n-1.  values is read before
+    out is written, so out may be values.
+    """
+    n = grid.points_per_axis
+    half = np.fft.rfft(values.reshape((n,) * grid.dim), 2 * n)
+    cols = max(1, _BLOCK // (2 * n) ** (grid.dim - 1))
+    for c in range(0, n + 1, cols):
+        block = half[..., c:c + cols]
+        for axis in range(grid.dim - 1):  # the first axis in 2D; none in 1D
+            block = np.fft.fft(block, 2 * n, axis)
+        block *= spectrum[..., c:c + cols]
+        for axis in range(grid.dim - 1):
+            half[..., c:c + cols] = np.fft.ifft(block, 2 * n, axis)[:n]
+    rows, out_rows = half.reshape(-1, n + 1), out.reshape(-1, n)
+    per = max(1, _BLOCK // (2 * n))
+    for r in range(0, len(rows), per):
+        np.multiply(grid.cell_volume, np.fft.irfft(rows[r:r + per], 2 * n)[:, :n],
+                    out=out_rows[r:r + per])
+    return out
 
 
 def apply_operator(
@@ -191,7 +246,8 @@ def apply_operator(
     T f(x_i) = h^dim sum over |x_i - x_j| > eps of K(x_i - x_j) f(x_j).
     The truncation must keep at least the two nearest cells out, eps >= 2h,
     so the diagonal singularity never enters the sum.  With b the result is
-    b (T f) - T (b f); f and b f go through one batched transform.
+    b (T f) - T (b f); f and b f go through the transform one after the
+    other, and the difference is formed in place.
     """
     grid = f.grid
     if kernel.dim != grid.dim:
@@ -201,18 +257,17 @@ def apply_operator(
         raise ConfigurationError(f"truncation epsilon must be at least 2h = {2 * h!r}")
     if b is not None and b.grid != grid:
         raise ConfigurationError("symbol b lives on a different grid")
-    n = grid.points_per_axis
-    lattice, axes = (2 * n,) * grid.dim, tuple(range(1, grid.dim + 1))
+    spectrum = _kernel_spectrum(kernel, grid, epsilon)
+    out = _convolve(f.values, spectrum, grid, np.empty(grid.n_nodes))
     if b is not None:
         # [b, T] is linear in b: scale b exactly by a power of two to order one
         shift = int(np.frexp(np.max(np.abs(b.values)))[1])
         bs = np.ldexp(b.values, -shift)
-    data = np.stack([f.values] if b is None else [f.values, bs * f.values])
-    spectrum = np.fft.rfftn(data.reshape((-1,) + (n,) * grid.dim), s=lattice, axes=axes)
-    spectrum *= _kernel_spectrum(kernel, grid, epsilon)
-    full = np.fft.irfftn(spectrum, s=lattice, axes=axes)
-    images = grid.cell_volume * full[(slice(None),) + (slice(n),) * grid.dim].reshape(len(data), -1)
-    out = images[0] if b is None else np.ldexp(bs * images[0] - images[1], shift)
+        bf = np.multiply(bs, f.values)
+        _convolve(bf, spectrum, grid, bf)
+        np.multiply(bs, out, out=out)
+        np.subtract(out, bf, out=out)
+        np.ldexp(out, shift, out=out)
     return DiscreteFunction(grid, out)
 
 

@@ -10,6 +10,7 @@ cross-checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -209,12 +210,18 @@ def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
     return best, best_size, best_center
 
 
+# node entries per window_sums call of the strong variant: a 1D grid sums u and
+# every row in one call, a 2D 512^2 grid u and seven rows, then the rest
+_SUM_NODES = 2**21
+
+
 def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult]:
     """The amalgam norm of each node array in rows, in one pass over the family.
 
-    The strong variant sums the inner-weight mass and every |row|^p u in one
-    window_sums call; weak and llogl take one batched table per row.  Every
-    row then goes through outer_norm on its own.
+    The strong variant sums the inner-weight mass and every |row|^p u in
+    window_sums calls of _SUM_NODES node entries, u in the first, each array
+    on its own; weak and llogl take one batched table per row.  Every row
+    then goes through outer_norm on its own.
     """
     for side, weight in (("inner", spec.inner_weight), ("outer", spec.outer_weight)):
         if weight is not None and weight.grid != grid:
@@ -224,7 +231,10 @@ def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult
     cell = grid.cell_volume
     u = np.ones(grid.n_nodes) if spec.inner_weight is None else spec.inner_weight.values
     if spec.variant == "strong":
-        sums, _ = window_sums(fam, grid, [u, *(np.abs(r) ** params.p * u for r in rows)])
+        arrays = itertools.chain([u], (np.abs(r) ** params.p * u for r in rows))
+        per = max(1, _SUM_NODES // grid.n_nodes)
+        sums = np.concatenate([window_sums(fam, grid, chunk)[0] for chunk in
+                               iter(lambda: list(itertools.islice(arrays, per)), [])])
         inners = (cell * sums[1:]) ** (1.0 / params.p)
     else:
         sums, _ = window_sums(fam, grid, [u])

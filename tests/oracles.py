@@ -70,6 +70,36 @@ def direct_truncated(kernel, f, epsilon, b=None):
     return out
 
 
+def full_lattice_spectrum(kernel, grid, epsilon):
+    """rfftn of the eps-truncated kernel on the whole (2n)^dim lattice at once.
+
+    The package's former construction: a meshgrid of offsets 0..n-1, -n..-1,
+    their stack through Kernel.pointwise, then one np.fft.rfftn call.
+    """
+    n = grid.points_per_axis
+    m = np.concatenate([np.arange(n), np.arange(-n, 0)]) * grid.spacing
+    diff = np.meshgrid(*[m] * grid.dim, indexing="ij")
+    rho = np.sqrt(sum(d * d for d in diff))
+    vals = kernel.pointwise(np.stack(diff, axis=-1)).reshape(rho.shape)
+    return np.fft.rfftn(np.where(rho > epsilon * (1.0 + 1e-12), vals, 0.0))
+
+
+def stacked_apply(kernel, f, epsilon, b=None):
+    """The package's former apply: f and b f in one stacked rfftn and irfftn."""
+    grid = f.grid
+    n = grid.points_per_axis
+    lattice, axes = (2 * n,) * grid.dim, tuple(range(1, grid.dim + 1))
+    if b is not None:
+        shift = int(np.frexp(np.max(np.abs(b.values)))[1])
+        bs = np.ldexp(b.values, -shift)
+    data = np.stack([f.values] if b is None else [f.values, bs * f.values])
+    spectrum = np.fft.rfftn(data.reshape((-1,) + (n,) * grid.dim), s=lattice, axes=axes)
+    spectrum *= full_lattice_spectrum(kernel, grid, epsilon)
+    full = np.fft.irfftn(spectrum, s=lattice, axes=axes)
+    images = grid.cell_volume * full[(slice(None),) + (slice(n),) * grid.dim].reshape(len(data), -1)
+    return images[0] if b is None else np.ldexp(bs * images[0] - images[1], shift)
+
+
 def brute_weak_lp(values, masses, p):
     """Weak norm by sweeping lambda just below every distinct value."""
     av = np.abs(np.asarray(values, dtype=float))

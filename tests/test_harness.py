@@ -31,7 +31,7 @@ from amalgam import (
     theorem_experiment,
     weight_from_expression,
 )
-from amalgam import harness
+from amalgam import harness, operators
 from amalgam.harness import _max_rel_drift
 
 TINY = dict(points=512, center_stride=128, corpus_n=3, sizes=(0.5, 1.0))
@@ -277,6 +277,26 @@ def test_one_center_set_per_run(monkeypatch, theorem, dim, points, stride):
     # levels, the first on the gate's double grid: each grid is built once
     assert sorted(n for n, _ in built) == [points // 2, points, 2 * points, 4 * points]
     assert all(centers == base for _, centers in built)
+
+
+@pytest.mark.parametrize("theorem, dim", [
+    ("strong", 1), ("commutator", 1), ("endpoint", 1), ("two_weight_strong", 1), ("commutator", 2),
+])
+def test_each_kernel_spectrum_is_built_once(monkeypatch, theorem, dim):
+    # a run reads each (kernel, grid, eps) spectrum in one stretch, so the
+    # cache of the last two misses once per distinct spectrum
+    cached = operators._kernel_spectrum
+    keys = []
+    monkeypatch.setattr(operators, "_kernel_spectrum", lambda *key: keys.append(key) or cached(*key))
+    cached.cache_clear()
+    spec = tiny_spec(theorem, dim=dim, points=512 if dim == 1 else 32, center_stride=8,
+                     kernel_tag="riesz" if dim == 2 else "hilbert")
+    try:
+        theorem_experiment(spec, refinements=2)
+        info = cached.cache_info()
+    finally:
+        cached.cache_clear()
+    assert info.misses == len(set(keys)) < len(keys)
 
 
 @pytest.mark.parametrize("theorem", ["weak", "endpoint"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from amalgam import (
     region_family,
     sample,
 )
+from amalgam import operators
 
 
 def test_theta_validation():
@@ -186,6 +188,80 @@ def test_apply_operator_matches_direct_at_edges(grid_args, k, eps_cells, rtol, a
         got = apply_operator(k, f, eps, symbol)
         want = oracles.direct_truncated(k, f, eps, symbol)
         assert np.allclose(got.values, want, rtol=rtol, atol=atol)
+
+
+# the 2D 256^2 lattice has 257 spectrum columns, so its last column block holds one;
+# the 1D 65536-node transform has 65537 columns, two blocks
+BLOCKED_CASES = [
+    (1, 64, Kernel("hilbert", 1)),
+    (1, 65536, Kernel("hilbert", 1)),
+    (2, 16, Kernel("riesz", 2, component=0)),
+    (2, 16, Kernel("riesz", 2, component=1)),
+    (2, 256, Kernel("riesz", 2, component=0)),
+    (2, 256, Kernel("riesz", 2, component=1)),
+]
+BLOCKED_IDS = [f"{d}d-{n}-{k.tag}{k.component}" for d, n, k in BLOCKED_CASES]
+
+
+@pytest.fixture
+def fresh_spectra():
+    operators._kernel_spectrum.cache_clear()
+    yield
+    operators._kernel_spectrum.cache_clear()
+
+
+def _blocked_matches_full_lattice(dim, n, k, seed):
+    g = make_grid(dim=dim, points_per_axis=n)
+    eps = 3.0 * g.spacing
+    want = oracles.full_lattice_spectrum(k, g, eps)
+    got = operators._kernel_spectrum(k, g, eps)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    f, b = (DiscreteFunction(g, v) for v in np.random.default_rng(seed).normal(size=(2, g.n_nodes)))
+    for symbol in (None, b):
+        assert np.array_equal(apply_operator(k, f, eps, symbol).values,
+                              oracles.stacked_apply(k, f, eps, symbol))
+
+
+@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES, ids=BLOCKED_IDS)
+def test_blocked_transforms_match_full_lattice(fresh_spectra, dim, n, k):
+    # rfftn's axis sequence run in blocks changes no bit of the spectrum, T f or [b, T] f
+    _blocked_matches_full_lattice(dim, n, k, seed=n)
+
+
+@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES[:4], ids=BLOCKED_IDS[:4])
+def test_small_blocks_match_full_lattice(fresh_spectra, monkeypatch, dim, n, k):
+    # 100-entry blocks: 2D lattice rows go 3 to a block (32 = 10 * 3 + 2), columns 3 (17 = 5 * 3 + 2)
+    monkeypatch.setattr(operators, "_BLOCK", 100)
+    _blocked_matches_full_lattice(dim, n, k, seed=n + 1)
+
+
+def test_spectrum_build_holds_a_few_blocks(fresh_spectra):
+    g = make_grid(dim=2, points_per_axis=256)
+    tracemalloc.start()
+    try:
+        spectrum = operators._kernel_spectrum(Kernel("riesz", 2), g, 3.0 * g.spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 4.1 blocks of complex entries over the spectrum; the full lattice took 14
+    assert peak < spectrum.nbytes + 5 * operators._BLOCK * 16
+
+
+def test_commutator_apply_holds_a_few_node_arrays(fresh_spectra):
+    g = make_grid(dim=2, points_per_axis=512)
+    k = Kernel("riesz", 2)
+    eps = 3.0 * g.spacing
+    f, b = (DiscreteFunction(g, v) for v in np.random.default_rng(5).normal(size=(2, g.n_nodes)))
+    apply_operator(k, f, eps, b)
+    tracemalloc.start()
+    try:
+        apply_operator(k, f, eps, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the image, b scaled, b f, the half spectrum (two) and a column block's
+    # transforms (one): about six node arrays; the stacked transform took 27
+    assert peak < 8 * 8 * g.n_nodes
 
 
 OPERATOR_CASES = st.sampled_from(

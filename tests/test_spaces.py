@@ -31,6 +31,7 @@ from amalgam import (
     sample,
     weight_from_expression,
 )
+from amalgam import spaces
 from amalgam.spaces import outer_norm
 
 
@@ -187,6 +188,25 @@ def test_amalgam_variants_match_brute(small_grid, spill_families_2d, rng, varian
                 )
                 assert got.value == pytest.approx(value, rel=rel)
                 assert (got.argmax_size, got.argmax_center) == (size, center)
+
+
+def test_strong_rows_sum_in_chunks_of_unchanged_values(monkeypatch, small_grid, rng):
+    # nine rows, as the endpoint levels pass them: one window_sums call with u
+    # under the default budget, and with a budget of four node arrays u and
+    # three rows, then four rows, then two, every norm bit for bit the same
+    fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
+    w = weight_from_expression("r**0.3", small_grid)
+    spec = AmalgamSpec(SpaceParams(1.0, 4.0, 8.0), fam, w, None)
+    rows = list(rng.normal(size=(9, small_grid.n_nodes)))
+    calls = []
+    sums = spaces.window_sums
+    monkeypatch.setattr(spaces, "window_sums",
+                        lambda *args: calls.append(len(args[2])) or sums(*args))
+    whole = amalgam_norms(small_grid, iter(rows), spec)
+    monkeypatch.setattr(spaces, "_SUM_NODES", 4 * small_grid.n_nodes)
+    chunked = amalgam_norms(small_grid, iter(rows), spec)
+    assert calls == [10, 4, 4, 2]
+    assert chunked == whole
 
 
 def test_amalgam_with_outer_weight(small_grid, rng):
