@@ -423,10 +423,10 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
 
 # nodes per batch: a solver pass pays a fixed cost per numpy call, so larger
 # batches take fewer passes.  On two_weight_2d (bench/run.py, 2-vCPU Xeon VM,
-# four rounds) median cpu_s read 0.45, 0.41 and 0.36 s at 2^14, 2^15 and 2^16,
-# peak RSS 65.8-66.3 MB for all three; endpoint_1d_dense, whose 1D batches of
-# whole-grid regions grow with the size, gained 0.15 MB of peak RSS at 2^15
-# and 0.5 MB at 2^16
+# four rounds, Luxemburg passes on the nodes above t = 1 alone) median cpu_s
+# read 0.359 and 0.327 s at 2^15 and 2^16, peak RSS 53.38 and 53.77 MB;
+# endpoint_1d_dense, whose 1D batches of whole-grid regions grow with the size,
+# read 40.46 and 40.97 MB of peak RSS, and 0.078 and 0.079 s of cpu_s
 _BATCH_NODES = 2**15
 
 

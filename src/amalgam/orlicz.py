@@ -10,13 +10,15 @@ s = 1/lam, G(s) = avg Y(s|f|) is convex and increasing, and Newton from
 the Jensen point s0 = Y^{-1}(1) / avg|f|, where G(s0) >= 1, converges
 from the right.  Its steps shrink quadratically, so a step of at most
 1e-8 s ends it at that step's trial.  lam is then stepped up until
-avg Y(|f|/lam) <= 1 holds.
+avg Y(|f|/lam) <= 1 holds.  Where Y(t) = t^q below t = 1 (all but exp),
+the nodes with s0 |f| < 1 are summed once, and both loops read the rest.
 
 A family's solve keeps every intermediate as long as a batch of node
-values in one work array of eight rows: the gathered |f| and masses, |f|
-scaled to max 1 (then the contract's terms), its log, and four rows for
-Y(t), t Y'(t), the lift 1 + log+ t and the derivative's factor.  Only
-the broadcasts of s and log s, made by np.repeat, are new each pass.
+values in one work array of nine rows: the gathered |f| and masses, |f|
+scaled to max 1, the Jensen sum's terms, the kept nodes' scaled |f|, and
+four rows for Y(t), t Y'(t), the lift 1 + log+ t and the derivative's
+factor.  Only the broadcasts of s and log s, made by np.repeat, are new
+each pass.
 """
 
 from __future__ import annotations
@@ -147,6 +149,11 @@ class YoungFunction:
         return y, ty
 
     @property
+    def power_below_one(self) -> Optional[float]:
+        """q with Y(t) = t^q for every t <= 1, or None (exp has no such part)."""
+        return {"llogl": 1.0, "exp": None}.get(self.tag, self.param)
+
+    @property
     def unit_argument(self) -> float:
         """The argument u with Y(u) = 1."""
         return math.log(2.0) if self.tag == "exp" else 1.0
@@ -198,8 +205,9 @@ def luxemburg_table(
     return batch_table(family, grid, solve)[0]
 
 
-# work rows of _solve: |f| / max|f| and then the contract's terms, and _newton's five
-_SOLVE_ROWS = 6
+# work rows of _solve: |f| / max|f| then the kept log|f|; the Jensen terms then the
+# kept masses (exp: log|f|); the kept |f| / max|f|; Y._with_slope's four, then the contract's
+_SOLVE_ROWS = 7
 # Newton's last step: once a step moves s by at most this share of s, the
 # trial is the root to rounding, since the next step would be about its square
 _STEP_STOP = 1e-8
@@ -232,59 +240,78 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     ids = np.flatnonzero(counts)
     counts = counts[ids]
     starts = np.cumsum(counts) - counts
-    total, amax = np.add.reduceat(m, starts), np.maximum.reduceat(a, starts)
-    # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0
-    flat = amax == np.minimum.reduceat(a, starts)
-    lam[ids[flat]] = amax[flat] / Y.unit_argument
-    if not flat.all():
-        # lam scales with f, so the solve runs on |f| / max|f|
-        c, a_n, m_n = _shrink(~flat, counts, a, m)
-        top = amax[~flat]
-        a_n = np.divide(a_n, np.repeat(top, c), out=work[0, :a_n.size])
-        lam[ids[~flat]] = top / _newton(Y, a_n, m_n, c, total[~flat], work[1:])
-    # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
-    live = lam[ids] > 0
+    total, top = np.add.reduceat(m, starts), np.maximum.reduceat(a, starts)
+    # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0 and drops out
+    flat = top == np.minimum.reduceat(a, starts)
+    lam[ids[flat]] = top[flat] / Y.unit_argument
+    live = top > 0
     counts, a, m = _shrink(live, counts, a, m)
-    ids, total = ids[live], total[live]
+    ids, total, top, flat = ids[live], total[live], top[live], flat[live]
+    starts = np.cumsum(counts) - counts
+    # lam scales with f, so the solve runs on |f| / max|f|, from the Jensen start s0
+    a = np.divide(a, np.repeat(top, counts), out=work[0, :a.size])
+    s0 = Y.unit_argument * total / np.add.reduceat(np.multiply(a, m, out=work[1, :a.size]), starts)
+    q, below = Y.power_below_one, np.zeros(counts.size)
+    if q is None:  # exp: every node stays in the solve
+        q, log_a = 1.0, np.log(a, out=work[1, :a.size])
+    else:
+        # Y(t) = t^q for t <= 1, and no s the solve tries exceeds s0, so a node with
+        # s0 a < 1 adds (s a)^q m = (s0 a)^q m (s / s0)^q at every s: these nodes are
+        # summed once into below, and the rest are moved into rows 0-2.  A segment
+        # keeps its max node, a = 1 with s0 >= 1, so none is left empty.
+        t = np.repeat(s0, counts)
+        t *= a
+        keep = t >= 1.0
+        np.copyto(_power(t, q, t), 0.0, where=keep)
+        t *= m
+        below = np.add.reduceat(t, starts)
+        kept = np.flatnonzero(keep)
+        counts = np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)
+        a = np.take(a, kept, out=work[2, :kept.size], mode="clip")  # "clip" writes out unbuffered
+        m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
+        log_a = np.log(a, out=work[0, :kept.size])
+    if not flat.all():
+        c, a_s, m_s, log_s = _shrink(~flat, counts, a, m, log_a)
+        s = _newton(Y, a_s, m_s, log_s, c, total[~flat], s0[~flat], below[~flat], q, work[3:])
+        lam[ids[~flat]] = top[~flat] / s
+    # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
     step = np.spacing(lam[ids])
     for _ in range(64):
-        t = np.repeat(lam[ids], counts)
-        np.divide(a, t, out=t)
-        terms = Y._values(t, work[0, :a.size])
+        s = top / lam[ids]
+        t = np.repeat(s, counts)
+        t *= a
+        terms = Y._values(t, work[3, :a.size])
         terms *= m
-        G = np.add.reduceat(terms, np.cumsum(counts) - counts) / total
+        G = (np.add.reduceat(terms, np.cumsum(counts) - counts) + below * (s / s0) ** q) / total
         fails = ~(G <= 1.0)
         if not fails.any():
             return lam
         counts, a, m = _shrink(fails, counts, a, m)
-        ids, total, step = ids[fails], total[fails], step[fails]
+        ids, total, top, s0, below, step = (x[fails] for x in (ids, total, top, s0, below, step))
         lam[ids] += step
         step = 2.0 * step
     raise ConfigurationError("luxemburg norm failed to meet its constraint")
 
 
-def _newton(Y: YoungFunction, a, m, counts, total, work) -> np.ndarray:
-    """The root s of G(s) = sum Y(s a) m / sum m = 1 on each segment, where max a = 1.
+def _newton(Y: YoungFunction, a, m, log_a, counts, total, s0, below, q, work) -> np.ndarray:
+    """The root s of G(s) = (sum Y(s a) m + below (s / s0)^q) / total = 1 on each segment.
 
-    Newton from s0 = u / avg a, u = Y.unit_argument, never overshoots the
-    root of the convex G, so a Newton trial at G <= 1 is the root up to
-    rounding.  The root lies in [u, s0].  A step that is not finite, leaves
-    that bracket or exceeds half the move before it (exp, far from the
-    root) gives way to a geometric bisection.  The relative steps shrink
-    quadratically (1e-2, 1e-4, 1e-8), so a finite-slope step of at most
-    _STEP_STOP times s ends it at its trial, a pass before the step would
-    fall to rounding.
+    Newton from s0 = u / avg a, u = Y.unit_argument and max a = 1, never
+    overshoots the root of the convex G, so a Newton trial at G <= 1 is the
+    root up to rounding.  The root lies in [u, s0], and no iterate exceeds
+    s0.  A step that is not finite, leaves that bracket or exceeds half the
+    move before it (exp, far from the root) gives way to a geometric
+    bisection.  The relative steps shrink quadratically (1e-2, 1e-4, 1e-8),
+    so a finite-slope step of at most _STEP_STOP times s ends it at its trial.
 
-    work has five rows: log a in row 0, and Y._with_slope's four rows after
-    it.  Each pass spreads s and log s over the segments with np.repeat into
+    a, m and log a are the kept nodes; below sums (s0 a)^q m over the rest.
+    Each pass spreads s and log s over the segments with np.repeat into
     t = s a and log t = log s + log a, has Y(t) and t Y'(t) written into
-    rows 1 and 2, and sums them, times m, per segment.  It runs under
-    _solve's errstate.
+    the four rows of work, and sums them, times m, per segment.  It runs
+    under _solve's errstate.
     """
     starts = np.cumsum(counts) - counts
-    u = Y.unit_argument
-    s = u * total / np.add.reduceat(np.multiply(a, m, out=work[1, :a.size]), starts)
-    log_a = np.log(a, out=work[0, :a.size])
+    u, s = Y.unit_argument, s0
     lo, hi, prev = np.full(s.size, u), s.copy(), np.full(s.size, np.inf)
     newton, root, ids = np.ones(s.size, dtype=bool), np.empty(s.size), np.arange(s.size)
     for _ in range(200):
@@ -292,10 +319,12 @@ def _newton(Y: YoungFunction, a, m, counts, total, work) -> np.ndarray:
         t *= a
         log_t = np.repeat(np.log(s), counts)
         log_t += log_a
-        out = work[1:5, :a.size]
+        out = work[:4, :a.size]
         Y._with_slope(t, log_t, out)
         out[:2] *= m
         mass, slope = np.add.reduceat(out[:2], starts, axis=1)
+        rest = below * (s / s0) ** q
+        mass, slope = mass + rest, slope + q * rest
         # G'(s) = sum t Y'(t) m / (s sum m) at t = s a; inf / inf where exp overflows
         step = s * (mass - total) / slope
         low = mass <= total
@@ -312,8 +341,8 @@ def _newton(Y: YoungFunction, a, m, counts, total, work) -> np.ndarray:
         if done.any():
             counts, a, log_a, m = _shrink(~done, counts, a, log_a, m)
             starts = np.cumsum(counts) - counts
-            ids, total, s, lo, hi, prev, newton = (
-                x[~done] for x in (ids, total, s, lo, hi, prev, newton)
+            ids, total, s, lo, hi, prev, newton, s0, below = (
+                x[~done] for x in (ids, total, s, lo, hi, prev, newton, s0, below)
             )
     raise ConfigurationError("luxemburg norm did not converge")
 

@@ -394,3 +394,111 @@ def test_luxemburg_stop_saves_a_pass_per_batch(monkeypatch):
     assert new["passes"] <= 4 * new["batches"]
     # the contract evaluations the stop adds cost less than the passes it removes
     assert new["contract"] - old["contract"] < old["passes"] - new["passes"]
+
+
+def test_luxemburg_split_reads_fewer_entries(monkeypatch):
+    # the bump gate's solve, as in the stop test: the nodes below t = 1 at the
+    # Jensen start are summed once, so the passes read only the others
+    grid = make_grid(dim=2, half_width=2.0, points_per_axis=128)
+    values = sample("r**-0.15", grid).values
+    fam = region_family(grid, sizes=(0.25, 0.5, 1.0), shape="ball", center_stride=8)
+    entries = dict(gathered=0, passes=0, contract=0)
+
+    def counted(name, fn, arg):
+        def call(*args):
+            entries[name] += args[arg].size
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(YoungFunction, "_with_slope", counted("passes", YoungFunction._with_slope, 1))
+    monkeypatch.setattr(YoungFunction, "_values", counted("contract", YoungFunction._values, 1))
+    monkeypatch.setattr(amalgam.orlicz, "_solve", counted("gathered", amalgam.orlicz._solve, 1))
+    luxemburg_table(fam, grid, values, YoungFunction.bump(2.0))
+    # before the split, the passes and the contract read 3.99 and 1.41 per entry
+    assert entries["passes"] <= 2.0 * entries["gathered"]
+    assert entries["contract"] <= 0.75 * entries["gathered"]
+
+
+# power(3) joins the tags: on the spike region every node but the max is below t = 1
+EDGE_TAGS = ALL_TAGS + [YoungFunction.power(3.0)]
+SPLIT_TAGS = [Y for Y in EDGE_TAGS if Y.tag != "exp"]
+
+
+@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_luxemburg_split_edges_match_oracle(monkeypatch, Y):
+    rng = np.random.default_rng(7)
+    regions = [
+        # s0 = 2 (u = 1), so the nodes at 1.5 sit at s0 a = 1.0 exactly and stay in the solve
+        (np.array([3.0, 1.5, 1.5, 0.0]), np.ones(4)),
+        # one spike over a floor below the average: every other node is below t = 1
+        (np.concatenate(([1.0], np.full(99, 1e-2))), np.ones(100)),
+        # zeros with positive mass, at random values and masses
+        (np.where(rng.random(200) < 0.3, 0.0, rng.uniform(0.0, 5.0, 200)), rng.uniform(0.1, 2.0, 200)),
+    ]
+    a = np.concatenate([v for v, _ in regions])
+    m = np.concatenate([w for _, w in regions])
+    counts = np.array([v.size for v, _ in regions])
+    seen = []
+    newton = amalgam.orlicz._newton
+    # the Newton solve's nodes: a / max a, log a, per-segment counts, and s0
+    monkeypatch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, log_a, counts, total, s0, *rest: (
+        seen.append((a.copy(), log_a.copy(), counts.copy(), s0.copy()))
+        or newton(Y, a, m, log_a, counts, total, s0, *rest)))
+    got = amalgam.orlicz._solve(Y, a, m, counts)
+    for lam, (v, w) in zip(got, regions):
+        assert lam == pytest.approx(oracles.brute_luxemburg(v, w, Y, rel=1e-14), rel=1e-12)
+    [(a_n, log_a, kept, s0)] = seen
+    if Y.tag == "exp":
+        # no split: Newton reads every node
+        assert np.array_equal(kept, counts)
+        return
+    # Newton reads the nodes at s0 a >= 1 alone: 1, 1/2 and 1/2 of the first
+    # region, at s0 a = 2, 1 and 1, the spike of the second, and no zero of the third
+    assert np.array_equal(a_n[:3], [1.0, 0.5, 0.5]) and s0[0] * a_n[1] == 1.0
+    assert kept[:2].tolist() == [3, 1] and kept[2] < np.count_nonzero(regions[2][0])
+    assert (np.repeat(s0, kept) * a_n >= 1.0).all() and np.isfinite(log_a).all()
+
+
+@pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_luxemburg_split_in_work_rows_allocates_no_float_row(monkeypatch, Y):
+    # the split compacts into work rows: one solve over a 2^15-entry batch stays
+    # below the 3.164 batch rows (Newton's broadcasts and shrinks) that the
+    # solve took before the split, with no row added for the compaction
+    n = 2**15
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.0, 1.0, n) ** 4 * 3.0
+    m = rng.uniform(0.5, 1.5, n)
+    counts = np.full(32, n // 32)
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, n))
+    kept = []
+    newton = amalgam.orlicz._newton
+    with monkeypatch.context() as patch:
+        patch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, log_a, *rest: (
+            kept.extend(np.shares_memory(x, work) for x in (a, m, log_a)) or newton(Y, a, m, log_a, *rest)))
+        amalgam.orlicz._solve(Y, a, m, counts, work)
+    assert kept == [True] * 3
+    tracemalloc.start()
+    try:
+        amalgam.orlicz._solve(Y, a, m, counts, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.17 * 8 * n
+
+
+@pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_luxemburg_contract_counts_the_nodes_below_one(monkeypatch, Y):
+    # a Newton root 1e-6 too large leaves lam too small, and on a spike region
+    # the kept max node alone stays below the constraint: the contract must add
+    # the nodes below t = 1 to step lam up
+    newton = amalgam.orlicz._newton
+    monkeypatch.setattr(amalgam.orlicz, "_newton", lambda *args: newton(*args) * (1.0 + 1e-6))
+    rng = np.random.default_rng(3)
+    regions = [(np.concatenate(([1.0], np.full(99, 1e-2))), np.ones(100)),
+               (rng.uniform(0.0, 5.0, 300), rng.uniform(0.1, 2.0, 300))]
+    a = np.concatenate([v for v, _ in regions])
+    m = np.concatenate([w for _, w in regions])
+    got = amalgam.orlicz._solve(Y, a, m, np.array([v.size for v, _ in regions]))
+    for lam, (v, w) in zip(got, regions):
+        assert _fsum_average(Y, v, w, lam) <= 1.0 + 1e-12
+        assert lam == pytest.approx(oracles.brute_luxemburg(v, w, Y, rel=1e-14), rel=1e-5)
