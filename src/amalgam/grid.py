@@ -10,10 +10,10 @@ Only this module turns regions into nodes.  A region is a set of flat
 two ways: window_sums adds node arrays run by run over a whole family, which
 is how the linear family statistics (masses, L^p sums, level masses) are
 computed; and batch_table evaluates a nonlinear statistic (Luxemburg norm,
-weak L^p, mean oscillation, A_p characteristic) on the node batches of a
-family that node_batches hands out, many regions at once in bounded batches.
-A statistic on one region is a batch_table over a family of one
-(region_statistic).
+weak L^p, mean oscillation, A_p characteristic) on node values gathered
+once per batch of node_batches, many regions at once.  A statistic on one
+region is a batch_table over a family of one (region_statistic), and
+spread_max puts the largest value of the regions holding a node on it.
 """
 
 from __future__ import annotations
@@ -215,6 +215,16 @@ def _run_nodes(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return np.arange(length.sum(), dtype=np.intp) + offsets
 
 
+def _check_regions(shape: str, centers, sizes) -> None:
+    """The region rules: a ball or a cube, sizes > 0, centers all of 1 or all of 2 coordinates."""
+    if shape not in ("ball", "cube"):
+        raise ConfigurationError(f"shape must be 'ball' or 'cube', got {shape!r}")
+    if not sizes or not all(s > 0 for s in sizes):
+        raise ConfigurationError("need a region size, and every region size positive")
+    if {len(c) for c in centers} not in ({1}, {2}):
+        raise ConfigurationError("need a center, and all centers of 1 or all of 2 coordinates")
+
+
 @dataclass(frozen=True)
 class Region:
     """A ball or cube, membership by strict inequality.
@@ -228,12 +238,7 @@ class Region:
     size: float
 
     def __post_init__(self):
-        if self.shape not in ("ball", "cube"):
-            raise ConfigurationError(f"shape must be 'ball' or 'cube', got {self.shape!r}")
-        if not (self.size > 0):
-            raise ConfigurationError("region size must be positive")
-        if len(self.center) not in (1, 2):
-            raise ConfigurationError("center must have 1 or 2 coordinates")
+        _check_regions(self.shape, (self.center,), (self.size,))
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def dilate(self, factor: float) -> "Region":
@@ -264,8 +269,7 @@ class RegionFamily:
     sizes: tuple
 
     def __post_init__(self):
-        if not self.centers or not self.sizes:
-            raise ConfigurationError("family needs at least one center and one size")
+        _check_regions(self.shape, self.centers, self.sizes)
         object.__setattr__(
             self, "centers", tuple(tuple(float(x) for x in c) for c in self.centers)
         )
@@ -446,14 +450,14 @@ def node_batches(family: RegionFamily, grid: Grid):
 
 
 def batch_table(
-    family: RegionFamily, grid: Grid, value: Callable, warn: bool = False
+    family: RegionFamily, grid: Grid, arrays, value: Callable, warn: bool = False
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """A nonlinear statistic on every region of a family, and node counts, as [size, center].
+    """A nonlinear statistic of node arrays on every region, and node counts, as [size, center].
 
-    value(node indices, counts, starts) gets the regions of one node_batches
-    batch that hold nodes, region k at idx[starts[k]:starts[k] + counts[k]],
-    and returns one value per region.  A region without nodes reads 0, with
-    an EmptyRegionWarning when warn is set.
+    Each array is gathered once per node_batches batch.  value(*rows, counts, starts)
+    gets the batch's regions that hold nodes, region k at row[starts[k]:starts[k] +
+    counts[k]] of each row, and returns one value per region.  A region without
+    nodes reads 0, with an EmptyRegionWarning when warn is set.
     """
     table = np.zeros((len(family.sizes), len(family.centers)))
     counts = np.zeros(table.shape, dtype=np.intp)
@@ -461,11 +465,19 @@ def batch_table(
         counts[s, first:first + n.size] = n
         held = np.flatnonzero(n)
         if held.size:
-            table[s, first + held] = value(idx, n[held], np.cumsum(n[held]) - n[held])
+            n = n[held]
+            # no name holds the gathered rows, so they are freed before the next batch
+            table[s, first + held] = value(*[a[idx] for a in arrays], n, np.cumsum(n) - n)
     if warn and not counts.all():
         warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
                       EmptyRegionWarning, stacklevel=3)
     return table, counts
+
+
+def spread_max(family: RegionFamily, grid: Grid, table: np.ndarray, out: np.ndarray) -> None:
+    """Raise out at every node to the largest table entry [size, center] of a region holding it."""
+    for s, first, idx, counts in node_batches(family, grid):
+        np.maximum.at(out, idx, np.repeat(table[s, first:first + counts.size], counts))
 
 
 def region_statistic(
@@ -473,19 +485,17 @@ def region_statistic(
 ) -> float:
     """A statistic of f on one region, as a batch_table over a family of one.
 
-    value(values, masses, counts, starts) is batch_table's value handed the
-    nodes' f values and node_masses in place of their indices.  With no region
-    the family is covering_region, every node in flat order.  A region without
-    nodes reads 0, with an EmptyRegionWarning.
+    value(values, masses, counts, starts) is batch_table's value on the f
+    values and node_masses.  With no region the family is covering_region,
+    every node in flat order.  A region without nodes reads 0, with an
+    EmptyRegionWarning.
     """
     grid = f.grid
     if region is None:
         region = covering_region(grid)
-    masses = node_masses(grid, weight)
     family = RegionFamily(region.shape, (region.center,), (region.size,))
-    table, _ = batch_table(family, grid, lambda idx, counts, starts: value(
-        f.values[idx], masses[idx], counts, starts), warn=True)
-    return float(table[0, 0])
+    arrays = [f.values, node_masses(grid, weight)]
+    return float(batch_table(family, grid, arrays, value, warn=True)[0][0, 0])
 
 
 def write_function_csv(f: DiscreteFunction, path: str) -> None:

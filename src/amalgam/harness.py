@@ -476,6 +476,8 @@ class ExperimentSpec:
             )
         if self.eps_nodes < 2:
             raise ConfigurationError("eps_nodes must be at least 2")
+        if not all(math.isfinite(x) and x > 0 for x in self.lambda_factors):
+            raise ConfigurationError(f"need finite lambda_factors > 0, got {self.lambda_factors}")
         if self.points < 16:
             raise ConfigurationError(
                 f"points must be at least 16, since every theorem's plateau gate "

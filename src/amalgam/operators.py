@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .grid import DiscreteFunction, Grid, Region, RegionFamily, node_batches, window_sums
+from .grid import DiscreteFunction, Grid, Region, RegionFamily, spread_max, window_sums
 from .orlicz import YoungFunction, luxemburg_table
 from .spaces import oscillation_table
 
@@ -309,8 +309,7 @@ def maximal(
             table = oscillation_table(f.values, fam, grid)[0]
         else:
             table = luxemburg_table(fam, grid, f.values, YoungFunction.llogl(1.0))
-        for s, first, idx, counts in node_batches(fam, grid):
-            np.maximum.at(out, idx, np.repeat(table[s, first:first + counts.size], counts))
+        spread_max(fam, grid, table, out)
     if np.any(np.isinf(out)):
         raise PreconditionError(
             "maximal family leaves nodes uncovered; append a covering region"

@@ -14,11 +14,10 @@ avg Y(|f|/lam) <= 1 holds.  Where Y(t) = t^q below t = 1 (all but exp),
 the nodes with s0 |f| < 1 are summed once, and both loops read the rest.
 
 A family's solve keeps every intermediate as long as a batch of node
-values in one work array of nine rows: the gathered |f| and masses, |f|
-scaled to max 1, the Jensen sum's terms, the kept nodes' scaled |f|, and
-four rows for Y(t), t Y'(t), the lift 1 + log+ t and the derivative's
-factor.  Only the broadcasts of s and log s, made by np.repeat, are new
-each pass.
+values in one work array of seven rows: |f| scaled to max 1 (a), the
+Jensen sum's terms, the kept nodes' a, and four rows for Y(t), t Y'(t), the
+lift 1 + log+ t and the derivative's factor.  A pass reads only t = s a,
+and only its broadcast of s, made by np.repeat, is new.
 """
 
 from __future__ import annotations
@@ -100,20 +99,17 @@ class YoungFunction:
         if self.tag == "exp":
             return np.expm1(t, out=out)
         # 1 + log+ t, raised to kappa before the factor t (llogl) or with it (bump)
-        np.maximum(t, 1.0, out=out)
-        np.log(out, out=out)
-        out += 1.0
+        _lift(t, out)
         if self.tag == "llogl":
             _power(out, self.param, out)
         out *= t
         return _power(out, self.param, out) if self.tag == "bump" else out
 
-    def _with_slope(self, t, log_t, out=None):
+    def _with_slope(self, t, out=None):
         """Y(t) and t Y'(t), with the right derivative at t = 1, into out[0] and out[1].
 
-        t and log_t are only read, since the Newton pass hands in its work
-        rows.  llogl and bump build the lift 1 + log+ t in out[2] and the
-        derivative's factor in out[3]; given fewer rows, they take new ones.
+        t is only read.  llogl and bump build the lift 1 + log+ t in out[2] and
+        the derivative's factor in out[3], or in new rows when given fewer.
         """
         if out is None:
             out = np.empty((4, t.size))
@@ -129,10 +125,9 @@ class YoungFunction:
                 ty *= t
                 return y, ty
             lift, factor = out[2:4] if len(out) >= 4 else np.empty((2, t.size))
-            np.maximum(log_t, 0.0, out=lift)
-            lift += 1.0
-            # factor = lift + kappa [log_t >= 0] (llogl) or lift + [log_t >= 0] (bump)
-            np.greater_equal(log_t, 0.0, out=factor)
+            _lift(t, lift)
+            # factor = lift + kappa [t >= 1] (llogl) or lift + [t >= 1] (bump)
+            np.greater_equal(t, 1.0, out=factor)
             if self.tag == "llogl":
                 factor *= self.param
                 factor += lift
@@ -164,6 +159,11 @@ def _power(x, p, out):
     return np.square(x, out=out) if p == 2.0 else np.power(x, p, out=out)
 
 
+def _lift(t, out):
+    """1 + log+ t into out, the factor of t in llogl and bump."""
+    return np.add(np.log(np.maximum(t, 1.0, out=out), out=out), 1.0, out=out)
+
+
 def luxemburg_norm(
     f: DiscreteFunction,
     Y: YoungFunction,
@@ -187,26 +187,21 @@ def luxemburg_table(
 
     A region without nodes reads 0.
     """
-    vals = np.abs(np.asarray(values, dtype=np.float64))
-    masses = node_masses(grid, weight)
-    # one work array serves every batch, gathers in rows 0 and 1 and the solve in
-    # the rest; only the pages a batch uses are touched
-    work = np.empty((2 + _SOLVE_ROWS, grid.n_nodes))
+    arrays = [np.abs(np.asarray(values, dtype=np.float64)), node_masses(grid, weight)]
+    # one work array serves every batch; only the pages a batch uses are touched
+    work = np.empty((_SOLVE_ROWS, grid.n_nodes))
 
-    def solve(idx, counts, starts):
+    def solve(a, m, counts, starts):
         nonlocal work
-        if work.shape[1] < idx.size:  # a batch of overlapping regions can outnumber the nodes
-            work = np.empty((work.shape[0], idx.size))
-        rows = work[:, :idx.size]
-        np.take(vals, idx, out=rows[0], mode="clip")  # "clip" writes out unbuffered
-        np.take(masses, idx, out=rows[1], mode="clip")
-        return _solve(Y, rows[0], rows[1], counts, rows[2:])
+        if work.shape[1] < a.size:  # a batch of overlapping regions can outnumber the nodes
+            work = np.empty((_SOLVE_ROWS, a.size))
+        return _solve(Y, a, m, counts, work)
 
-    return batch_table(family, grid, solve)[0]
+    return batch_table(family, grid, arrays, solve)[0]
 
 
-# work rows of _solve: |f| / max|f| then the kept log|f|; the Jensen terms then the
-# kept masses (exp: log|f|); the kept |f| / max|f|; Y._with_slope's four, then the contract's
+# work rows of _solve: |f| / max|f|; the Jensen terms, then the kept masses; the
+# kept |f| / max|f|; Y._with_slope's four, the first of them also the contract's
 _SOLVE_ROWS = 7
 # Newton's last step: once a step moves s by at most this share of s, the
 # trial is the root to rounding, since the next step would be about its square
@@ -221,7 +216,8 @@ def _shrink(keep, counts, *entries):
     return (counts[keep],) + tuple(x[rows] for x in entries)
 
 
-# log 0 = -inf, and inf / inf where exp overflows, are part of the solve
+# inf / inf where exp overflows is part of the solve, and so is a division by
+# zero at subnormal |f|
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m.
@@ -253,7 +249,7 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     s0 = Y.unit_argument * total / np.add.reduceat(np.multiply(a, m, out=work[1, :a.size]), starts)
     q, below = Y.power_below_one, np.zeros(counts.size)
     if q is None:  # exp: every node stays in the solve
-        q, log_a = 1.0, np.log(a, out=work[1, :a.size])
+        q = 1.0
     else:
         # Y(t) = t^q for t <= 1, and no s the solve tries exceeds s0, so a node with
         # s0 a < 1 adds (s a)^q m = (s0 a)^q m (s / s0)^q at every s: these nodes are
@@ -269,10 +265,9 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
         counts = np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)
         a = np.take(a, kept, out=work[2, :kept.size], mode="clip")  # "clip" writes out unbuffered
         m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
-        log_a = np.log(a, out=work[0, :kept.size])
     if not flat.all():
-        c, a_s, m_s, log_s = _shrink(~flat, counts, a, m, log_a)
-        s = _newton(Y, a_s, m_s, log_s, c, total[~flat], s0[~flat], below[~flat], q, work[3:])
+        c, a_s, m_s = _shrink(~flat, counts, a, m)
+        s = _newton(Y, a_s, m_s, c, total[~flat], s0[~flat], below[~flat], q, work[3:])
         lam[ids[~flat]] = top[~flat] / s
     # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
     step = np.spacing(lam[ids])
@@ -293,7 +288,7 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     raise ConfigurationError("luxemburg norm failed to meet its constraint")
 
 
-def _newton(Y: YoungFunction, a, m, log_a, counts, total, s0, below, q, work) -> np.ndarray:
+def _newton(Y: YoungFunction, a, m, counts, total, s0, below, q, work) -> np.ndarray:
     """The root s of G(s) = (sum Y(s a) m + below (s / s0)^q) / total = 1 on each segment.
 
     Newton from s0 = u / avg a, u = Y.unit_argument and max a = 1, never
@@ -304,11 +299,10 @@ def _newton(Y: YoungFunction, a, m, log_a, counts, total, s0, below, q, work) ->
     bisection.  The relative steps shrink quadratically (1e-2, 1e-4, 1e-8),
     so a finite-slope step of at most _STEP_STOP times s ends it at its trial.
 
-    a, m and log a are the kept nodes; below sums (s0 a)^q m over the rest.
-    Each pass spreads s and log s over the segments with np.repeat into
-    t = s a and log t = log s + log a, has Y(t) and t Y'(t) written into
-    the four rows of work, and sums them, times m, per segment.  It runs
-    under _solve's errstate.
+    a and m are the kept nodes; below sums (s0 a)^q m over the rest.  Each
+    pass spreads s over the segments with np.repeat into t = s a, has Y(t)
+    and t Y'(t) written into the four rows of work, and sums them, times m,
+    per segment.  It runs under _solve's errstate.
     """
     starts = np.cumsum(counts) - counts
     u, s = Y.unit_argument, s0
@@ -317,10 +311,8 @@ def _newton(Y: YoungFunction, a, m, log_a, counts, total, s0, below, q, work) ->
     for _ in range(200):
         t = np.repeat(s, counts)
         t *= a
-        log_t = np.repeat(np.log(s), counts)
-        log_t += log_a
         out = work[:4, :a.size]
-        Y._with_slope(t, log_t, out)
+        Y._with_slope(t, out)
         out[:2] *= m
         mass, slope = np.add.reduceat(out[:2], starts, axis=1)
         rest = below * (s / s0) ** q
@@ -339,7 +331,7 @@ def _newton(Y: YoungFunction, a, m, log_a, counts, total, s0, below, q, work) ->
         if done.all():
             return root
         if done.any():
-            counts, a, log_a, m = _shrink(~done, counts, a, log_a, m)
+            counts, a, m = _shrink(~done, counts, a, m)
             starts = np.cumsum(counts) - counts
             ids, total, s, lo, hi, prev, newton, s0, below = (
                 x[~done] for x in (ids, total, s, lo, hi, prev, newton, s0, below)

@@ -136,12 +136,11 @@ def region_mean(
 def oscillation_table(b: np.ndarray, family: RegionFamily, grid: Grid):
     """avg_B |b - b_B| on every region of a family, and node counts, as [size, center]."""
 
-    def oscillation(idx, counts, starts):
-        seg = b[idx]
+    def oscillation(seg, counts, starts):
         mean = np.add.reduceat(seg, starts) / counts
         return np.add.reduceat(np.abs(seg - np.repeat(mean, counts)), starts) / counts
 
-    return batch_table(family, grid, oscillation)
+    return batch_table(family, grid, [b], oscillation)
 
 
 def bmo_norm(b: DiscreteFunction, family: RegionFamily) -> float:
@@ -254,9 +253,8 @@ def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult
 def _inner_table(grid: Grid, values: np.ndarray, spec: AmalgamSpec, m: np.ndarray) -> np.ndarray:
     """Weak L^p or averaged LlogL norm of the values on every region, as [size, center]."""
     if spec.variant == "weak":
-        a = np.abs(values)
-        return batch_table(spec.family, grid, lambda idx, counts, starts: _weak_lp(
-            a[idx], m[idx], counts, spec.params.p))[0]
+        return batch_table(spec.family, grid, [np.abs(values), m], lambda a, mass, counts, starts:
+                           _weak_lp(a, mass, counts, spec.params.p))[0]
     return luxemburg_table(spec.family, grid, values, YoungFunction.llogl(1.0), spec.inner_weight)
 
 

@@ -80,17 +80,15 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
     """
     if p < 1:
         raise ConfigurationError("muckenhoupt characteristic needs p >= 1")
-    vals = w.values
 
-    def characteristic(idx, counts, starts):
-        wb = vals[idx]
+    def characteristic(wb, counts, starts):
         m1 = np.add.reduceat(wb, starts) / counts
         if p == 1.0:
             return m1 / np.minimum.reduceat(wb, starts)
         m2 = np.add.reduceat(wb ** (-1.0 / (p - 1.0)), starts) / counts
         return m1 * m2 ** (p - 1.0)
 
-    table, counts = batch_table(family, w.grid, characteristic, warn=True)
+    table, counts = batch_table(family, w.grid, [w.values], characteristic, warn=True)
     if not counts.any():
         raise PreconditionError("every region in the family is empty")
     return float(table.max())

@@ -448,6 +448,19 @@ def test_verify_rejects_points_below_the_half_grid_gate(tmp_path, capsys):
     assert "got 8" in err
 
 
+@pytest.mark.parametrize("theorem, field, value, message", [
+    ("strong", "shape", "triangle", "shape must be 'ball' or 'cube'"),
+    ("strong", "sizes", [0.0, 1.0], "every region size positive"),
+    ("endpoint", "lambda_factors", [-1.0, 1.0], "need finite lambda_factors > 0"),
+    ("endpoint", "lambda_factors", [0.0, 1.0], "need finite lambda_factors > 0"),
+], ids=["shape", "zero-size", "negative-factor", "zero-factor"])
+def test_verify_rejects_bad_regions_and_levels(tmp_path, capsys, theorem, field, value, message):
+    experiment = dict(VERIFY_CFG["experiment"], **{field: value})
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})
+    assert main(["verify", theorem, "--config", cfg, "--refine", "0", "--no-eps-stability"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_rejects_negative_refine(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "strong", "--refine", "-3"])

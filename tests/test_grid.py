@@ -144,6 +144,29 @@ def test_family_iteration_order(small_grid):
     assert [r.center for r in sized] == list(fam.centers)
 
 
+@pytest.mark.parametrize("shape, centers, sizes", [
+    ("triangle", ((0.0,),), (1.0,)),
+    ("ball", ((0.0,),), (0.0, 1.0)),
+    ("cube", ((0.0,),), (-0.5, 1.0)),
+    ("ball", ((0.0,),), (math.nan,)),
+    ("ball", ((0.0, 0.0), (0.0, 0.0, 0.0)), (1.0,)),
+], ids=["shape", "zero-size", "negative-size", "nan-size", "three-coordinates"])
+def test_family_validation_is_region_validation(shape, centers, sizes):
+    # a family takes no shape, size or center that a region refuses
+    with pytest.raises(ConfigurationError):
+        RegionFamily(shape, centers, sizes)
+    with pytest.raises(ConfigurationError):
+        for size in sizes:
+            for center in centers:
+                Region(shape, center, size)
+
+
+def test_family_centers_share_a_dimension():
+    with pytest.raises(ConfigurationError, match="of 1 or all of 2"):
+        RegionFamily("ball", ((0.0,), (0.0, 1.0)), (1.0,))
+    assert len(RegionFamily("cube", ((0.0, 0.0), (1.0, 1.0)), (0.5, 1.0))) == 4
+
+
 def test_family_explicit_centers(small_grid):
     fam = region_family(small_grid, sizes=(1.0,), centers=[(0.0,), (1.0,)])
     assert fam.centers == ((0.0,), (1.0,))

@@ -248,6 +248,15 @@ def test_experiment_spec_validation():
         ExperimentSpec("strong", eps_nodes=1)
 
 
+@pytest.mark.parametrize("factors", [(-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan,)])
+def test_experiment_spec_rejects_lambda_factors_not_positive(factors):
+    # a level lam = factor * max|f| must be finite and > 0: a negative factor
+    # read a ratio of 4.2, and a zero factor an rhs of -inf
+    with pytest.raises(ConfigurationError, match="lambda_factors"):
+        ExperimentSpec("endpoint", lambda_factors=factors)
+    assert ExperimentSpec("endpoint", lambda_factors=(0.5, 1.0)).lambda_factors == (0.5, 1.0)
+
+
 def test_experiment_spec_needs_a_half_grid():
     # every theorem runs a plateau gate, whose half grid must be a valid grid
     with pytest.raises(ConfigurationError, match="half grid"):

@@ -6,8 +6,11 @@ read in the module's code or in a quoted annotation, or be listed in the
 module's ``__all__``.
 
 Only grid.py turns regions into nodes: no other module calls
-``.node_indices(`` or issues an EmptyRegionWarning.  Inside grid.py every
-statistic reads its nodes through the family layer: grid.py calls no
+``.node_indices(`` or issues an EmptyRegionWarning, and no other module
+names ``node_batches``, so no statistic outside grid.py sees a node index
+(``batch_table`` hands its value functions gathered node values, and
+``spread_max`` writes region values back onto the nodes).  Inside grid.py
+every statistic reads its nodes through the family layer: grid.py calls no
 ``.node_indices(`` either (``Region.node_indices`` is kept as the tests'
 reference), and ``batch_table`` is the one site that issues an
 EmptyRegionWarning, for single regions as for families.
@@ -201,6 +204,31 @@ def test_outer_aggregation_ref_is_caught():
     assert _refs(tree, _OUTER) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
     spaces_py = ast.parse((PACKAGE / "spaces.py").read_text())
     assert {name for _, name in _refs(spaces_py, _OUTER)} == set(_OUTER)
+
+
+_BATCHES = ("node_batches",)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "grid.py"), ids=lambda p: p.name
+)
+def test_only_grid_hands_out_node_batches(path):
+    found = _refs(ast.parse(path.read_text(), filename=str(path)), _BATCHES)
+    assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
+
+
+def test_node_batches_ref_is_caught():
+    tree = ast.parse(
+        "from .grid import node_batches\n"
+        "from . import grid\n"
+        "def maximal(out, table, fam, g):\n"
+        "    for s, first, idx, n in grid.node_batches(fam, g):\n"
+        "        out[idx] = table[s, first]\n"
+        "    return node_batches\n"
+    )
+    assert _refs(tree, _BATCHES) == [(1, "node_batches"), (4, "node_batches"), (6, "node_batches")]
+    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
+    assert {name for _, name in _refs(grid_py, _BATCHES)} == set(_BATCHES)
 
 
 _BOX_NORMS = ("local_lp_norm", "local_weak_lp_norm")

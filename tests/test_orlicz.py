@@ -199,7 +199,7 @@ def test_young_slope_is_t_times_the_derivative():
     d = 1e-7 * t
     for Y in (YoungFunction.power(2.5), YoungFunction.llogl(1.5), YoungFunction.exponential(),
               YoungFunction.bump(1.5)):
-        y, ty = Y._with_slope(t, np.log(t))
+        y, ty = Y._with_slope(t)
         assert np.array_equal(y, Y(t))
         # central differences, and the right difference at the kink t = 1
         want = t * (Y(t + d) - Y(t - d)) / (2 * d)
@@ -214,17 +214,14 @@ ALL_TAGS = [YoungFunction.power(1.0), YoungFunction.power(2.5), YoungFunction.ll
 
 @pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
 def test_young_slope_only_reads_its_arguments(Y):
-    # the Newton pass hands in its work rows as t and log t
     t = np.array([0.0, 0.01, 0.3, 1.0, 1.5, 4.0, 30.0, 800.0])
-    with np.errstate(divide="ignore"):
-        log_t = np.log(t)
-    kept = t.copy(), log_t.copy()
-    y, ty = Y._with_slope(t, log_t)
-    assert np.array_equal(t, kept[0]) and np.array_equal(log_t, kept[1])
-    # read-only arguments, and the results written into a given array
-    t.flags.writeable = log_t.flags.writeable = False
+    kept = t.copy()
+    y, ty = Y._with_slope(t)
+    assert np.array_equal(t, kept)
+    # a read-only argument, and the results written into a given array
+    t.flags.writeable = False
     out = np.full((2, t.size), np.nan)
-    got = Y._with_slope(t, log_t, out)
+    got = Y._with_slope(t, out)
     assert all(np.shares_memory(row, out) for row in got)
     assert np.array_equal(out, np.stack([y, ty]))
 
@@ -234,17 +231,26 @@ def test_young_slope_in_work_rows_allocates_no_float_row(Y):
     # handed all four work rows, a Newton pass allocates no temporary of its length
     n = 2**14
     t = np.linspace(0.0, 40.0, n)
-    with np.errstate(divide="ignore"):
-        log_t = np.log(t)
     out = np.empty((4, n))
-    Y._with_slope(t, log_t, out)
+    Y._with_slope(t, out)
     tracemalloc.start()
     try:
-        Y._with_slope(t, log_t, out)
+        Y._with_slope(t, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_young_slope_values_are_the_contract_values(Y):
+    # the Newton pass and the contract both build the lift 1 + log+ t from t,
+    # so they read the same Y on either side of t = 1 and far from it
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    t = np.concatenate([[0.0, 1e-300, 1e-8, 0.5, below, 1.0, above, 2.0, 1e8, 1e300],
+                        np.geomspace(1e-3, 1e3, 101)])
+    y, _ = Y._with_slope(t, np.empty((4, t.size)))
+    assert y.tobytes() == Y(t).tobytes()
 
 
 @st.composite
@@ -440,14 +446,14 @@ def test_luxemburg_split_edges_match_oracle(monkeypatch, Y):
     counts = np.array([v.size for v, _ in regions])
     seen = []
     newton = amalgam.orlicz._newton
-    # the Newton solve's nodes: a / max a, log a, per-segment counts, and s0
-    monkeypatch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, log_a, counts, total, s0, *rest: (
-        seen.append((a.copy(), log_a.copy(), counts.copy(), s0.copy()))
-        or newton(Y, a, m, log_a, counts, total, s0, *rest)))
+    # the Newton solve's nodes: a / max a, per-segment counts, and s0
+    monkeypatch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, counts, total, s0, *rest: (
+        seen.append((a.copy(), counts.copy(), s0.copy()))
+        or newton(Y, a, m, counts, total, s0, *rest)))
     got = amalgam.orlicz._solve(Y, a, m, counts)
     for lam, (v, w) in zip(got, regions):
         assert lam == pytest.approx(oracles.brute_luxemburg(v, w, Y, rel=1e-14), rel=1e-12)
-    [(a_n, log_a, kept, s0)] = seen
+    [(a_n, kept, s0)] = seen
     if Y.tag == "exp":
         # no split: Newton reads every node
         assert np.array_equal(kept, counts)
@@ -456,7 +462,7 @@ def test_luxemburg_split_edges_match_oracle(monkeypatch, Y):
     # region, at s0 a = 2, 1 and 1, the spike of the second, and no zero of the third
     assert np.array_equal(a_n[:3], [1.0, 0.5, 0.5]) and s0[0] * a_n[1] == 1.0
     assert kept[:2].tolist() == [3, 1] and kept[2] < np.count_nonzero(regions[2][0])
-    assert (np.repeat(s0, kept) * a_n >= 1.0).all() and np.isfinite(log_a).all()
+    assert (np.repeat(s0, kept) * a_n >= 1.0).all()
 
 
 @pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
@@ -473,10 +479,10 @@ def test_luxemburg_split_in_work_rows_allocates_no_float_row(monkeypatch, Y):
     kept = []
     newton = amalgam.orlicz._newton
     with monkeypatch.context() as patch:
-        patch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, log_a, *rest: (
-            kept.extend(np.shares_memory(x, work) for x in (a, m, log_a)) or newton(Y, a, m, log_a, *rest)))
+        patch.setattr(amalgam.orlicz, "_newton", lambda Y, a, m, *rest: (
+            kept.extend(np.shares_memory(x, work) for x in (a, m)) or newton(Y, a, m, *rest)))
         amalgam.orlicz._solve(Y, a, m, counts, work)
-    assert kept == [True] * 3
+    assert kept == [True] * 2
     tracemalloc.start()
     try:
         amalgam.orlicz._solve(Y, a, m, counts, work)
