@@ -450,14 +450,15 @@ def node_batches(family: RegionFamily, grid: Grid):
 
 
 def batch_table(
-    family: RegionFamily, grid: Grid, arrays, value: Callable, warn: bool = False
+    family: RegionFamily, grid: Grid, arrays, value: Callable, warn: bool = False, tables=()
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A nonlinear statistic of node arrays on every region, and node counts, as [size, center].
 
-    Each array is gathered once per node_batches batch.  value(*rows, counts, starts)
-    gets the batch's regions that hold nodes, region k at row[starts[k]:starts[k] +
-    counts[k]] of each row, and returns one value per region.  A region without
-    nodes reads 0, with an EmptyRegionWarning when warn is set.
+    Each array is gathered once per node_batches batch.  value(*rows, *entries,
+    counts, starts) gets the batch's regions that hold nodes, region k at
+    row[starts[k]:starts[k] + counts[k]] of each row and at entry[k] of each
+    [size, center] table of tables, and returns one value per region.  A region
+    without nodes reads 0, with an EmptyRegionWarning when warn is set.
     """
     table = np.zeros((len(family.sizes), len(family.centers)))
     counts = np.zeros(table.shape, dtype=np.intp)
@@ -466,8 +467,9 @@ def batch_table(
         held = np.flatnonzero(n)
         if held.size:
             n = n[held]
+            entries = [t[s, first + held] for t in tables]
             # no name holds the gathered rows, so they are freed before the next batch
-            table[s, first + held] = value(*[a[idx] for a in arrays], n, np.cumsum(n) - n)
+            table[s, first + held] = value(*[a[idx] for a in arrays], *entries, n, np.cumsum(n) - n)
     if warn and not counts.all():
         warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
                       EmptyRegionWarning, stacklevel=3)

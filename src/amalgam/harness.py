@@ -306,7 +306,11 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
              v^{-1/p} under t (1 + log+ t)^{p'}
 
     Every mode evaluates to exactly one when both weights are constant
-    one, which anchors the scale.
+    one, which anchors the scale.  In orlicz mode only the regions that can
+    attain the sup are solved exactly: luxemburg_table, handed the u side as
+    factor, drops a region once a Newton pass's upper bound on its value
+    stays below the best lower bound in the family, so the value and its
+    first argmax are those of the full table bit for bit.
     """
     if u.grid != v.grid:
         raise ConfigurationError("bump weights live on different grids")
@@ -320,11 +324,13 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
         raise PreconditionError("every region in the family is empty")
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / counts
+    u_side = means[0] ** (1.0 / (r * p))
     if params.mode == "orlicz":
-        v_side = luxemburg_table(family, grid, v.values ** (-1.0 / p), YoungFunction.bump(pp))
+        # regions that cannot attain the sup read -inf
+        table = luxemburg_table(family, grid, v.values ** (-1.0 / p), YoungFunction.bump(pp),
+                                factor=u_side)
     else:
-        v_side = means[1] ** (1.0 / (r * pp))
-    table = means[0] ** (1.0 / (r * p)) * v_side
+        table = u_side * means[1] ** (1.0 / (r * pp))
     # the first region attaining the sup, in [size, center] order
     s, c = np.unravel_index(np.argmax(np.where(counts > 0, table, -np.inf)), table.shape)
     return BumpResult(float(table[s, c]), family.centers[c], family.sizes[s], params.mode)

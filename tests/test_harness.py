@@ -1,16 +1,23 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import amalgam.grid
+import amalgam.orlicz
 import oracles
 from amalgam import (
     BumpParams,
     CaseResult,
     ConfigurationError,
     Corpus,
+    DiscreteFunction,
     ExperimentSpec,
     HypothesisError,
     Kernel,
@@ -18,11 +25,13 @@ from amalgam import (
     Region,
     RegionFamily,
     ThetaModulus,
+    Weight,
     YoungFunction,
     apply_operator,
     bmo_lemma_check,
     bump_check,
     constant_weight,
+    luxemburg_table,
     make_grid,
     power_weight,
     region_family,
@@ -96,6 +105,8 @@ def test_bump_check_unit_weights_exact(small_grid):
     for mode in ("two", "power", "orlicz"):
         res = bump_check(one, one, BumpParams(2.0, 1.5, mode), fam)
         assert res.value == 1.0, mode
+        # every region ties, and the first in [size, center] order is the argmax
+        assert (res.argmax_center, res.argmax_size) == (fam.centers[0], fam.sizes[0]), mode
 
 
 def test_bump_check_power_dominates_two(small_grid):
@@ -149,6 +160,85 @@ def test_bump_check_matches_oracle(where, mode):
                         bump_check(u, v, params, one)
                 else:
                     assert bump_check(u, v, params, one).value == pytest.approx(want[0], rel=1e-9)
+
+
+def _full_table_bump(u, v, params, fam):
+    """The orlicz-mode sup from the full luxemburg_table times the u side: value, center, size."""
+    grid, p, r = u.grid, params.p, params.r
+    sums, counts = amalgam.grid.window_sums(fam, grid, [u.values**r])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_side = (sums[0] / counts) ** (1.0 / (r * p))
+    v_side = luxemburg_table(fam, grid, v.values ** (-1.0 / p), YoungFunction.bump(p / (p - 1.0)))
+    table = np.where(counts > 0, u_side * v_side, -np.inf)
+    best = table.max()
+    # the first region attaining it, in [size, center] order
+    s, c = [int(k[0]) for k in np.nonzero(table == best)]
+    return best, fam.centers[c], fam.sizes[s]
+
+
+PRUNE_GRIDS = {
+    "1d": (make_grid(dim=1, half_width=4.0, points_per_axis=64), "ball"),
+    "2d-ball": (make_grid(dim=2, half_width=2.0, points_per_axis=16), "ball"),
+    "2d-cube": (make_grid(dim=2, half_width=2.0, points_per_axis=16), "cube"),
+}
+
+
+@st.composite
+def bump_weight(draw, grid, vanish):
+    """A positive weight, one or random; with vanish, 5e-324 on a block, where u**r is 0 for r > 1."""
+    n = grid.n_nodes
+    values = draw(st.just(1.0) | hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3))) * np.ones(n)
+    if vanish:
+        lo = draw(st.integers(0, n - 1))
+        values[lo:draw(st.integers(lo + 1, n))] = 5e-324
+    return Weight(DiscreteFunction(grid, values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(PRUNE_GRIDS)),
+    st.sampled_from([(2.0, 1.5), (3.0, 1.0), (1.5, 1.25)]),
+    st.sampled_from([1, 100, 2**14]),
+    st.data(),
+)
+def test_bump_check_prune_changes_no_bit(where, pr, limit, data):
+    grid, shape = PRUNE_GRIDS[where]
+    h = grid.spacing
+    u = data.draw(bump_weight(grid, data.draw(st.booleans())))
+    v = data.draw(bump_weight(grid, False))
+    # lattice centers, and one between nodes whose smallest region holds none;
+    # the sizes reach past the box
+    ax = grid.axis[::3].tolist()
+    centers = [(x,) * grid.dim for x in ax] + [(grid.axis[5] + h / 2,) * grid.dim]
+    fam = region_family(grid, sizes=(h / 4, 0.3, 1.0, 6.0), shape=shape, centers=centers)
+    params = BumpParams(*pr, "orlicz")
+    # batches of one region, of a few, and of all regions of a size share one bar
+    with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+        got = bump_check(u, v, params, fam)
+    want = _full_table_bump(u, v, params, fam)
+    assert (got.value, got.argmax_center, got.argmax_size) == want
+
+
+def test_bump_gate_solves_few_entries(monkeypatch):
+    # the bump gate of the two_weight_2d benchmark on its 128^2 grid: pruned, the
+    # Newton passes and the contract read 0.65 Young evaluations per gathered entry
+    # (0.63 and 0.02); the full table reads 2.30 (1.70 and 0.60)
+    spec = ExperimentSpec("two_weight_strong", dim=2, points=128, kernel_tag="riesz",
+                          u_expr="r**0.3", v_expr="r**0.3", center_stride=8, corpus_n=3)
+    ctx = harness._Context(spec, 128)
+    entries = dict(gathered=0, passes=0, contract=0)
+
+    def counted(name, fn, arg):
+        def call(*args):
+            entries[name] += args[arg].size
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(YoungFunction, "_with_slope", counted("passes", YoungFunction._with_slope, 1))
+    monkeypatch.setattr(YoungFunction, "_values", counted("contract", YoungFunction._values, 1))
+    monkeypatch.setattr(amalgam.orlicz, "_solve", counted("gathered", amalgam.orlicz._solve, 1))
+    bump_check(ctx.u, ctx.v, spec.bump, ctx.family)
+    assert entries["passes"] + entries["contract"] <= 0.7 * entries["gathered"]
 
 
 def test_bump_params_validation():
