@@ -396,15 +396,36 @@ def _family_runs(family: RegionFamily, grid: Grid):
     return tuple(layout)
 
 
+# node entries window_sums reads per chunk: cold endpoint_1d_dense runs (2-vCPU Xeon VM)
+# peaked at 40.2 MB of RSS at 2^14 to 2^16, 41.9 at 2^17 and 46.5 at 2^21 (one chunk)
+_SUM_NODES = 2**16
+
+
 def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, np.ndarray]:
     """Sums of node arrays over every region of the family, and node counts.
 
-    arrays is a sequence of k node arrays.  Returns sums [k, size, center]
-    and counts [size, center]; a region without nodes reads 0 in both.  Each
-    window adds its own entries, or their sums over segments of at most B
-    nodes (_segments), never a difference of prefix sums, so a positive array
-    has a positive sum on every region that holds nodes however widely it ranges.
+    arrays is any iterable of k node arrays, read _SUM_NODES node entries (one
+    array at least) at a time.  Returns sums [k, size, center] and counts
+    [size, center]; a region without nodes reads 0 in both.  Each window adds
+    its own entries, or their sums over segments of at most B nodes
+    (_segments), never a difference of prefix sums, so a positive array has a
+    positive sum on every region that holds nodes however widely it ranges.
     """
+    arrays, per = iter(arrays), max(1, _SUM_NODES // grid.n_nodes)
+    sums = [np.zeros((0, len(family.sizes), len(family.centers)))]
+    while chunk := list(itertools.islice(arrays, per)):
+        sums.append(_chunk_sums(family, grid, chunk))
+        del chunk  # freed, as its buffer was, before the next chunk is made
+    # counted last, so a new layout is built once the first chunk is made: built
+    # before it, endpoint_1d_dense peaked 0.3 MB higher in RSS (bench/run.py)
+    counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
+    for s, first, _, _, n, _, _ in _family_runs(family, grid):
+        counts[s, first:first + n.size] = n
+    return np.concatenate(sums), counts
+
+
+def _chunk_sums(family: RegionFamily, grid: Grid, arrays: list) -> np.ndarray:
+    """The window_sums of a list of node arrays, [k, size, center]."""
     # a trailing zero keeps a run that ends at the last node a valid reduceat index
     padded = np.zeros((len(arrays), grid.n_nodes + 1))
     for row, a in zip(padded, arrays):
@@ -412,7 +433,6 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
             raise ConfigurationError("arrays do not match the grid")
         row[:-1] = a
     sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
-    counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
     for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):
         segments = np.add.reduceat(padded, cuts, axis=1) if cuts.size else padded
         # reduceat sums between consecutive edges and the even slots are the runs;
@@ -421,8 +441,7 @@ def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, n
         owner = np.repeat(np.arange(n.size), np.diff(bounds))
         for k, run_sums in enumerate(runs):
             sums[k, s, first:first + n.size] = np.bincount(owner, run_sums, minlength=n.size)
-        counts[s, first:first + n.size] = n
-    return sums, counts
+    return sums
 
 
 # nodes per batch: a solver pass pays a fixed cost per numpy call, so larger

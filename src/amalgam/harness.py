@@ -102,6 +102,16 @@ class Corpus:
     seed: int
     dim: int
 
+    @staticmethod
+    def check(n: int, seed: int, half_width: float, margin: float) -> None:
+        """Reject n < 1 members, a negative seed, or a margin outside (0, half_width)."""
+        if n < 1:
+            raise ConfigurationError("corpus needs at least one member")
+        if seed < 0:
+            raise ConfigurationError(f"corpus seed must be at least 0, got {seed}")
+        if not (0 < margin < half_width):
+            raise ConfigurationError("corpus margin must lie strictly inside the box")
+
     @classmethod
     def generate(
         cls,
@@ -111,10 +121,7 @@ class Corpus:
         margin: float = 1.0,
         dim: int = 1,
     ) -> "Corpus":
-        if n < 1:
-            raise ConfigurationError("corpus needs at least one member")
-        if not (0 < margin < half_width):
-            raise ConfigurationError("margin must lie strictly inside the box")
+        cls.check(n, seed, half_width, margin)
         rng = np.random.default_rng(seed)
         reach = half_width - margin
         members: List[CorpusMember] = []
@@ -496,13 +503,14 @@ class ExperimentSpec:
         if self.theorem in ("strong", "commutator") and self.p <= 1.0:
             raise ConfigurationError(f"theorem {self.theorem!r} requires p > 1")
         SpaceParams(self.p, self.alpha, self.q)  # needs 1 <= p <= alpha < q
+        Corpus.check(self.corpus_n, self.seed, self.half_width, self.corpus_margin)
 
 
 class _Context:
     """Everything rendered on the grid of spec at points per axis; no other code renders a grid.
 
     The family takes the given centers, or every center_stride-th node when
-    none are given.  The corpus and the bound side of each case render on
+    none are given.  The corpus, its cases and their bound sides render on
     first use, so a plateau gate's grid renders only the weights.
     """
 
@@ -534,28 +542,25 @@ class _Context:
         return bmo_norm(self.b, self.family)
 
     @cached_property
-    def bounds(self) -> List[Tuple[List[str], list, List[float]]]:
-        """(labels, levels lam, bound sides) of each member's cases; no bound depends on eps.
-
-        A member has one case, at lam None, or for the endpoint theorems one
-        per level lam of |f|, bounded by Phi(|f| / lam); a member with f = 0
-        has none.
-        """
-        spec, rhs = self.spec, _CASE_SIDES[self.spec.theorem][1]
+    def cases(self) -> List[Tuple[str, DiscreteFunction, Optional[float]]]:
+        """(label, member f, level lam) of every case, member by member: one at lam
+        None, or for the endpoint theorems one per level lam of |f|, none when f = 0."""
+        if self.spec.theorem not in _LEVEL_THEOREMS:
+            return [(label, f, None) for label, f in self.corpus]
         out = []
         for label, f in self.corpus:
-            if spec.theorem not in _LEVEL_THEOREMS:
-                out.append(([label], [None], _side(self, rhs, [f.values])))
-                continue
-            a = np.abs(f.values)
-            vmax = float(np.max(a))
-            factors = spec.lambda_factors if vmax > 0.0 else ()
-            lams = [factor * vmax for factor in factors]
-            phi = YoungFunction.phi()
-            # the Phi rows are made one at a time, as the norms read them
-            out.append(([f"{label}@x{factor!r}" for factor in factors], lams,
-                        _side(self, rhs, (phi(a / lam) for lam in lams))))
+            vmax = float(np.max(np.abs(f.values)))
+            factors = self.spec.lambda_factors if vmax > 0.0 else ()
+            out += [(f"{label}@x{x!r}", f, x * vmax) for x in factors]
         return out
+
+    @cached_property
+    def bounds(self) -> List[float]:
+        """The bound side of every case, f or Phi(|f| / lam); no bound depends on eps."""
+        phi = YoungFunction.phi()
+        # the rows are made one at a time, as the norms read them
+        return _side(self, _CASE_SIDES[self.spec.theorem][1], (
+            f.values if lam is None else phi(np.abs(f.values) / lam) for _, f, lam in self.cases))
 
 
 def _side(ctx: _Context, side: Tuple[str, str, bool], rows) -> List[float]:
@@ -569,17 +574,20 @@ def _side(ctx: _Context, side: Tuple[str, str, bool], rows) -> List[float]:
 
 def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
     """The cases on ctx at a truncation radius of eps_nodes cells; only the operator side is new."""
-    lhs = _CASE_SIDES[ctx.spec.theorem][0]
-    cases: List[CaseResult] = []
-    for (_, f), (labels, lams, bounds) in zip(ctx.corpus, ctx.bounds):
-        # ctx.b is set exactly for the commutator theorems
-        image = apply_operator(ctx.kernel, f, eps_nodes * ctx.grid.spacing, ctx.b).values
-        if ctx.spec.theorem in _LEVEL_THEOREMS:
-            rows = np.abs(image) > np.array(lams)[:, None]
-        else:
-            rows = [image]
-        cases.extend(CaseResult(*case) for case in zip(labels, _side(ctx, lhs, rows), bounds, lams))
-    return cases
+
+    def rows():
+        # each member's image is rendered once, when the norms first read one of its cases
+        f = image = None
+        for _, member, lam in ctx.cases:
+            if member is not f:
+                # ctx.b is set exactly for the commutator theorems
+                f, image = member, apply_operator(ctx.kernel, member, eps_nodes * ctx.grid.spacing,
+                                                  ctx.b).values
+            yield image if lam is None else np.abs(image) > lam
+
+    lhs = _side(ctx, _CASE_SIDES[ctx.spec.theorem][0], rows())
+    return [CaseResult(label, value, bound, lam)
+            for (label, _, lam), value, bound in zip(ctx.cases, lhs, ctx.bounds)]
 
 
 def _drift(r0: float, r1: float) -> float:

@@ -188,39 +188,31 @@ def outer_weights(grid: Grid, family: RegionFamily, mu: Optional[Weight]):
     return mu.values[grid.node_index(family.centers)] * grid.cell_volume
 
 
-def outer_norm(table: np.ndarray, q: float, weights) -> Tuple[float, int, int]:
+def outer_norm(tables: np.ndarray, q: float, weights) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """l^q(weights) over the centers of each size, then the sup over sizes.
 
-    table is indexed [size, center].  Returns the value, the index of the
-    size attaining it, and the index of the largest entry in that size.
+    tables is indexed [..., size, center], a stack of tables or one.  Returns,
+    over the leading axes, the value, the index of the first size with the
+    largest l^q sum, and the index of the first largest entry in that size.
+    The root is monotone, so it is taken once, after the sup.
     """
-    best = -math.inf
-    best_size = best_center = 0
-    for s, row in enumerate(table):
-        k = int(np.argmax(row))
-        if math.isinf(q):
-            outer = float(row[k])
-        else:
-            outer = float(np.sum(row**q * weights)) ** (1.0 / q)
-        if outer > best:
-            best = outer
-            best_size = s
-            best_center = k
-    return best, best_size, best_center
-
-
-# node entries per window_sums call of the strong variant: a 1D grid sums u and
-# every row in one call, a 2D 512^2 grid u and seven rows, then the rest
-_SUM_NODES = 2**21
+    centers = np.argmax(tables, axis=-1)
+    outer = tables.max(axis=-1) if math.isinf(q) else np.sum(tables**q * weights, axis=-1)
+    sizes = np.argmax(outer, axis=-1)
+    value = outer.max(axis=-1)
+    if not math.isinf(q):
+        # Python's scalar pow: numpy's vectorized power differs from it in the last bit
+        value = np.asarray(np.frompyfunc(pow, 2, 1)(value, 1.0 / q), dtype=float)
+    return value, sizes, np.take_along_axis(centers, sizes[..., None], axis=-1)[..., 0]
 
 
 def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult]:
     """The amalgam norm of each node array in rows, in one pass over the family.
 
-    The strong variant sums the inner-weight mass and every |row|^p u in
-    window_sums calls of _SUM_NODES node entries, u in the first, each array
-    on its own; weak and llogl take one batched table per row.  Every row
-    then goes through outer_norm on its own.
+    rows is any iterable, read once.  The strong variant sums the inner-weight
+    mass and every |row|^p u in one window_sums call; weak and llogl take the
+    mass there and one batched table per row.  The [row, size, center] stack
+    of tables goes through outer_norm at once.
     """
     for side, weight in (("inner", spec.inner_weight), ("outer", spec.outer_weight)):
         if weight is not None and weight.grid != grid:
@@ -230,24 +222,19 @@ def amalgam_norms(grid: Grid, rows, spec: AmalgamSpec) -> List[AmalgamNormResult
     cell = grid.cell_volume
     u = np.ones(grid.n_nodes) if spec.inner_weight is None else spec.inner_weight.values
     if spec.variant == "strong":
-        arrays = itertools.chain([u], (np.abs(r) ** params.p * u for r in rows))
-        per = max(1, _SUM_NODES // grid.n_nodes)
-        sums = np.concatenate([window_sums(fam, grid, chunk)[0] for chunk in
-                               iter(lambda: list(itertools.islice(arrays, per)), [])])
+        sums = window_sums(fam, grid, itertools.chain([u], (np.abs(r) ** params.p * u
+                                                             for r in rows)))[0]
         inners = (cell * sums[1:]) ** (1.0 / params.p)
     else:
-        sums, _ = window_sums(fam, grid, [u])
-        inners = [_inner_table(grid, r, spec, cell * u) for r in rows]
+        sums = window_sums(fam, grid, [u])[0]
+        inners = np.array([_inner_table(grid, r, spec, cell * u) for r in rows])
+        inners = inners.reshape(-1, *sums.shape[1:])
     expo = params.llogl_exponent if spec.variant == "llogl" else params.strong_exponent
-    mass = cell * sums[0]
-    weights = outer_weights(grid, fam, spec.outer_weight)
-    results = []
-    for inner in inners:
-        # inner > 0 only on regions that hold nodes, whose u-mass is positive
-        table = np.power(mass, expo, out=np.zeros(mass.shape), where=inner > 0.0) * inner
-        value, s, c = outer_norm(table, params.q, weights)
-        results.append(AmalgamNormResult(value, fam.sizes[s], fam.centers[c]))
-    return results
+    # inner > 0 only on regions that hold nodes, whose u-mass is positive
+    tables = np.power(cell * sums[0], expo, out=np.zeros(inners.shape), where=inners > 0.0) * inners
+    value, s, c = outer_norm(tables, params.q, outer_weights(grid, fam, spec.outer_weight))
+    return [AmalgamNormResult(v, fam.sizes[i], fam.centers[j])
+            for v, i, j in zip(value.tolist(), s.tolist(), c.tolist())]
 
 
 def _inner_table(grid: Grid, values: np.ndarray, spec: AmalgamSpec, m: np.ndarray) -> np.ndarray:

@@ -448,6 +448,19 @@ def test_verify_rejects_points_below_the_half_grid_gate(tmp_path, capsys):
     assert "got 8" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("corpus_n", 0, "corpus needs at least one member"),
+    ("corpus_margin", 4.0, "corpus margin must lie strictly inside the box"),
+    ("seed", -1, "corpus seed must be at least 0"),
+], ids=["no-member", "margin", "negative-seed"])
+def test_verify_rejects_a_bad_corpus_before_the_gates(tmp_path, capsys, field, value, message):
+    # the weight is outside the class, so its plateau gate would fail first
+    experiment = dict(VERIFY_CFG["experiment"], weights={"w": "r**-1.5"}, **{field: value})
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})
+    assert main(["verify", "strong", "--config", cfg, "--strict"]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theorem, field, value, message", [
     ("strong", "shape", "triangle", "shape must be 'ball' or 'cube'"),
     ("strong", "sizes", [0.0, 1.0], "every region size positive"),

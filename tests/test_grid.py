@@ -1,4 +1,5 @@
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -468,3 +469,35 @@ def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
     assert np.array_equal(sums, want)
     # the 1D runs of 0.5 and 1.3 are long enough for blocks, the 2D rows are not
     assert used == ({1, 16, 32} if dim == 1 else {1})
+
+
+def test_window_sums_hold_one_chunk_of_a_generator(monkeypatch, small_grid):
+    # with a budget of four node arrays, nine arrays made one at a time are
+    # summed once four, eight and nine have been made, an array of an earlier
+    # chunk is released before the next chunk's first is made, and the sums
+    # are bit for bit those of one chunk
+    fam = region_family(small_grid, (0.5, 1.0), center_stride=16)
+    values = np.random.default_rng(5).normal(size=(9, small_grid.n_nodes))
+    made = []
+
+    def arrays():
+        for i, v in enumerate(values):
+            assert all(ref() is None for ref in made[:i - i % 4])
+            a = v.copy()
+            made.append(weakref.ref(a))
+            yield a
+            del a
+
+    pulled = []
+    chunk_sums = amalgam.grid._chunk_sums
+    monkeypatch.setattr(amalgam.grid, "_chunk_sums",
+                        lambda *args: pulled.append(len(made)) or chunk_sums(*args))
+    monkeypatch.setattr(amalgam.grid, "_SUM_NODES", 4 * small_grid.n_nodes)
+    sums, counts = window_sums(fam, small_grid, arrays())
+    assert pulled == [4, 8, 9]
+    monkeypatch.undo()
+    whole, whole_counts = window_sums(fam, small_grid, values)
+    assert np.array_equal(sums, whole) and np.array_equal(counts, whole_counts)
+    assert sums.shape == (9, 2, len(fam.centers))
+    empty, empty_counts = window_sums(fam, small_grid, iter(()))
+    assert empty.shape == (0, 2, len(fam.centers)) and np.array_equal(empty_counts, counts)

@@ -398,6 +398,22 @@ def test_each_kernel_spectrum_is_built_once(monkeypatch, theorem, dim):
     assert info.misses == len(set(keys)) < len(keys)
 
 
+@pytest.mark.parametrize("corpus_n", [3, 6])
+@pytest.mark.parametrize("theorem", ["strong", "weak", "endpoint", "two_weight_commutator"])
+def test_one_norm_call_per_side_per_pass(monkeypatch, theorem, corpus_n):
+    # both sides on the base grid, the image side of the truncation halving and
+    # both sides of refinement level 1, whatever the corpus size; each pass
+    # renders each member's image once, the endpoint levels included
+    norms, images = [], []
+    amalgam_norms, apply = harness.amalgam_norms, harness.apply_operator
+    monkeypatch.setattr(harness, "amalgam_norms", lambda *a: norms.append(a) or amalgam_norms(*a))
+    monkeypatch.setattr(harness, "apply_operator", lambda *a: images.append(a) or apply(*a))
+    report = theorem_experiment(tiny_spec(theorem, corpus_n=corpus_n))
+    assert len(norms) == 5
+    assert len(images) == 3 * corpus_n
+    assert len(report.cases) == corpus_n * (9 if theorem == "endpoint" else 1)
+
+
 @pytest.mark.parametrize("theorem", ["weak", "endpoint"])
 def test_odd_eps_nodes_halves_to_the_two_node_floor(theorem):
     # eps_nodes = 3 halves to 1, below the floor of 2 cells, so the pass runs at 2

@@ -18,6 +18,10 @@ EmptyRegionWarning, for single regions as for families.
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
 
+Only grid.py chunks the node arrays of ``window_sums``: no other module that
+names ``window_sums`` names ``islice``, or reads a numeric module constant in
+a function that calls ``window_sums``.
+
 Every case side of harness.py is one ``amalgam_norms`` call: harness.py names
 no ``local_lp_norm`` or ``local_weak_lp_norm``.
 
@@ -229,6 +233,57 @@ def test_node_batches_ref_is_caught():
     assert _refs(tree, _BATCHES) == [(1, "node_batches"), (4, "node_batches"), (6, "node_batches")]
     grid_py = ast.parse((PACKAGE / "grid.py").read_text())
     assert {name for _, name in _refs(grid_py, _BATCHES)} == set(_BATCHES)
+
+
+def _is_number(node) -> bool:
+    if isinstance(node, ast.BinOp):
+        return _is_number(node.left) and _is_number(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _is_number(node.operand)
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
+def _chunking(tree: ast.Module):
+    """(line, name) of each islice in a module that names window_sums, and of each
+    module-level numeric constant read in window_sums or a function that calls it."""
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    if "window_sums" not in _names(tree) | {fn.name for fn in functions}:
+        return []
+    constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 and _is_number(node.value) for t in node.targets if isinstance(t, ast.Name)}
+    found = set(_refs(tree, ("islice",)))
+    for fn in functions:
+        if fn.name == "window_sums" or any(
+                isinstance(n, ast.Call) and "window_sums" in _names(n.func) for n in ast.walk(fn)):
+            found.update((n.lineno, n.id) for n in ast.walk(fn)
+                         if isinstance(n, ast.Name) and n.id in constants)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "grid.py"), ids=lambda p: p.name
+)
+def test_only_grid_chunks_window_sums(path):
+    found = _chunking(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
+
+
+def test_chunking_next_to_window_sums_is_caught():
+    tree = ast.parse(
+        "import itertools\n"
+        "from itertools import islice\n"
+        "_SUM_NODES = 2**21\n"
+        "_VARIANT = 'strong'\n"
+        "def norms(fam, grid, arrays):\n"
+        "    per = max(1, _SUM_NODES // grid.n_nodes)\n"
+        "    return grid_mod.window_sums(fam, grid, list(itertools.islice(arrays, per))), _VARIANT\n"
+        "def blocks(grid):\n"
+        "    return _SUM_NODES // grid.n_nodes\n"
+    )
+    assert _chunking(tree) == [(2, "islice"), (6, "_SUM_NODES"), (7, "islice")]
+    assert _chunking(ast.parse("from itertools import islice\n_SUM_NODES = 2**21\n")) == []
+    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
+    assert {name for _, name in _chunking(grid_py)} == {"islice", "_SUM_NODES"}
 
 
 _BOX_NORMS = ("local_lp_norm", "local_weak_lp_norm")

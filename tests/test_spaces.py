@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import amalgam.grid
 import oracles
 from amalgam import (
     AmalgamSpec,
@@ -191,22 +192,33 @@ def test_amalgam_variants_match_brute(small_grid, spill_families_2d, rng, varian
 
 
 def test_strong_rows_sum_in_chunks_of_unchanged_values(monkeypatch, small_grid, rng):
-    # nine rows, as the endpoint levels pass them: one window_sums call with u
-    # under the default budget, and with a budget of four node arrays u and
-    # three rows, then four rows, then two, every norm bit for bit the same
+    # nine rows, as the endpoint levels pass them: one window_sums call, which
+    # sums u and every row in one chunk under the default budget, and with a
+    # budget of four node arrays u and three rows, then four rows, then two,
+    # every norm bit for bit the same
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
     w = weight_from_expression("r**0.3", small_grid)
     spec = AmalgamSpec(SpaceParams(1.0, 4.0, 8.0), fam, w, None)
     rows = list(rng.normal(size=(9, small_grid.n_nodes)))
-    calls = []
-    sums = spaces.window_sums
-    monkeypatch.setattr(spaces, "window_sums",
-                        lambda *args: calls.append(len(args[2])) or sums(*args))
+    calls, chunks = [], []
+    sums, chunk_sums = spaces.window_sums, amalgam.grid._chunk_sums
+    monkeypatch.setattr(spaces, "window_sums", lambda *args: calls.append(args) or sums(*args))
+    monkeypatch.setattr(amalgam.grid, "_chunk_sums",
+                        lambda *args: chunks.append(len(args[2])) or chunk_sums(*args))
     whole = amalgam_norms(small_grid, iter(rows), spec)
-    monkeypatch.setattr(spaces, "_SUM_NODES", 4 * small_grid.n_nodes)
+    monkeypatch.setattr(amalgam.grid, "_SUM_NODES", 4 * small_grid.n_nodes)
     chunked = amalgam_norms(small_grid, iter(rows), spec)
-    assert calls == [10, 4, 4, 2]
+    assert len(calls) == 2
+    assert chunks == [10, 4, 4, 2]
     assert chunked == whole
+
+
+@pytest.mark.parametrize("variant, p", [("strong", 2.0), ("weak", 2.0), ("llogl", 1.0)])
+def test_amalgam_norms_of_no_rows(small_grid, variant, p):
+    # an endpoint member with f = 0 has no levels, and so adds no rows
+    fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
+    spec = AmalgamSpec(SpaceParams(p, 4.0, 8.0), fam, None, None, variant)
+    assert amalgam_norms(small_grid, iter(()), spec) == []
 
 
 def test_amalgam_with_outer_weight(small_grid, rng):
@@ -267,13 +279,17 @@ def test_amalgam_homogeneous(small_grid, rng):
 
 
 @st.composite
-def outer_tables(draw):
-    """A [size, center] table of local values with per-center outer weights."""
+def outer_tables(draw, stack=0):
+    """A [size, center] table of local values, or a stack of 1 to stack of them,
+    with per-center outer weights."""
     sizes = draw(st.integers(1, 4))
     centers = draw(st.integers(1, 6))
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     row = st.lists(entry, min_size=centers, max_size=centers)
-    table = np.array(draw(st.lists(row, min_size=sizes, max_size=sizes)))
+    table = st.lists(row, min_size=sizes, max_size=sizes)
+    if stack:
+        table = st.lists(table, min_size=1, max_size=stack)
+    table = np.array(draw(table))
     weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=centers, max_size=centers)))
     return table, weights
 
@@ -281,11 +297,49 @@ def outer_tables(draw):
 Q_VALUES = st.sampled_from([1.0, 2.0, 4.0, 8.0, math.inf])
 
 
-@given(outer_tables(), Q_VALUES, st.floats(0.01, 100.0))
+@given(st.one_of(outer_tables(), outer_tables(stack=4)), Q_VALUES, st.floats(0.01, 100.0))
 def test_outer_norm_homogeneous(tw, q, c):
     table, weights = tw
     scaled = outer_norm(c * table, q, weights)[0]
     assert scaled == pytest.approx(c * outer_norm(table, q, weights)[0], rel=1e-12, abs=0.0)
+
+
+def _outer_reference(tables, q, weights):
+    """outer_norm table by table and size by size: the first size with the largest l^q sum."""
+    found = []
+    for table in tables:
+        sums = [float(row.max() if math.isinf(q) else np.sum(row**q * weights)) for row in table]
+        s = sums.index(max(sums))
+        value = sums[s] if math.isinf(q) else sums[s] ** (1.0 / q)
+        found.append((value, s, int(np.argmax(table[s]))))
+    return found
+
+
+@given(outer_tables(stack=4), Q_VALUES)
+def test_outer_norm_of_a_stack_matches_a_loop_over_its_tables(tw, q):
+    tables, weights = tw
+    value, s, k = outer_norm(tables, q, weights)
+    assert value.shape == s.shape == k.shape == (len(tables),)
+    assert list(zip(value.tolist(), s.tolist(), k.tolist())) == _outer_reference(tables, q, weights)
+    for i, table in enumerate(tables):
+        one = outer_norm(table, q, weights)
+        assert [x.shape for x in one] == [(), (), ()]
+        assert (float(one[0]), int(one[1]), int(one[2])) == (value[i], s[i], k[i])
+
+
+@pytest.mark.parametrize("q", [2.0, 8.0, math.inf])
+def test_outer_norm_ties_go_to_the_first_size_and_center(q):
+    # every row holds its largest entry twice; under a finite q the middle row
+    # has the smallest sum, its first 3 carrying weight 1, and the other two tie
+    table = np.array([[1.0, 3.0, 3.0, 0.5], [3.0, 1.0, 3.0, 0.5], [1.0, 3.0, 3.0, 0.5]])
+    weights = np.array([1.0, 2.0, 2.0, 1.0])
+    stack = np.stack([table, table[[1, 0, 2]]])
+    value, s, k = outer_norm(stack, q, weights)
+    assert list(zip(value.tolist(), s.tolist(), k.tolist())) == _outer_reference(stack, q, weights)
+    if math.isinf(q):
+        assert (s.tolist(), k.tolist()) == ([0, 0], [1, 0])
+    else:
+        assert (s.tolist(), k.tolist()) == ([0, 1], [1, 1])
 
 
 @given(outer_tables())
