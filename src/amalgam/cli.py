@@ -314,9 +314,6 @@ def _build_experiment(theorem: str, block, seed: Optional[int]) -> ExperimentSpe
     kwargs = _read(weights, ExperimentSpec, "experiment.weights", _WEIGHT_FIELDS)
     names = {f.name for f in fields(ExperimentSpec)} - _WEIGHT_FIELDS
     kwargs.update(_read(block, ExperimentSpec, "experiment", names))
-    if "alpha" not in block and kwargs["p"] is not None:
-        # only the default alpha follows p; a p left to the theorem is at most 2
-        kwargs["alpha"] = max(kwargs["alpha"], kwargs["p"])
     if seed is not None:
         kwargs["seed"] = seed
     return ExperimentSpec(theorem, **kwargs)

@@ -13,7 +13,7 @@ outside the theory, not as a counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -59,27 +59,21 @@ __all__ = [
     "THEOREMS",
 ]
 
-# theorem -> (lhs, rhs), each side an amalgam norm given as (variant, inner
-# weight, scaled by the BMO norm of b).  The lhs reads the image row, or for
-# the endpoint theorems the indicators of |image| > lam at each level lam;
-# the rhs reads f, or Phi(|f| / lam).  The outer measure is always mu.
-_CASE_SIDES = {
-    "strong": (("strong", "w", False), ("strong", "w", False)),
-    "weak": (("weak", "w", False), ("strong", "w", False)),
-    "commutator": (("strong", "w", False), ("strong", "w", True)),
-    "endpoint": (("strong", "w", False), ("strong", "w", False)),
-    "two_weight_weak": (("weak", "u", False), ("strong", "v", False)),
-    "two_weight_endpoint": (("strong", "u", False), ("strong", "v", False)),
-    "two_weight_strong": (("strong", "u", False), ("strong", "v", False)),
-    "two_weight_commutator": (("strong", "u", False), ("strong", "v", True)),
+# theorem -> (lhs, rhs, image, p rule), each side an amalgam norm given as (variant, inner
+# weight, scaled by the BMO norm of b) with outer measure mu; an lhs weight u makes a
+# two-weight theorem.  The lhs reads the image: T f, [b, T] f, or the indicators of
+# |[b, T] f| > lam at each level lam, where the rhs reads Phi(|f| / lam) in place of f.
+_THEOREMS = {
+    "strong": (("strong", "w", False), ("strong", "w", False), "T f", "> 1"),
+    "weak": (("weak", "w", False), ("strong", "w", False), "T f", "= 1"),
+    "commutator": (("strong", "w", False), ("strong", "w", True), "[b, T] f", "> 1"),
+    "endpoint": (("strong", "w", False), ("strong", "w", False), "levels", "= 1"),
+    "two_weight_weak": (("weak", "u", False), ("strong", "v", False), "T f", ">= 1"),
+    "two_weight_endpoint": (("strong", "u", False), ("strong", "v", False), "levels", "= 1"),
+    "two_weight_strong": (("strong", "u", False), ("strong", "v", False), "T f", "> 1"),
+    "two_weight_commutator": (("strong", "u", False), ("strong", "v", True), "[b, T] f", "> 1"),
 }
-THEOREMS = tuple(_CASE_SIDES)
-
-_P1_THEOREMS = ("weak", "endpoint", "two_weight_endpoint")
-_COMMUTATOR_THEOREMS = ("commutator", "endpoint", "two_weight_endpoint", "two_weight_commutator")
-_TWO_WEIGHT_THEOREMS = tuple(t for t, (lhs, _) in _CASE_SIDES.items() if lhs[1] == "u")
-# the theorems whose cases are the levels lam of each member
-_LEVEL_THEOREMS = ("endpoint", "two_weight_endpoint")
+THEOREMS = tuple(_THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -281,14 +275,14 @@ class RatioReport:
 
 @dataclass(frozen=True)
 class BumpParams:
-    """Parameters of a two-weight bump condition."""
+    """Parameters of a two-weight bump condition; p None reads 2."""
 
-    p: float = 2.0
+    p: Optional[float] = None
     r: float = 1.5
     mode: str = "orlicz"
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        if self.p is not None and self.p <= 1.0:
             raise ConfigurationError("bump conditions need p > 1")
         if self.r < 1.0:
             raise ConfigurationError("bump conditions need r >= 1")
@@ -322,7 +316,7 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     if u.grid != v.grid:
         raise ConfigurationError("bump weights live on different grids")
     grid = u.grid
-    p = params.p
+    p = 2.0 if params.p is None else params.p
     pp = p / (p - 1.0)
     r = 1.0 if params.mode == "two" else params.r
     powers = [u.values**r] + ([] if params.mode == "orlicz" else [v.values ** ((1.0 - pp) * r)])
@@ -453,8 +447,9 @@ class ExperimentSpec:
     Weights and the corpus are kept as expressions so refinement re-renders
     everything on the finer grid.  eps_nodes fixes the truncation radius in
     grid cells (at least 2), which keeps the operator well defined on every
-    grid in a refinement chain.  p defaults by theorem: 1 for weak, endpoint
-    and two_weight_endpoint, which require it, and 2 otherwise.
+    grid in a refinement chain.  p defaults to 1 where the theorem's p rule is
+    p = 1 and to 2 otherwise, and alpha to max(2.5, p).  A two-weight theorem
+    at p > 1 checks its bump at that p, which a bump.p that is set must equal.
     """
 
     theorem: str
@@ -466,7 +461,7 @@ class ExperimentSpec:
     riesz_component: int = 0
     eps_nodes: int = 4
     p: Optional[float] = None
-    alpha: float = 2.5
+    alpha: Optional[float] = None
     q: float = 8.0
     w_expr: str = "1.0"
     u_expr: str = "1.0"
@@ -496,12 +491,17 @@ class ExperimentSpec:
                 f"points must be at least 16, since every theorem's plateau gate "
                 f"also runs on a half grid of points // 2; got {self.points}"
             )
+        (_, weight, _), _, _, rule = _THEOREMS[self.theorem]
         if self.p is None:
-            object.__setattr__(self, "p", 1.0 if self.theorem in _P1_THEOREMS else 2.0)
-        if self.theorem in _P1_THEOREMS and self.p != 1.0:
-            raise ConfigurationError(f"theorem {self.theorem!r} requires p = 1")
-        if self.theorem in ("strong", "commutator") and self.p <= 1.0:
-            raise ConfigurationError(f"theorem {self.theorem!r} requires p > 1")
+            object.__setattr__(self, "p", 1.0 if rule == "= 1" else 2.0)
+        if not {"= 1": self.p == 1.0, "> 1": self.p > 1.0, ">= 1": self.p >= 1.0}[rule]:
+            raise ConfigurationError(f"theorem {self.theorem!r} requires p {rule}, got {self.p!r}")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", max(2.5, self.p))
+        if weight == "u" and self.p > 1.0:
+            if self.bump.p not in (None, self.p):
+                raise ConfigurationError(f"bump.p = {self.bump.p!r} differs from p = {self.p!r}")
+            object.__setattr__(self, "bump", replace(self.bump, p=self.p))
         SpaceParams(self.p, self.alpha, self.q)  # needs 1 <= p <= alpha < q
         Corpus.check(self.corpus_n, self.seed, self.half_width, self.corpus_margin)
 
@@ -516,6 +516,7 @@ class _Context:
 
     def __init__(self, spec: ExperimentSpec, points: int, centers: Optional[tuple] = None):
         self.spec = spec
+        self.lhs, self.rhs, self.image, _ = _THEOREMS[spec.theorem]
         self.grid = grid = Grid(spec.dim, spec.half_width, points)
         self.kernel = Kernel(
             spec.kernel_tag, grid.dim, spec.theta, component=spec.riesz_component
@@ -527,7 +528,7 @@ class _Context:
         self.u = weight_from_expression(spec.u_expr, grid)
         self.v = weight_from_expression(spec.v_expr, grid)
         self.mu = None if spec.mu_expr is None else weight_from_expression(spec.mu_expr, grid)
-        self.b = sample(spec.b_expr, grid) if spec.theorem in _COMMUTATOR_THEOREMS else None
+        self.b = None if self.image == "T f" else sample(spec.b_expr, grid)
 
     @cached_property
     def corpus(self) -> List[Tuple[str, DiscreteFunction]]:
@@ -545,7 +546,7 @@ class _Context:
     def cases(self) -> List[Tuple[str, DiscreteFunction, Optional[float]]]:
         """(label, member f, level lam) of every case, member by member: one at lam
         None, or for the endpoint theorems one per level lam of |f|, none when f = 0."""
-        if self.spec.theorem not in _LEVEL_THEOREMS:
+        if self.image != "levels":
             return [(label, f, None) for label, f in self.corpus]
         out = []
         for label, f in self.corpus:
@@ -559,12 +560,12 @@ class _Context:
         """The bound side of every case, f or Phi(|f| / lam); no bound depends on eps."""
         phi = YoungFunction.phi()
         # the rows are made one at a time, as the norms read them
-        return _side(self, _CASE_SIDES[self.spec.theorem][1], (
+        return _side(self, self.rhs, (
             f.values if lam is None else phi(np.abs(f.values) / lam) for _, f, lam in self.cases))
 
 
 def _side(ctx: _Context, side: Tuple[str, str, bool], rows) -> List[float]:
-    """The amalgam norms of the rows on ctx for one entry of _CASE_SIDES."""
+    """The amalgam norms of the rows on ctx for one side of a _THEOREMS row."""
     variant, weight, bmo = side
     params = SpaceParams(ctx.spec.p, ctx.spec.alpha, ctx.spec.q)
     space = AmalgamSpec(params, ctx.family, getattr(ctx, weight), ctx.mu, variant)
@@ -580,12 +581,12 @@ def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
         f = image = None
         for _, member, lam in ctx.cases:
             if member is not f:
-                # ctx.b is set exactly for the commutator theorems
+                # ctx.b is set exactly for the images of [b, T]
                 f, image = member, apply_operator(ctx.kernel, member, eps_nodes * ctx.grid.spacing,
                                                   ctx.b).values
             yield image if lam is None else np.abs(image) > lam
 
-    lhs = _side(ctx, _CASE_SIDES[ctx.spec.theorem][0], rows())
+    lhs = _side(ctx, ctx.lhs, rows())
     return [CaseResult(label, value, bound, lam)
             for (label, _, lam), value, bound in zip(ctx.cases, lhs, ctx.bounds)]
 
@@ -620,7 +621,7 @@ def _gates(half: _Context, ctx: _Context, double: _Context) -> List[HypothesisRe
     spec = ctx.spec
     gates: List[HypothesisResult] = []
     di = dini_integrals(spec.theta)
-    if spec.theorem in _COMMUTATOR_THEOREMS:
+    if ctx.image != "T f":
         ok = di.converged
         detail = f"dini={di.dini!r}, log_dini={di.log_dini!r}"
     else:
@@ -628,7 +629,7 @@ def _gates(half: _Context, ctx: _Context, double: _Context) -> List[HypothesisRe
         detail = f"dini={di.dini!r}"
     gates.append(HypothesisResult("dini_modulus", ok, detail, (di.dini, di.log_dini)))
     contexts = (half, ctx, double)
-    if spec.theorem in _TWO_WEIGHT_THEOREMS:
+    if ctx.lhs[1] == "u":
         gates.append(_plateau_gate("bump_plateau", contexts,
                                    lambda c: bump_check(c.u, c.v, spec.bump, c.family).value))
     else:
@@ -654,6 +655,18 @@ def _max_rel_drift(base: List[CaseResult], other: List[CaseResult]) -> float:
                default=0.0)
 
 
+def _passes(spec: ExperimentSpec, refinements: int, eps_stability: bool) -> list:
+    """(key, run, other run) of each stability pass; a run is (grid level k, eps_nodes), and
+    level k has points << k nodes per axis.  A refinement doubles eps_nodes with the points,
+    so the physical truncation radius stays fixed and the drift isolates discretization error."""
+    if refinements < 0:
+        raise ConfigurationError(f"refinements must be at least 0, got {refinements}")
+    e = spec.eps_nodes
+    rows = [("epsilon_halving", (0, e), (0, max(2, e // 2)))] if eps_stability and e > 2 else []
+    return rows + [("grid_refinement" if k == 1 else f"grid_refinement_{k}",
+                    (k - 1, e << (k - 1)), (k, e << k)) for k in range(1, refinements + 1)]
+
+
 def theorem_experiment(
     spec: ExperimentSpec,
     refinements: int = 1,
@@ -665,10 +678,8 @@ def theorem_experiment(
     Gates are computed first; with strict=True a failing gate raises
     HypothesisError, otherwise the report carries the failure and the
     cases are still evaluated so divergence studies can see the numbers.
-    Stability deltas re-run the cases with the truncation halved and on a
-    chain of `refinements` grid doublings: grid_refinement is the drift of
-    the first refinement against the base grid, grid_refinement_k that of
-    refinement k against refinement k - 1.  The region centers are fixed
+    Stability deltas are the _max_rel_drift of the two runs of each _passes
+    row, and each run is evaluated once.  The region centers are fixed
     once, every center_stride-th node of the base grid, and every pass and
     plateau gate evaluates those same centers, so a refinement changes how
     finely each region is sampled and nothing else.  The outer weight stays
@@ -678,32 +689,23 @@ def theorem_experiment(
     pass reuses the base grid's bound sides, and refinement level 1 runs
     on the gates' double grid.
     """
+    passes = _passes(spec, refinements, eps_stability)
     ctx = _Context(spec, spec.points)
     centers = ctx.family.centers
-    fine = _Context(spec, spec.points * 2, centers)
+    fine = {1: _Context(spec, spec.points * 2, centers)}
     # the half grid's context is read by the gates only, and released with them
-    gates = _gates(_Context(spec, spec.points // 2, centers), ctx, fine)
+    gates = _gates(_Context(spec, spec.points // 2, centers), ctx, fine[1])
     if strict:
         for g in gates:
             if not g.passed:
                 raise HypothesisError(g.name, g.detail)
-    cases = _run_cases(ctx, spec.eps_nodes)
-
-    stability: dict = {}
-    if eps_stability and spec.eps_nodes > 2:
-        half_cases = _run_cases(ctx, max(2, spec.eps_nodes // 2))
-        stability["epsilon_halving"] = _max_rel_drift(cases, half_cases)
-    coarse_cases = cases
-    for level in range(1, refinements + 1):
-        # level 1 runs on the gates' double grid; double eps_nodes with the
-        # point count so the physical truncation radius stays fixed and the
-        # delta isolates discretization error
-        fine = fine or _Context(spec, spec.points << level, centers)
-        fine_cases = _run_cases(fine, spec.eps_nodes << level)
-        fine = None  # a level's context is released once its cases are in
-        key = "grid_refinement" if level == 1 else f"grid_refinement_{level}"
-        stability[key] = _max_rel_drift(coarse_cases, fine_cases)
-        coarse_cases = fine_cases
+    runs: dict = {}
+    for k, eps_nodes in [(0, spec.eps_nodes)] + [run for _, *pair in passes for run in pair]:
+        if (k, eps_nodes) not in runs:
+            # level 1 is the gates' double grid; a refined context is released once its run is in
+            level = (fine.pop(k, None) or _Context(spec, spec.points << k, centers)) if k else ctx
+            runs[k, eps_nodes] = _run_cases(level, eps_nodes)
+    stability = {key: _max_rel_drift(runs[a], runs[b]) for key, a, b in passes}
 
     metadata = {
         "dim": spec.dim,
@@ -726,7 +728,7 @@ def theorem_experiment(
     }
     return RatioReport(
         experiment=spec.theorem,
-        cases=tuple(cases),
+        cases=tuple(runs[0, spec.eps_nodes]),
         hypotheses=tuple(gates),
         metadata=metadata,
         stability=stability,

@@ -440,6 +440,35 @@ def test_verify_alpha_follows_p_only_by_default(tmp_path, capsys):
     assert "need 1 <= p <= alpha" in capsys.readouterr().err
 
 
+TWO_WEIGHT_P1 = {"points": 1024, "p": 1.0, "center_stride": 64,
+                 "weights": {"u": "r**0.3", "v": "r**0.3"}}
+
+
+@pytest.mark.parametrize("theorem", ["strong", "commutator", "two_weight_strong",
+                                     "two_weight_commutator"])
+def test_verify_strong_type_theorems_need_p_above_one(tmp_path, capsys, theorem):
+    # the two-weight forms ran at p = 1 with every gate ok and a max ratio of 0.873
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": TWO_WEIGHT_P1})
+    assert main(["verify", theorem, "--config", cfg, "--refine", "0", "--no-eps-stability"]) == 1
+    assert "requires p > 1, got 1.0" in capsys.readouterr().err
+
+
+def test_verify_bump_p_must_match_the_theorem_p(tmp_path, capsys):
+    # at p = 3 the bump gate runs at 3, so a bump.p of 2 contradicts the theorem
+    experiment = dict(TWO_WEIGHT_P1, p=3.0, alpha=4.0, bump={"p": 2.0})
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})
+    assert main(["verify", "two_weight_strong", "--config", cfg, "--refine", "0"]) == 1
+    assert "bump.p = 2.0 differs from p = 3.0" in capsys.readouterr().err
+    experiment["bump"] = {"p": 3.0}
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})
+    out_dir = tmp_path / "run"
+    run = ["--refine", "0", "--no-eps-stability", "--out", str(out_dir)]
+    assert main(["verify", "two_weight_strong", "--config", cfg, *run]) == 0
+    gate = json.loads((out_dir / "report.json").read_text())["hypotheses"][1]
+    assert gate["name"] == "bump_plateau"
+    assert gate["values"][1] == pytest.approx(1.0822, abs=1e-4)  # 1.1697 at p = 2
+
+
 def test_verify_rejects_points_below_the_half_grid_gate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "v.json", {"experiment": dict(VERIFY_CFG["experiment"], points=8)})
     assert main(["verify", "strong", "--config", cfg, "--refine", "0"]) == 1
@@ -505,3 +534,13 @@ def test_readme_side_table_lists_the_theorems():
     table = readme.split("\n| tag | lhs | rhs |\n", 1)[1].split("\n\n", 1)[0]
     rows = table.splitlines()[1:]  # below the |---| rule
     assert [row.split("`")[1] for row in rows] == list(THEOREMS)
+
+
+def test_readme_theorem_table_matches_the_theorem_rows():
+    from amalgam.harness import _THEOREMS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| tag | p | image | estimate shape |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in row.split("|")[1:4]] for row in table.splitlines()[1:]]
+    assert rows == [[f"`{theorem}`", f"p {rule}", image]
+                    for theorem, (_, _, image, rule) in _THEOREMS.items()]

@@ -327,6 +327,64 @@ def test_experiment_p_defaults_by_theorem():
     assert ExperimentSpec("two_weight_strong", p=3.0, alpha=4.0).p == 3.0
 
 
+def test_experiment_alpha_follows_p_only_by_default():
+    # an unset alpha read 2.5, so ExperimentSpec("strong", p=3.0) was rejected
+    assert ExperimentSpec("strong").alpha == 2.5
+    assert ExperimentSpec("strong", p=3.0).alpha == 3.0
+    assert ExperimentSpec("two_weight_weak", p=1.5).alpha == 2.5
+    with pytest.raises(ConfigurationError, match="need 1 <= p <= alpha"):
+        ExperimentSpec("strong", p=3.0, alpha=2.0)
+
+
+@pytest.mark.parametrize("theorem, p, bump_p", [
+    ("two_weight_strong", 3.0, 3.0), ("two_weight_commutator", 1.5, 1.5),
+    ("two_weight_weak", 2.0, 2.0), ("two_weight_weak", 1.0, None),
+    ("two_weight_endpoint", 1.0, None), ("strong", 3.0, None),
+])
+def test_two_weight_bump_takes_the_theorem_p_above_one(theorem, p, bump_p):
+    assert ExperimentSpec(theorem, p=p).bump.p == bump_p
+    # bump.p stays in use at p = 1, and must agree with p above it
+    if bump_p is None:
+        assert ExperimentSpec(theorem, p=p, bump=BumpParams(3.5)).bump.p == 3.5
+    else:
+        assert ExperimentSpec(theorem, p=p, bump=BumpParams(p)).bump.p == p
+        with pytest.raises(ConfigurationError, match=f"bump.p = 3.5 differs from p = {p!r}"):
+            ExperimentSpec(theorem, p=p, bump=BumpParams(3.5))
+
+
+def test_bump_gate_runs_at_the_theorem_p():
+    # the gate read bump.p = 2 at every p
+    spec = tiny_spec("two_weight_strong", p=3.0, u_expr="r**0.3", v_expr="r**0.3")
+    report = theorem_experiment(spec, refinements=0, eps_stability=False)
+    gate = next(h for h in report.hypotheses if h.name == "bump_plateau")
+    ctx = harness._Context(spec, spec.points)
+    at = {p: bump_check(ctx.u, ctx.v, BumpParams(p), ctx.family).value for p in (2.0, 3.0)}
+    assert gate.values[1] == at[3.0] != at[2.0]
+
+
+def test_experiment_rejects_negative_refinements():
+    # refinements=-1 reported no grid_refinement, where the CLI's --refine rejects it
+    with pytest.raises(ConfigurationError, match="refinements must be at least 0, got -1"):
+        theorem_experiment(tiny_spec("strong"), refinements=-1)
+
+
+def test_a_pass_is_added_through_the_table_alone(monkeypatch):
+    spec = tiny_spec("strong", eps_nodes=8)
+    passes, run_cases = harness._passes, harness._run_cases
+    monkeypatch.setattr(harness, "_passes",
+                        lambda *a: passes(*a) + [("eps_quarter", (0, 8), (0, 8 // 4))])
+    runs = []
+    monkeypatch.setattr(harness, "_run_cases", lambda ctx, n: runs.append(
+        (ctx.grid.points_per_axis, n)) or run_cases(ctx, n))
+    report = theorem_experiment(spec)
+    # the base run, the truncation halving, refinement level 1 and the new run, each once
+    assert runs == [(512, 8), (512, 4), (1024, 16), (512, 2)]
+    ctx = harness._Context(spec, spec.points)
+    direct = _max_rel_drift(run_cases(ctx, 8), run_cases(ctx, 2))
+    assert report.stability["eps_quarter"] == direct > 0.0
+    assert set(report.stability) == {"epsilon_halving", "grid_refinement", "eps_quarter"}
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ConfigurationError):
         ExperimentSpec("nope")

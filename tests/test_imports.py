@@ -25,6 +25,12 @@ a function that calls ``window_sums``.
 Every case side of harness.py is one ``amalgam_norms`` call: harness.py names
 no ``local_lp_norm`` or ``local_weak_lp_norm``.
 
+The theorems are plain data in harness.py: only the ``_THEOREMS`` table names
+a theorem in a comparison or a literal.  Elsewhere no ``theorem`` is compared
+with anything but the table (no ``theorem in (...)`` or ``theorem == "..."``),
+no theorem name is compared, and no tuple, list, set or dict holds two theorem
+names.  Likewise only ``_passes`` names a key of ``report.stability``.
+
 Only ``harness._Context`` renders a grid in harness.py: no other code there
 builds a Grid or a region family, or renders a weight, a symbol or the
 corpus (``Corpus.realize`` samples the members for it).
@@ -45,11 +51,14 @@ over a megabyte of resident memory in every process).
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from amalgam.harness import THEOREMS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "amalgam"
 
@@ -306,6 +315,106 @@ def test_box_norm_in_harness_is_caught():
     from amalgam import spaces  # the guarded names still exist, so the guard is not vacuous
 
     assert all(callable(getattr(spaces, name, None)) for name in _BOX_NORMS)
+
+
+def _is_theorem(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "theorem") or (
+        isinstance(node, ast.Attribute) and node.attr == "theorem")
+
+
+def _theorem_names(node) -> int:
+    """How many theorem names node is, or its literal tuple, list, set or dict holds."""
+    items = getattr(node, "elts", None) or getattr(node, "keys", None) or [node]
+    return sum(isinstance(n, ast.Constant) and n.value in THEOREMS for n in items)
+
+
+def _theorem_forks(tree: ast.Module, owner="_THEOREMS"):
+    """(line, scope) of each comparison that reads a theorem, and each literal that
+    holds two theorem names, outside the assignment of owner."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == owner
+                                                for t in node.targets):
+            return
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            others = [s for s in sides if not _is_theorem(s)]
+            to_table = all(getattr(s, "id", None) in ("THEOREMS", owner) for s in others)
+            if any(map(_theorem_names, sides)) or (len(others) < len(sides) and not to_table):
+                found.append((node.lineno, scope))
+        elif _theorem_names(node) >= 2:
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_harness_reads_theorems_from_the_table():
+    found = _theorem_forks(ast.parse((PACKAGE / "harness.py").read_text()))
+    assert not found, ", ".join(f"harness.py:{line} in {scope}" for line, scope in found)
+
+
+def test_theorem_fork_is_caught():
+    tree = ast.parse(
+        "_THEOREMS = {'strong': ('strong', 'w'), 'weak': ('weak', 'w')}\n"
+        "_P1 = ('weak', 'endpoint')\n"
+        "_SIDES = {'strong': 1, 'commutator': 2}\n"
+        "class Spec:\n"
+        "    def check(self):\n"
+        "        if self.theorem not in THEOREMS or theorem in _THEOREMS:\n"
+        "            return self.theorem in _P1\n"
+        "        return theorem == 'strong' or 'weak' != kind or variant in ('weak', 'x')\n"
+    )
+    assert _theorem_forks(tree) == [(2, ""), (3, ""), (7, "Spec.check")] + [(8, "Spec.check")] * 3
+    harness_py = ast.parse((PACKAGE / "harness.py").read_text())
+    assert [scope for _, scope in _theorem_forks(harness_py, owner=None)] == [""]  # the table
+
+
+_STABILITY_KEY = re.compile(r"(epsilon_halving|grid_refinement)(_\d*)?")
+
+
+def _stability_keys(tree: ast.Module, owner="_passes"):
+    """(line, key) of each string naming a stability key, or the prefix of one,
+    outside the function owner."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                _STABILITY_KEY.fullmatch(node.value)):
+            found.append((node.lineno, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(found)
+
+
+def test_only_the_pass_table_names_stability_keys():
+    found = _stability_keys(ast.parse((PACKAGE / "harness.py").read_text()))
+    assert not found, ", ".join(f"harness.py:{line} {key}" for line, key in found)
+
+
+def test_stability_key_outside_the_pass_table_is_caught():
+    tree = ast.parse(
+        "def _passes(spec):\n"
+        "    return [('epsilon_halving', (0, 4), (0, 2))]\n"
+        "def theorem_experiment(spec, level):\n"
+        "    stability = {'epsilon_halving': 0.0}\n"
+        "    key = 'grid_refinement' if level == 1 else f'grid_refinement_{level}'\n"
+        "    return stability, key, 'grid refinement drift'\n"
+    )
+    assert _stability_keys(tree) == [(4, "epsilon_halving"), (5, "grid_refinement"),
+                                     (5, "grid_refinement_")]
+    harness_py = ast.parse((PACKAGE / "harness.py").read_text())
+    assert {key for _, key in _stability_keys(harness_py, owner=None)} == {
+        "epsilon_halving", "grid_refinement", "grid_refinement_"}
 
 
 _RENDERERS = ("Grid", "region_family", "weight_from_expression", "sample", "generate")
