@@ -178,14 +178,23 @@ def _kernel_spectrum(kernel: Kernel, grid: Grid, epsilon: float) -> np.ndarray:
     last-axis rfft a block of lattice rows at a time, then the first axis's
     fft a block of columns at a time.  A verify run reads each spectrum in
     one stretch, so the cache keeps the last two.
+
+    In 2D the offsets satisfy m[2n - r] = -m[r] exactly, and every kernel is
+    odd along its component axis and even along the other, so lattice row
+    2n - r, and its rfft, is row r times -1 (component 0) or 1, up to the
+    sign of a zero.  Only rows 0..n are evaluated; rows n+1..2n-1 are copied
+    from rows n-1..1.  A kernel added later must keep that parity (a radial
+    factor does) or build every row.  In 1D there is one row and nothing is
+    copied.
     """
     n = grid.points_per_axis
     m = np.concatenate([np.arange(n), np.arange(-n, 0)]) * grid.spacing
     n_rows = (2 * n) ** (grid.dim - 1)
+    built = min(n_rows, n + 1)
     rows = None
     per = max(1, _BLOCK // (2 * n))
-    for r in range(0, n_rows, per):
-        k = min(per, n_rows - r)
+    for r in range(0, built, per):
+        k = min(per, built - r)
         # a row's leading offset is m[row] in 2D; the one 1D row has none
         diff = np.empty((k, 2 * n, grid.dim))
         diff[..., :-1] = m[r:r + k, None, None]
@@ -199,6 +208,7 @@ def _kernel_spectrum(kernel: Kernel, grid: Grid, epsilon: float) -> np.ndarray:
             # the system, and a 1D 16384 verify strong took three times the page faults
             rows = np.empty((n_rows, n + 1), dtype=complex)
         np.fft.rfft(lattice, out=rows[r:r + k])
+    np.multiply(rows[n - 1:0:-1], -1.0 if kernel.component == 0 else 1.0, out=rows[n + 1:])
     spectrum = rows.reshape((2 * n,) * (grid.dim - 1) + (n + 1,))
     cols = max(1, _BLOCK // n_rows)
     for c in range(0, n + 1, cols):

@@ -3,7 +3,9 @@
 Luxemburg norms are taken in averaged form: the infimum over lam > 0 of
 the mass-weighted average of Y(|f|/lam) staying at or below one.  With
 Y(t) = t^p this reproduces the averaged L^p norm, and the averaged form
-is the one that enters the local space estimates.
+is the one that enters the local space estimates.  Without a weight every
+node's mass is the cell volume, which the average cancels: the solve then
+reads masses None, and its sums run over the values alone.
 
 One solver computes them, for one region or a whole family at once: in
 s = 1/lam, G(s) = avg Y(s|f|) is convex and increasing, and Newton from
@@ -15,9 +17,10 @@ the nodes with s0 |f| < 1 are summed once, and both loops read the rest.
 
 A family's solve keeps every intermediate as long as a batch of node
 values in one work array of seven rows: |f| scaled to max 1 (a), the
-Jensen sum's terms, the kept nodes' a, and four rows for Y(t), t Y'(t), the
-lift 1 + log+ t and the derivative's factor.  A pass reads only t = s a,
-and only its broadcast of s, made by np.repeat, is new.
+Jensen sum's terms and then the kept nodes' masses (unused when the masses
+are None), the kept nodes' a, and four rows for Y(t), t Y'(t), the lift
+1 + log+ t and the derivative's factor.  A pass reads only t = s a, and
+only its broadcast of s, made by np.repeat, is new.
 
 A sup over the family of a factor times the norm (the bump condition)
 needs only the regions that can attain it.  Each Newton pass bounds
@@ -187,10 +190,11 @@ def luxemburg_norm(
 
     Returns lam with avg_B Y(|f|/lam) <= 1 while lam (1 - 1e-10) breaks it,
     the average weighted by the optional weight times the cell volume.  So
-    Holder-type products built from lam stay valid bounds.
+    Holder-type products built from lam stay valid bounds.  Without a weight
+    the solve reads no masses, as in luxemburg_table.
     """
     return region_statistic(f, region, weight, lambda a, m, counts, starts: _solve(
-        Y, np.abs(a), m, counts))
+        Y, np.abs(a), None if weight is None else m, counts))
 
 
 def luxemburg_table(
@@ -198,30 +202,36 @@ def luxemburg_table(
 ) -> np.ndarray:
     """luxemburg_norm of node values on every region of a family, as [size, center].
 
-    A region without nodes reads 0.  Given factor, a [size, center] table, the
-    table holds factor times the norm, bit for bit, on every region where that
-    product can attain its max over the family, and -inf on the others: a
-    region leaves the solve once a Newton pass bounds its product below a
-    lower bound that some region of the family, in any batch, has reached.
+    A region without nodes reads 0.  Without a weight every mass is the cell
+    volume, so only the values are gathered and the solve reads masses None.
+    Given factor, a [size, center] table, the table holds factor times the
+    norm, bit for bit, on every region where that product can attain its max
+    over the family, and -inf on the others: a region leaves the solve once a
+    Newton pass bounds its product below a lower bound that some region of
+    the family, in any batch, has reached.
     """
-    arrays = [np.abs(np.asarray(values, dtype=np.float64)), node_masses(grid, weight)]
+    arrays = [np.abs(np.asarray(values, dtype=np.float64))]
+    if weight is not None:
+        arrays.append(node_masses(grid, weight))
     # one work array serves every batch; only the pages a batch uses are touched
     work = np.empty((_SOLVE_ROWS, grid.n_nodes))
     bar = np.full(1, -np.inf)
 
-    def solve(a, m, *rest):
+    def solve(a, *rest):
         nonlocal work
-        *entries, counts, _ = rest
+        *rows, counts, _ = rest  # the masses if weighted, then the factor entries
+        m = None if weight is None else rows.pop(0)
         if work.shape[1] < a.size:  # a batch of overlapping regions can outnumber the nodes
             work = np.empty((_SOLVE_ROWS, a.size))
-        return _solve(Y, a, m, counts, work, entries[0] if entries else None, bar)
+        return _solve(Y, a, m, counts, work, rows[0] if rows else None, bar)
 
     tables = () if factor is None else (factor,)
     return batch_table(family, grid, arrays, solve, tables=tables)[0]
 
 
-# work rows of _solve: |f| / max|f|; the Jensen terms, then the kept masses; the
-# kept |f| / max|f|; Y._with_slope's four, the first of them also the contract's
+# work rows of _solve: |f| / max|f|; the Jensen terms, then the kept masses (unused
+# when the masses are None); the kept |f| / max|f|; Y._with_slope's four, the first
+# of them also the contract's
 _SOLVE_ROWS = 7
 # Newton's last step: once a step moves s by at most this share of s, the
 # trial is the root to rounding, since the next step would be about its square
@@ -232,11 +242,14 @@ _PRUNE_MARGIN = 1e-9
 
 
 def _shrink(keep, counts, *entries):
-    """The segments where keep holds: their counts, and their part of each entry array."""
+    """The segments where keep holds: their counts, and their part of each entry array.
+
+    An entry None (equal masses) stays None.
+    """
     if keep.all():
         return (counts,) + entries
     rows = np.repeat(keep, counts)
-    return (counts[keep],) + tuple(x[rows] for x in entries)
+    return (counts[keep],) + tuple(None if x is None else x[rows] for x in entries)
 
 
 # inf / inf where exp overflows is part of the solve, and so is a division by
@@ -245,16 +258,16 @@ def _shrink(keep, counts, *entries):
 def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> np.ndarray:
     """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m.
 
-    Every full-length intermediate goes into the _SOLVE_ROWS rows of work, at
-    least a.size wide, or of a new array when work is not given.  Given factor,
-    one per segment, and bar, a one-entry array, it returns factor times the
-    norms, -inf on the segments _newton drops below bar, and raises bar to
-    the largest value it returns.
+    m None means equal masses: every product with m is skipped, and a
+    segment's total mass is its node count.  Every full-length intermediate
+    goes into the _SOLVE_ROWS rows of work, at least a.size wide, or of a new
+    array when work is not given.  Given factor, one per segment, and bar, a
+    one-entry array, it returns factor times the norms, -inf on the segments
+    _newton drops below bar, and raises bar to the largest value it returns.
     """
     lam = np.zeros(counts.size)
     # entries without mass drop out, and so do segments without any
-    pos = m > 0
-    if not pos.all():
+    if m is not None and not (pos := m > 0).all():
         counts = np.diff(np.concatenate(([0], np.cumsum(pos)))[np.cumsum(counts)], prepend=0)
         a, m = a[pos], m[pos]
     if work is None:
@@ -262,7 +275,8 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
     ids = np.flatnonzero(counts)
     counts = counts[ids]
     starts = np.cumsum(counts) - counts
-    total, top = np.add.reduceat(m, starts), np.maximum.reduceat(a, starts)
+    total = counts.astype(np.float64) if m is None else np.add.reduceat(m, starts)
+    top = np.maximum.reduceat(a, starts)
     # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0 and drops out
     flat = top == np.minimum.reduceat(a, starts)
     lam[ids[flat]] = top[flat] / Y.unit_argument
@@ -272,7 +286,8 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
     starts = np.cumsum(counts) - counts
     # lam scales with f, so the solve runs on |f| / max|f|, from the Jensen start s0
     a = np.divide(a, np.repeat(top, counts), out=work[0, :a.size])
-    s0 = Y.unit_argument * total / np.add.reduceat(np.multiply(a, m, out=work[1, :a.size]), starts)
+    jensen = a if m is None else np.multiply(a, m, out=work[1, :a.size])
+    s0 = Y.unit_argument * total / np.add.reduceat(jensen, starts)
     q, below = Y.power_below_one, np.zeros(counts.size)
     if q is None:  # exp: every node stays in the solve
         q = 1.0
@@ -285,12 +300,14 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
         t *= a
         keep = t >= 1.0
         np.copyto(_power(t, q, t), 0.0, where=keep)
-        t *= m
+        if m is not None:
+            t *= m
         below = np.add.reduceat(t, starts)
         kept = np.flatnonzero(keep)
         counts = np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)
         a = np.take(a, kept, out=work[2, :kept.size], mode="clip")  # "clip" writes out unbuffered
-        m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
+        if m is not None:
+            m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
     if not flat.all():
         c, a_s, m_s = _shrink(~flat, counts, a, m)
         scale = None if factor is None else factor[ids[~flat]] * top[~flat]
@@ -307,7 +324,8 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
         t = np.repeat(s, counts)
         t *= a
         terms = Y._values(t, work[3, :a.size])
-        terms *= m
+        if m is not None:
+            terms *= m
         G = (np.add.reduceat(terms, np.cumsum(counts) - counts) + below * (s / s0) ** q) / total
         fails = ~(G <= 1.0)
         if not fails.any():
@@ -338,10 +356,11 @@ def _newton(
     bisection.  The relative steps shrink quadratically (1e-2, 1e-4, 1e-8),
     so a finite-slope step of at most _STEP_STOP times s ends it at its trial.
 
-    a and m are the kept nodes; below sums (s0 a)^q m over the rest.  Each
-    pass spreads s over the segments with np.repeat into t = s a, has Y(t)
-    and t Y'(t) written into the four rows of work, and sums them, times m,
-    per segment.  It runs under _solve's errstate.
+    a and m are the kept nodes, m None for equal masses; below sums
+    (s0 a)^q m over the rest.  Each pass spreads s over the segments with
+    np.repeat into t = s a, has Y(t) and t Y'(t) written into the four rows
+    of work, and sums them, times m, per segment.  It runs under _solve's
+    errstate.
 
     Given scale, factor max|f| per segment, and the one-entry bar, each pass
     also bounds factor lam = scale / root (_bounds), raises bar to the best
@@ -357,7 +376,8 @@ def _newton(
         t *= a
         out = work[:4, :a.size]
         Y._with_slope(t, out)
-        out[:2] *= m
+        if m is not None:
+            out[:2] *= m
         mass, slope = np.add.reduceat(out[:2], starts, axis=1)
         rest = below * (s / s0) ** q
         mass, slope = mass + rest, slope + q * rest

@@ -235,6 +235,18 @@ def test_small_blocks_match_full_lattice(fresh_spectra, monkeypatch, dim, n, k):
     _blocked_matches_full_lattice(dim, n, k, seed=n + 1)
 
 
+@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES, ids=BLOCKED_IDS)
+def test_spectrum_evaluates_half_the_lattice(fresh_spectra, monkeypatch, dim, n, k):
+    # 2D rows n+1..2n-1 mirror rows n-1..1, so only rows 0..n are evaluated; 1D has one row
+    offsets = []
+    pointwise = Kernel.pointwise
+    monkeypatch.setattr(Kernel, "pointwise", lambda self, diff: (
+        offsets.append(diff.size // self.dim) or pointwise(self, diff)))
+    g = make_grid(dim=dim, points_per_axis=n)
+    operators._kernel_spectrum(k, g, 3.0 * g.spacing)
+    assert sum(offsets) == (n + 1) * 2 * n if dim == 2 else 2 * n
+
+
 def test_spectrum_build_holds_a_few_blocks(fresh_spectra):
     g = make_grid(dim=2, points_per_axis=256)
     tracemalloc.start()

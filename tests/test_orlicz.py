@@ -308,6 +308,8 @@ TABLE_GRIDS = {
     "1d": make_grid(dim=1, half_width=4.0, points_per_axis=64),
     "2d-ball": make_grid(dim=2, half_width=2.0, points_per_axis=16),
     "2d-cube": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+    # cell volume (6 / 16)^2 = 9 / 64, not a power of two
+    "2d-ball-3": make_grid(dim=2, half_width=3.0, points_per_axis=16),
 }
 
 
@@ -490,6 +492,78 @@ def test_luxemburg_split_in_work_rows_allocates_no_float_row(monkeypatch, Y):
     finally:
         tracemalloc.stop()
     assert peak < 3.17 * 8 * n
+
+
+# (grid, exact): the cell volumes 2^-6 and 2^-4 scale every mass exactly, and 9 / 64 does not
+EQUAL_MASS_GRIDS = [((1, 4.0, 64), True), ((2, 2.0, 16), True), ((2, 3.0, 16), False)]
+
+
+@pytest.mark.parametrize("grid_args, exact", EQUAL_MASS_GRIDS, ids=["1d-w4", "2d-w2", "2d-w3"])
+@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_unweighted_table_is_the_unit_weight_table(grid_args, exact, Y):
+    # without a weight the solve reads no masses; a unit weight reads h^dim at every node
+    dim, half_width, n = grid_args
+    grid = make_grid(dim=dim, half_width=half_width, points_per_axis=n)
+    rng = np.random.default_rng(n)
+    vals = np.where(rng.random(grid.n_nodes) < 0.2, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes) ** 4 * 3.0)
+    fam = region_family(grid, sizes=(0.3, 1.0, 6.0), shape="ball", center_stride=3)
+    ones = np.ones(grid.n_nodes)
+    got, want = (luxemburg_table(fam, grid, vals, Y, w) for w in (None, ones))
+    if not exact:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        return
+    assert np.array_equal(got, want)
+    # the bump gate's pruned table too, which reads the same bounds
+    factor = rng.uniform(0.5, 2.0, got.shape)
+    got, want = (luxemburg_table(fam, grid, vals, Y, w, factor=factor) for w in (None, ones))
+    assert np.array_equal(got, want)
+
+
+def test_unweighted_table_gathers_only_the_values(monkeypatch):
+    grid = make_grid(dim=2, half_width=2.0, points_per_axis=16)
+    fam = region_family(grid, sizes=(0.5, 1.0), shape="ball", center_stride=3)
+    vals = sample("r**-0.15", grid).values
+    batch_table, solve, node_masses = (
+        amalgam.orlicz.batch_table, amalgam.orlicz._solve, amalgam.orlicz.node_masses)
+
+    def run(weight):
+        """(node arrays batch_table gathers, masses each _solve reads, node_masses calls)."""
+        gathered, masses, calls = [], [], []
+        monkeypatch.setattr(amalgam.orlicz, "batch_table", lambda family, grid, arrays, *rest, **kw: (
+            gathered.append(len(arrays)) or batch_table(family, grid, arrays, *rest, **kw)))
+        monkeypatch.setattr(amalgam.orlicz, "_solve", lambda Y, a, m, *rest: (
+            masses.append(m) or solve(Y, a, m, *rest)))
+        monkeypatch.setattr(amalgam.orlicz, "node_masses", lambda *args: (
+            calls.append(1) or node_masses(*args)))
+        luxemburg_table(fam, grid, vals, YoungFunction.bump(2.0), weight)
+        return gathered, masses, len(calls)
+
+    gathered, masses, calls = run(None)
+    assert gathered == [1] and calls == 0 and masses and all(m is None for m in masses)
+    gathered, masses, calls = run(np.ones(grid.n_nodes))
+    assert gathered == [2] and calls == 1 and masses and all(m is not None for m in masses)
+
+
+@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+def test_luxemburg_equal_masses_allocate_less(Y):
+    # the 2^15-entry batch of the work-row test: with masses None no shrink
+    # copies a mass row, and unit masses give the same norms bit for bit
+    n = 2**15
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.0, 1.0, n) ** 4 * 3.0
+    counts = np.full(32, n // 32)
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, n))
+    norms, peaks = [], []
+    for m in (np.ones(n), None):
+        norms.append(amalgam.orlicz._solve(Y, a, m, counts, work))
+        tracemalloc.start()
+        try:
+            amalgam.orlicz._solve(Y, a, m, counts, work)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(*norms)
+    assert peaks[1] < peaks[0]
 
 
 @pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
