@@ -7,13 +7,14 @@ varying fastest.
 
 Only this module turns regions into nodes.  A region is a set of flat
 [start, stop) node runs: one in 1D, one per grid row in 2D.  Nodes are read
-two ways: window_sums adds node arrays run by run over a whole family, which
-is how the linear family statistics (masses, L^p sums, level masses) are
+two ways: window_sums adds, or takes the minimum of, node arrays run by run
+over a whole family, which is how the statistics made of window sums and a
+window minimum (masses, L^p sums, level masses, the A_p characteristic) are
 computed; and batch_table evaluates a nonlinear statistic (Luxemburg norm,
-weak L^p, mean oscillation, A_p characteristic) on node values gathered
-once per batch of node_batches, many regions at once.  A statistic on one
-region is a batch_table over a family of one (region_statistic), and
-spread_max puts the largest value of the regions holding a node on it.
+weak L^p, mean oscillation) on node values gathered once per batch of
+node_batches, many regions at once.  A statistic on one region is a
+batch_table over a family of one (region_statistic), and spread_max puts the
+largest value of the regions holding a node on it.
 """
 
 from __future__ import annotations
@@ -401,47 +402,65 @@ def _family_runs(family: RegionFamily, grid: Grid):
 _SUM_NODES = 2**16
 
 
-def window_sums(family: RegionFamily, grid: Grid, arrays) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of node arrays over every region of the family, and node counts.
+def window_sums(
+    family: RegionFamily, grid: Grid, arrays, reduce=np.add, warn: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums, or minima, of node arrays over every region of the family, and node counts.
 
     arrays is any iterable of k node arrays, read _SUM_NODES node entries (one
-    array at least) at a time.  Returns sums [k, size, center] and counts
-    [size, center]; a region without nodes reads 0 in both.  Each window adds
-    its own entries, or their sums over segments of at most B nodes
-    (_segments), never a difference of prefix sums, so a positive array has a
-    positive sum on every region that holds nodes however widely it ranges.
+    array at least) at a time; reduce is np.add (sums) or np.minimum (minima).
+    Returns the reductions [k, size, center] and counts [size, center]; a
+    region without nodes reads 0 in both, with an EmptyRegionWarning when warn
+    is set.  Each window reduces its own entries, or their reductions over
+    segments of at most B nodes (_segments), never a difference of prefix
+    sums, so a positive array has a positive sum on every region that holds
+    nodes however widely it ranges.
     """
     arrays, per = iter(arrays), max(1, _SUM_NODES // grid.n_nodes)
     sums = [np.zeros((0, len(family.sizes), len(family.centers)))]
     while chunk := list(itertools.islice(arrays, per)):
-        sums.append(_chunk_sums(family, grid, chunk))
+        sums.append(_chunk_sums(family, grid, chunk, reduce))
         del chunk  # freed, as its buffer was, before the next chunk is made
     # counted last, so a new layout is built once the first chunk is made: built
     # before it, endpoint_1d_dense peaked 0.3 MB higher in RSS (bench/run.py)
     counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
     for s, first, _, _, n, _, _ in _family_runs(family, grid):
         counts[s, first:first + n.size] = n
-    return np.concatenate(sums), counts
+    sums = np.concatenate(sums)
+    sums[:, counts == 0] = 0.0  # the minimum starts at +inf
+    if warn:
+        _warn_empty(counts)
+    return sums, counts
 
 
-def _chunk_sums(family: RegionFamily, grid: Grid, arrays: list) -> np.ndarray:
+def _chunk_sums(family: RegionFamily, grid: Grid, arrays: list, reduce) -> np.ndarray:
     """The window_sums of a list of node arrays, [k, size, center]."""
-    # a trailing zero keeps a run that ends at the last node a valid reduceat index
+    # a trailing zero keeps a run that ends at the last node a valid reduceat
+    # index; no run holds it, so the minimum never sees it
     padded = np.zeros((len(arrays), grid.n_nodes + 1))
     for row, a in zip(padded, arrays):
         if np.shape(a) != (grid.n_nodes,):
             raise ConfigurationError("arrays do not match the grid")
         row[:-1] = a
-    sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
+    start = 0.0 if reduce is np.add else np.inf
+    sums = np.full((len(arrays), len(family.sizes), len(family.centers)), start)
     for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):
-        segments = np.add.reduceat(padded, cuts, axis=1) if cuts.size else padded
-        # reduceat sums between consecutive edges and the even slots are the runs;
+        segments = reduce.reduceat(padded, cuts, axis=1) if cuts.size else padded
+        # reduceat reduces between consecutive edges and the even slots are the runs;
         # in start order an odd slot is short, in center order it spans most of a row
-        runs = np.add.reduceat(segments, edges, axis=1)[:, ::2][:, place]
+        runs = reduce.reduceat(segments, edges, axis=1)[:, ::2][:, place]
         owner = np.repeat(np.arange(n.size), np.diff(bounds))
-        for k, run_sums in enumerate(runs):
-            sums[k, s, first:first + n.size] = np.bincount(owner, run_sums, minlength=n.size)
+        for k, run_values in enumerate(runs):
+            # unbuffered: each region takes its run values in center then row order
+            reduce.at(sums[k, s, first:first + n.size], owner, run_values)
     return sums
+
+
+def _warn_empty(counts: np.ndarray) -> None:
+    """The EmptyRegionWarning of a family statistic whose counts hold a zero."""
+    if not counts.all():
+        warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
+                      EmptyRegionWarning, stacklevel=4)
 
 
 # nodes per batch: a solver pass pays a fixed cost per numpy call, so larger
@@ -489,9 +508,8 @@ def batch_table(
             entries = [t[s, first + held] for t in tables]
             # no name holds the gathered rows, so they are freed before the next batch
             table[s, first + held] = value(*[a[idx] for a in arrays], *entries, n, np.cumsum(n) - n)
-    if warn and not counts.all():
-        warnings.warn(f"skipping {np.count_nonzero(counts == 0)} empty regions",
-                      EmptyRegionWarning, stacklevel=3)
+    if warn:
+        _warn_empty(counts)
     return table, counts
 
 

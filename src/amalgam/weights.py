@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily, batch_table, window_sums
+from .grid import DiscreteFunction, Grid, RegionFamily, window_sums
 
 __all__ = [
     "Weight",
@@ -80,18 +80,16 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
     """
     if p < 1:
         raise ConfigurationError("muckenhoupt characteristic needs p >= 1")
-
-    def characteristic(wb, counts, starts):
-        m1 = np.add.reduceat(wb, starts) / counts
-        if p == 1.0:
-            return m1 / np.minimum.reduceat(wb, starts)
-        m2 = np.add.reduceat(wb ** (-1.0 / (p - 1.0)), starts) / counts
-        return m1 * m2 ** (p - 1.0)
-
-    table, counts = batch_table(family, w.grid, [w.values], characteristic, warn=True)
+    arrays = [w.values] if p == 1.0 else [w.values, w.values ** (-1.0 / (p - 1.0))]
+    sums, counts = window_sums(family, w.grid, arrays, warn=True)
     if not counts.any():
         raise PreconditionError("every region in the family is empty")
-    return float(table.max())
+    held = counts > 0
+    avg = sums[:, held] / counts[held]
+    if p == 1.0:
+        low = window_sums(family, w.grid, arrays, np.minimum)[0][0, held]
+        return float((avg[0] / low).max())
+    return float((avg[0] * avg[1] ** (p - 1.0)).max())
 
 
 @dataclass(frozen=True)

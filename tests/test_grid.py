@@ -307,9 +307,15 @@ def test_region_runs_select_reference_nodes(case):
     got = region.node_indices(grid)
     assert np.array_equal(got, want)
     one = RegionFamily(region.shape, (region.center,), (region.size,))
-    sums, counts = window_sums(one, grid, [np.arange(grid.n_nodes, dtype=float)])
-    assert counts[0, 0] == want.size
-    assert sums[0, 0, 0] == float(np.sum(want))
+    # node indices, in order and shuffled: sums and minima of integers are exact
+    arrays = [np.arange(grid.n_nodes, dtype=float),
+              np.random.default_rng(grid.n_nodes).permutation(grid.n_nodes).astype(float)]
+    sums, counts = window_sums(one, grid, arrays)
+    mins, min_counts = window_sums(one, grid, arrays, np.minimum)
+    assert counts[0, 0] == min_counts[0, 0] == want.size
+    for k, arr in enumerate(arrays):
+        assert sums[k, 0, 0] == float(np.sum(arr[want]))
+        assert mins[k, 0, 0] == (arr[want].min() if want.size else 0.0)
 
 
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
@@ -375,6 +381,8 @@ def long_run_families(draw):
 def test_blocked_window_sums_match_fsum(case):
     grid, fam, arrays = case
     sums, counts = window_sums(fam, grid, arrays)
+    mins, min_counts = window_sums(fam, grid, arrays, np.minimum)
+    assert np.array_equal(min_counts, counts)
     assert max(entry[6][0] for entry in amalgam.grid._family_runs(fam, grid)) > 1
     for s, size in enumerate(fam.sizes):
         for c, center in enumerate(fam.centers):
@@ -384,6 +392,7 @@ def test_blocked_window_sums_match_fsum(case):
                 want = math.fsum(arr[idx].tolist())
                 assert sums[k, s, c] == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert (sums[k, s, c] > 0.0) == (want > 0.0)
+                assert mins[k, s, c] == (arr[idx].min() if idx.size else 0.0)
 
 
 @pytest.mark.parametrize("limit", [1, 100, 2**14])

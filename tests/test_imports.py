@@ -12,8 +12,12 @@ names ``node_batches``, so no statistic outside grid.py sees a node index
 ``spread_max`` writes region values back onto the nodes).  Inside grid.py
 every statistic reads its nodes through the family layer: grid.py calls no
 ``.node_indices(`` either (``Region.node_indices`` is kept as the tests'
-reference), and ``batch_table`` is the one site that issues an
-EmptyRegionWarning, for single regions as for families.
+reference), and ``_warn_empty`` is the one site that issues an
+EmptyRegionWarning, for ``batch_table`` and ``window_sums`` alike, for single
+regions as for families.
+
+The A_p characteristic is made of window sums and a window minimum: weights.py
+names no ``batch_table``, so it gathers no node values.
 
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
@@ -158,7 +162,7 @@ def test_only_grid_reads_region_nodes(path):
 
 def test_grid_reads_region_nodes_through_the_family_layer():
     found = _node_reads(ast.parse((PACKAGE / "grid.py").read_text()))
-    assert [(scope, what) for _, scope, what in found] == [("batch_table", "EmptyRegionWarning")]
+    assert [(scope, what) for _, scope, what in found] == [("_warn_empty", "EmptyRegionWarning")]
 
 
 def test_region_node_read_is_caught():
@@ -217,6 +221,23 @@ def test_outer_aggregation_ref_is_caught():
     assert _refs(tree, _OUTER) == [(1, "outer_norm"), (4, "outer_weights"), (5, "outer_norm")]
     spaces_py = ast.parse((PACKAGE / "spaces.py").read_text())
     assert {name for _, name in _refs(spaces_py, _OUTER)} == set(_OUTER)
+
+
+def test_weights_gather_no_node_values():
+    found = _refs(ast.parse((PACKAGE / "weights.py").read_text()), ("batch_table",))
+    assert not found, ", ".join(f"weights.py:{line} {name}" for line, name in found)
+
+
+def test_batch_table_in_weights_is_caught():
+    tree = ast.parse(
+        "from .grid import RegionFamily, batch_table\n"
+        "from . import grid\n"
+        "def characteristic(w, p, family):\n"
+        "    return grid.batch_table(family, w.grid, [w.values], min)[0].max()\n"
+    )
+    assert _refs(tree, ("batch_table",)) == [(1, "batch_table"), (4, "batch_table")]
+    grid_py = ast.parse((PACKAGE / "grid.py").read_text())
+    assert {name for _, name in _refs(grid_py, ("batch_table",))} == {"batch_table"}
 
 
 _BATCHES = ("node_batches",)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import amalgam.grid
 import oracles
 from amalgam import (
     ConfigurationError,
@@ -54,6 +55,30 @@ def test_characteristic_matches_brute_force(small_grid, spill_families_2d, rng):
             got = muckenhoupt_characteristic(w, p, fam)
             want = oracles.brute_characteristic(w, p, fam)
             assert got == pytest.approx(want, rel=1e-12)
+    # exp(-a r) over about 300 decades: at p > 1 its dual average overflows,
+    # at p = 1 the minimum is exact and the average keeps its relative precision
+    for g, fam in [(small_grid, cases[0][1])] + [(grid, fam) for fam in families]:
+        rate = 680.0 / (g.half_width * math.sqrt(g.dim))
+        wide = weight_from_expression(f"exp(-{rate!r} * r)", g)
+        assert wide.values.max() / wide.values.min() > 1e280
+        got = muckenhoupt_characteristic(wide, 1.0, fam)
+        assert got == pytest.approx(oracles.brute_characteristic(wide, 1.0, fam), rel=1e-12)
+
+
+def test_characteristic_gathers_no_node_values(monkeypatch, small_grid, spill_families_2d, rng):
+    # window sums and a window minimum only: no node batch is ever handed out
+    def no_batches(*args):
+        raise AssertionError("node values gathered")
+
+    monkeypatch.setattr(amalgam.grid, "node_batches", no_batches)
+    grid = spill_families_2d[0]
+    cases = [(small_grid, region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)),
+             (grid, region_family(grid, sizes=(0.5, 1.0), shape="ball", center_stride=5))]
+    for g, fam in cases:
+        w = Weight(DiscreteFunction(g, np.exp(rng.normal(scale=0.4, size=g.n_nodes))))
+        for p in (1.0, 2.0):
+            got = muckenhoupt_characteristic(w, p, fam)
+            assert got == pytest.approx(oracles.brute_characteristic(w, p, fam), rel=1e-12)
 
 
 def test_characteristic_constant_weight(small_grid):
