@@ -245,6 +245,10 @@ class Region:
     def dilate(self, factor: float) -> "Region":
         return Region(self.shape, self.center, self.size * factor)
 
+    def as_family(self) -> "RegionFamily":
+        """The family of one that holds this region."""
+        return RegionFamily(self.shape, (self.center,), (self.size,))
+
     def node_indices(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.dim:
             raise ConfigurationError("region and grid dimensions do not match")
@@ -283,10 +287,6 @@ class RegionFamily:
         for s in self.sizes:
             for c in self.centers:
                 yield Region(self.shape, c, s)
-
-    def at_size(self, size: float) -> Iterator[Region]:
-        for c in self.centers:
-            yield Region(self.shape, c, size)
 
     def dilate(self, factor: float) -> "RegionFamily":
         return RegionFamily(self.shape, self.centers, tuple(s * factor for s in self.sizes))
@@ -530,9 +530,7 @@ def region_statistic(
     EmptyRegionWarning.
     """
     grid = f.grid
-    if region is None:
-        region = covering_region(grid)
-    family = RegionFamily(region.shape, (region.center,), (region.size,))
+    family = (covering_region(grid) if region is None else region).as_family()
     arrays = [f.values, node_masses(grid, weight)]
     return float(batch_table(family, grid, arrays, value, warn=True)[0][0, 0])
 

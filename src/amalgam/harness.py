@@ -415,22 +415,22 @@ def sharp_domination_check(
     if not (0.0 < delta < 1.0):
         raise ConfigurationError("sharp domination needs 0 < delta < 1")
     grid = f.grid
-    regions = list(family) + [covering_region(grid)]
+    families = (family, covering_region(grid).as_family())
     Tf = apply_operator(kernel, f, epsilon)
     if b is None:
-        lhs = maximal(Tf, "sharp_delta", regions, delta=delta)
-        rhs_vals = maximal(f, "hl", regions).values
+        lhs = maximal(Tf, "sharp_delta", families, delta=delta)
+        rhs_vals = maximal(f, "hl", families).values
         kind = "operator"
     else:
         if not (delta < eps_exponent < 1.0):
             raise ConfigurationError("need delta < eps_exponent < 1")
         Cf = apply_operator(kernel, f, epsilon, b)
-        lhs = maximal(Cf, "sharp_delta", regions, delta=delta)
+        lhs = maximal(Cf, "sharp_delta", families, delta=delta)
         fam_for_bmo = bmo_family if bmo_family is not None else family
         scale = bmo_norm(b, fam_for_bmo)
         rhs_vals = scale * (
-            maximal(Tf, "hl_delta", regions, delta=eps_exponent).values
-            + maximal(f, "llogl", regions).values
+            maximal(Tf, "hl_delta", families, delta=eps_exponent).values
+            + maximal(f, "llogl", families).values
         )
         kind = "commutator"
     lhs_vals = lhs.values
@@ -482,15 +482,19 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown theorem {self.theorem!r}; expected one of {THEOREMS}"
             )
-        if self.eps_nodes < 2:
-            raise ConfigurationError("eps_nodes must be at least 2")
-        if not all(math.isfinite(x) and x > 0 for x in self.lambda_factors):
-            raise ConfigurationError(f"need finite lambda_factors > 0, got {self.lambda_factors}")
         if self.points < 16:
             raise ConfigurationError(
                 f"points must be at least 16, since every theorem's plateau gate "
                 f"also runs on a half grid of points // 2; got {self.points}"
             )
+        # no two nodes lie (points - 1) sqrt(dim) cells apart or more, so T_eps would be zero
+        reach = (self.points - 1) * math.sqrt(self.dim)
+        if not 2 <= self.eps_nodes < reach:
+            raise ConfigurationError(f"eps_nodes must be at least 2 and below (points - 1) "
+                                     f"sqrt(dim) = {reach:.6g}; got {self.eps_nodes}")
+        factors = self.lambda_factors
+        if not factors or not all(math.isfinite(x) and x > 0 for x in factors):
+            raise ConfigurationError(f"need finite lambda_factors > 0, got {factors}")
         (_, weight, _), _, _, rule = _THEOREMS[self.theorem]
         if self.p is None:
             object.__setattr__(self, "p", 1.0 if rule == "= 1" else 2.0)

@@ -12,7 +12,6 @@ lattice, O(N log N) in the node count N, against a cached kernel spectrum.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -20,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .grid import DiscreteFunction, Grid, Region, RegionFamily, spread_max, window_sums
+from .grid import DiscreteFunction, Grid, RegionFamily, spread_max, window_sums
 from .orlicz import YoungFunction, luxemburg_table
 from .spaces import oscillation_table
 
@@ -284,34 +283,32 @@ def apply_operator(
 def maximal(
     f: DiscreteFunction,
     kind: str,
-    regions: Iterable[Region],
+    families: Iterable[RegionFamily],
     delta: Optional[float] = None,
 ) -> DiscreteFunction:
-    """Family-restricted maximal function of f.
+    """Maximal function of f restricted to the regions of the families.
 
-    hl           sup of avg |f| over member regions containing the node
+    hl           sup of avg |f| over the regions containing the node
     sharp        sup of avg |f - avg f|
     hl_delta     [hl of |f|^delta]^{1/delta}
     sharp_delta  [sharp of |f|^delta]^{1/delta}
     llogl        sup of the averaged LlogL Luxemburg norm
 
-    Every node must be covered by some region; append a covering cube to
-    the family if needed.
+    Every node must be covered by some region; pass the covering cube as
+    one more family if needed.
     """
     if kind in ("hl_delta", "sharp_delta"):
         if delta is None or not (0.0 < delta <= 1.0):
             raise ConfigurationError("delta kinds need 0 < delta <= 1")
         powered = DiscreteFunction(f.grid, np.abs(f.values) ** delta)
-        inner = maximal(powered, kind[: -len("_delta")], regions)
+        inner = maximal(powered, kind[: -len("_delta")], families)
         return DiscreteFunction(f.grid, inner.values ** (1.0 / delta))
     if kind not in ("hl", "sharp", "llogl"):
         raise ConfigurationError(f"unknown maximal kind {kind!r}")
 
     grid = f.grid
     out = np.full(grid.n_nodes, -math.inf)
-    # consecutive regions of one shape and size are a one-size family
-    for (shape, size), group in itertools.groupby(regions, key=lambda r: (r.shape, r.size)):
-        fam = RegionFamily(shape, tuple(r.center for r in group), (size,))
+    for fam in families:
         if kind == "hl":
             sums, counts = window_sums(fam, grid, [np.abs(f.values)])
             table = sums[0] / np.maximum(counts, 1)
@@ -321,7 +318,5 @@ def maximal(
             table = luxemburg_table(fam, grid, f.values, YoungFunction.llogl(1.0))
         spread_max(fam, grid, table, out)
     if np.any(np.isinf(out)):
-        raise PreconditionError(
-            "maximal family leaves nodes uncovered; append a covering region"
-        )
+        raise PreconditionError("the families leave nodes uncovered; add a covering one")
     return DiscreteFunction(grid, out)

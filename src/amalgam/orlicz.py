@@ -10,10 +10,12 @@ reads masses None, and its sums run over the values alone.
 One solver computes them, for one region or a whole family at once: in
 s = 1/lam, G(s) = avg Y(s|f|) is convex and increasing, and Newton from
 the Jensen point s0 = Y^{-1}(1) / avg|f|, where G(s0) >= 1, converges
-from the right.  Its steps shrink quadratically, so a step of at most
-1e-8 s ends it at that step's trial.  lam is then stepped up until
-avg Y(|f|/lam) <= 1 holds.  Where Y(t) = t^q below t = 1 (all but exp),
-the nodes with s0 |f| < 1 are summed once, and both loops read the rest.
+from the right.  On a constant |f| = c, s0 is the root, and the first
+pass ends there with lam = c / Y^{-1}(1).  The steps shrink quadratically,
+so a step of at most 1e-8 s ends it at that step's trial.  lam is then
+stepped up until avg Y(|f|/lam) <= 1 holds.  Where Y(t) = t^q below
+t = 1 (all but exp), the nodes with s0 |f| < 1 are summed once, and both
+loops read the rest.
 
 A family's solve keeps every intermediate as long as a batch of node
 values in one work array of seven rows: |f| scaled to max 1 (a), the
@@ -277,17 +279,16 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
     starts = np.cumsum(counts) - counts
     total = counts.astype(np.float64) if m is None else np.add.reduceat(m, starts)
     top = np.maximum.reduceat(a, starts)
-    # constant |f| = c solves exactly, lam = c / Y^{-1}(1); c = 0 reads 0 and drops out
-    flat = top == np.minimum.reduceat(a, starts)
-    lam[ids[flat]] = top[flat] / Y.unit_argument
+    # f = 0 reads 0 and drops out
     live = top > 0
     counts, a, m = _shrink(live, counts, a, m)
-    ids, total, top, flat = ids[live], total[live], top[live], flat[live]
+    ids, total, top = ids[live], total[live], top[live]
     starts = np.cumsum(counts) - counts
-    # lam scales with f, so the solve runs on |f| / max|f|, from the Jensen start s0
+    # lam scales with f, so the solve runs on |f| / max|f|, from the Jensen start s0;
+    # total over the Jensen sum is 1 exactly on constant |f|, whose s0 is then its root u
     a = np.divide(a, np.repeat(top, counts), out=work[0, :a.size])
     jensen = a if m is None else np.multiply(a, m, out=work[1, :a.size])
-    s0 = Y.unit_argument * total / np.add.reduceat(jensen, starts)
+    s0 = Y.unit_argument * (total / np.add.reduceat(jensen, starts))
     q, below = Y.power_below_one, np.zeros(counts.size)
     if q is None:  # exp: every node stays in the solve
         q = 1.0
@@ -308,11 +309,9 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
         a = np.take(a, kept, out=work[2, :kept.size], mode="clip")  # "clip" writes out unbuffered
         if m is not None:
             m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
-    if not flat.all():
-        c, a_s, m_s = _shrink(~flat, counts, a, m)
-        scale = None if factor is None else factor[ids[~flat]] * top[~flat]
-        s = _newton(Y, a_s, m_s, c, total[~flat], s0[~flat], below[~flat], q, work[3:], scale, bar)
-        lam[ids[~flat]] = top[~flat] / s
+    if ids.size:  # _newton reads a live segment
+        scale = None if factor is None else factor[ids] * top
+        lam[ids] = top / _newton(Y, a, m, counts, total, s0, below, q, work[3:], scale, bar)
         # a dropped segment, whose root reads nan, skips the contract too
         solved = ~np.isnan(lam[ids])
         counts, a, m = _shrink(solved, counts, a, m)

@@ -381,8 +381,8 @@ def endpoint_level(grid, family, image, f, lam, wgt_vals, vgt_vals, alpha, q, ph
     for size in family.sizes:
         vals_l = []
         vals_r = []
-        for region in family.at_size(size):
-            idx = region_nodes(grid, region.center, region.size, region.shape)
+        for center in family.centers:
+            idx = region_nodes(grid, center, size, family.shape)
             if idx.size == 0:
                 vals_l.append(0.0)
                 vals_r.append(0.0)

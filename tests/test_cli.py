@@ -495,7 +495,9 @@ def test_verify_rejects_a_bad_corpus_before_the_gates(tmp_path, capsys, field, v
     ("strong", "sizes", [0.0, 1.0], "every region size positive"),
     ("endpoint", "lambda_factors", [-1.0, 1.0], "need finite lambda_factors > 0"),
     ("endpoint", "lambda_factors", [0.0, 1.0], "need finite lambda_factors > 0"),
-], ids=["shape", "zero-size", "negative-factor", "zero-factor"])
+    ("endpoint", "lambda_factors", [], "need finite lambda_factors > 0, got ()"),
+    ("strong", "eps_nodes", 4096, "eps_nodes must be at least 2 and below (points - 1) sqrt(dim)"),
+], ids=["shape", "zero-size", "negative-factor", "zero-factor", "no-factor", "vanishing-operator"])
 def test_verify_rejects_bad_regions_and_levels(tmp_path, capsys, theorem, field, value, message):
     experiment = dict(VERIFY_CFG["experiment"], **{field: value})
     cfg = write_cfg(tmp_path, "v.json", {"experiment": experiment})

@@ -31,8 +31,12 @@ from amalgam import (
     bmo_lemma_check,
     bump_check,
     constant_weight,
+    covering_region,
+    doubling_profile,
     luxemburg_table,
     make_grid,
+    maximal,
+    muckenhoupt_characteristic,
     power_weight,
     region_family,
     sample,
@@ -307,6 +311,35 @@ def test_sharp_domination_commutator(desk_grid):
     assert math.isfinite(rep.max_ratio)
 
 
+def test_no_path_walks_a_family_region_by_region(small_grid):
+    # family statistics read grid.py's family layer; iterating a family's Regions raises
+    def walk(family):
+        raise AssertionError("a family was walked region by region")
+
+    f = sample("gauss(0.5, 0.5)", small_grid)
+    b = sample("logabs", small_grid)
+    w = power_weight(small_grid, 0.5)
+    fam = region_family(small_grid, sizes=(0.25, 0.5), center_stride=32)
+    cover = [fam, covering_region(small_grid).as_family()]
+    eps = 4 * small_grid.spacing
+    with mock.patch.object(RegionFamily, "__iter__", walk):
+        for theorem in harness.THEOREMS:
+            theorem_experiment(tiny_spec(theorem))
+        for commutator in (None, b):
+            sharp_domination_check(Kernel("hilbert", 1), f, fam, eps, delta=0.5, b=commutator)
+        for kind in ("hl", "sharp", "hl_delta", "sharp_delta", "llogl"):
+            maximal(f, kind, cover, delta=0.5)
+        for mode in ("two", "power", "orlicz"):
+            bump_check(w, w, BumpParams(2.0, 1.5, mode), fam)
+        for p in (1.0, 2.0):
+            muckenhoupt_characteristic(w, p, fam)
+        doubling_profile(w, fam)
+        bmo_lemma_check(b, Region("ball", (0.0,), 0.125), fam, jmax=2, p=2.0, w=w)
+    with pytest.raises(AssertionError, match="region by region"), \
+            mock.patch.object(RegionFamily, "__iter__", walk):
+        list(fam)
+
+
 def test_sharp_domination_validation(desk_grid):
     f = sample("1.0", desk_grid)
     fam = region_family(desk_grid, sizes=(0.5,), center_stride=512)
@@ -396,13 +429,29 @@ def test_experiment_spec_validation():
         ExperimentSpec("strong", eps_nodes=1)
 
 
-@pytest.mark.parametrize("factors", [(-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan,)])
+@pytest.mark.parametrize("factors", [(-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan,), ()])
 def test_experiment_spec_rejects_lambda_factors_not_positive(factors):
     # a level lam = factor * max|f| must be finite and > 0: a negative factor
-    # read a ratio of 4.2, and a zero factor an rhs of -inf
+    # read a ratio of 4.2, and a zero factor an rhs of -inf; no factor ran no case
     with pytest.raises(ConfigurationError, match="lambda_factors"):
         ExperimentSpec("endpoint", lambda_factors=factors)
     assert ExperimentSpec("endpoint", lambda_factors=(0.5, 1.0)).lambda_factors == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("dim, points, vanishing", [(1, 256, 255), (2, 16, 22)])
+def test_experiment_spec_rejects_eps_nodes_where_the_operator_vanishes(dim, points, vanishing):
+    # no displacement exceeds (points - 1) h sqrt(dim): 255 cells in 1D, 15 sqrt(2) = 21.2 in 2D
+    kernel = "hilbert" if dim == 1 else "riesz"
+    spec = dict(dim=dim, points=points, kernel_tag=kernel)
+    with pytest.raises(ConfigurationError, match="eps_nodes"):
+        ExperimentSpec("strong", eps_nodes=vanishing, **spec)
+    kept = ExperimentSpec("strong", eps_nodes=vanishing - 1, **spec)
+    # one node pair, the box's two far corners, survives the truncation
+    grid = make_grid(dim=dim, half_width=kept.half_width, points_per_axis=points)
+    f = DiscreteFunction(grid, np.eye(1, grid.n_nodes).ravel())
+    image = apply_operator(Kernel(kernel, dim), f, kept.eps_nodes * grid.spacing)
+    big = np.abs(image.values) > 1e-9 * np.abs(image.values).max()
+    assert np.flatnonzero(big).tolist() == [grid.n_nodes - 1]
 
 
 def test_experiment_spec_needs_a_half_grid():

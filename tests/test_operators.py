@@ -336,17 +336,19 @@ def test_zero_kernel_maps_to_zero(small_grid):
 def test_maximal_matches_brute(small_grid, spill_families_2d, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.5), center_stride=32)
-    cases = [(f, list(fam) + [covering_region(small_grid)])]
-    grid, families = spill_families_2d
+    cases = [(f, [fam, covering_region(small_grid).as_family()])]
+    grid, spilling = spill_families_2d
     f2 = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
-    cases += [(f2, list(fam) + [covering_region(grid)]) for fam in families]
-    for f, regions in cases:
+    cases += [(f2, [fam, covering_region(grid).as_family()]) for fam in spilling]
+    for f, families in cases:
+        # maximal takes the families, the oracle their regions one by one
+        regions = [region for fam in families for region in fam]
         for kind in ("hl", "sharp"):
-            got = maximal(f, kind, regions)
+            got = maximal(f, kind, families)
             want = oracles.brute_maximal(f, regions, kind)
             assert np.allclose(got.values, want, rtol=1e-12, atol=1e-14)
         # the oracle's brentq root carries a relative error of about 1e-11
-        got = maximal(f, "llogl", regions)
+        got = maximal(f, "llogl", families)
         want = oracles.brute_maximal(f, regions, "llogl")
         assert np.allclose(got.values, want, rtol=1e-9, atol=0.0)
 
@@ -354,15 +356,15 @@ def test_maximal_matches_brute(small_grid, spill_families_2d, rng):
 def test_maximal_delta_composition(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.5), center_stride=32)
-    regions = list(fam) + [covering_region(small_grid)]
+    families = [fam, covering_region(small_grid).as_family()]
     powered = DiscreteFunction(small_grid, np.abs(f.values) ** 0.5)
-    want = maximal(powered, "hl", regions).values ** 2.0
-    got = maximal(f, "hl_delta", regions, delta=0.5)
+    want = maximal(powered, "hl", families).values ** 2.0
+    got = maximal(f, "hl_delta", families, delta=0.5)
     assert np.allclose(got.values, want, rtol=1e-12)
     with pytest.raises(ConfigurationError):
-        maximal(f, "hl_delta", regions)
+        maximal(f, "hl_delta", families)
     with pytest.raises(ConfigurationError):
-        maximal(f, "sharp_delta", regions, delta=1.5)
+        maximal(f, "sharp_delta", families, delta=1.5)
 
 
 def test_maximal_dominates_function_on_small_balls(small_grid):
@@ -370,7 +372,7 @@ def test_maximal_dominates_function_on_small_balls(small_grid):
     f = sample("gauss(0.0, 1.0)", small_grid)
     h = small_grid.spacing
     fam = region_family(small_grid, sizes=(0.9 * h,), center_stride=1)
-    got = maximal(f, "hl", list(fam))
+    got = maximal(f, "hl", [fam])
     assert np.allclose(got.values, np.abs(f.values), rtol=1e-12)
 
 
@@ -378,18 +380,17 @@ def test_maximal_requires_cover(small_grid):
     f = sample("1.0", small_grid)
     fam = region_family(small_grid, sizes=(0.25,), centers=[(0.0,)])
     with pytest.raises(PreconditionError):
-        maximal(f, "hl", list(fam))
+        maximal(f, "hl", [fam])
 
 
 def test_maximal_unknown_kind(small_grid):
     f = sample("1.0", small_grid)
     with pytest.raises(ConfigurationError):
-        maximal(f, "median", [covering_region(small_grid)])
+        maximal(f, "median", [covering_region(small_grid).as_family()])
 
 
 def test_maximal_llogl_constant(small_grid):
     # LlogL norm of a constant over any region is the constant itself
     f = sample("2.0", small_grid)
-    regions = [covering_region(small_grid)]
-    got = maximal(f, "llogl", regions)
+    got = maximal(f, "llogl", [covering_region(small_grid).as_family()])
     assert np.allclose(got.values, 2.0, rtol=1e-9)

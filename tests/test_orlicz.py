@@ -99,16 +99,33 @@ def test_luxemburg_matches_root_oracle(small_grid, rng):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_luxemburg_constant_fast_path(small_grid):
-    c = sample("2.5", small_grid)
-    assert luxemburg_norm(c, YoungFunction.power(2.0)) == 2.5
-    assert luxemburg_norm(c, YoungFunction.llogl(1.0)) == 2.5
-    got = luxemburg_norm(c, YoungFunction.exponential())
-    assert got == pytest.approx(2.5 / math.log(2.0), rel=1e-15)
-    one = sample("1.0", small_grid)
-    assert luxemburg_norm(one, YoungFunction.exponential()) == pytest.approx(
-        1.0 / math.log(2.0), rel=1e-15
-    )
+CONSTANT_TAGS = [YoungFunction.power(2.0), YoungFunction.power(1.3), YoungFunction.llogl(1.0),
+                 YoungFunction.llogl(0.0), YoungFunction.exponential(), YoungFunction.bump(2.0),
+                 YoungFunction.bump(1.7)]
+
+
+def test_luxemburg_constant_fast_path(small_grid, tiny_grid_2d, rng):
+    # constant |f| = c starts Newton at its root s0 = Y^{-1}(1), so the first pass ends
+    # there: the norm is c / Y^{-1}(1) exactly, alone, in a table and in a pruned table
+    cases = [(small_grid, "ball"), (TABLE_GRIDS["2d-ball-3"], "ball"), (tiny_grid_2d, "cube")]
+    for grid, shape in cases:
+        h = grid.spacing
+        fam = region_family(grid, sizes=(2.5 * h, 4.5 * h, 1.3), shape=shape, center_stride=3)
+        counts = amalgam.grid.window_sums(fam, grid, [np.ones(grid.n_nodes)])[1]
+        # no region is empty, and node counts that are not powers of two occur
+        assert counts.all() and (counts & (counts - 1)).any()
+        factor = rng.uniform(0.5, 2.0, counts.shape)
+        region = Region(shape, grid.coords[grid.n_nodes // 3], 1.3)
+        for weight in (None, rng.uniform(1e-3, 1e3, grid.n_nodes)):
+            for Y in CONSTANT_TAGS:
+                for c in (0.3, 2.5):
+                    want = c / Y.unit_argument
+                    f = DiscreteFunction(grid, np.full(grid.n_nodes, -c))
+                    assert luxemburg_norm(f, Y, weight=weight) == want, Y
+                    assert luxemburg_norm(f, Y, region, weight) == want, Y
+                    assert np.all(luxemburg_table(fam, grid, f.values, Y, weight) == want), Y
+                    pruned = luxemburg_table(fam, grid, f.values, Y, weight, factor=factor)
+                    assert pruned.max() == factor.max() * want, Y
 
 
 def test_luxemburg_far_scales(small_grid, rng):
@@ -336,7 +353,8 @@ def test_luxemburg_table_is_luxemburg_norm_bit_for_bit(Y, where, weighted, limit
     f = DiscreteFunction(grid, vals)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyRegionWarning)
-        want = [[luxemburg_norm(f, Y, region, w) for region in fam.at_size(s)] for s in fam.sizes]
+        want = [[luxemburg_norm(f, Y, Region(shape, c, s), w) for c in fam.centers]
+                for s in fam.sizes]
     assert np.array_equal(table, np.array(want))
 
 
