@@ -427,7 +427,6 @@ def window_sums(
     for s, first, _, _, n, _, _ in _family_runs(family, grid):
         counts[s, first:first + n.size] = n
     sums = np.concatenate(sums)
-    sums[:, counts == 0] = 0.0  # the minimum starts at +inf
     if warn:
         _warn_empty(counts)
     return sums, counts
@@ -442,17 +441,15 @@ def _chunk_sums(family: RegionFamily, grid: Grid, arrays: list, reduce) -> np.nd
         if np.shape(a) != (grid.n_nodes,):
             raise ConfigurationError("arrays do not match the grid")
         row[:-1] = a
-    start = 0.0 if reduce is np.add else np.inf
-    sums = np.full((len(arrays), len(family.sizes), len(family.centers)), start)
+    sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
     for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):
         segments = reduce.reduceat(padded, cuts, axis=1) if cuts.size else padded
         # reduceat reduces between consecutive edges and the even slots are the runs;
         # in start order an odd slot is short, in center order it spans most of a row
         runs = reduce.reduceat(segments, edges, axis=1)[:, ::2][:, place]
-        owner = np.repeat(np.arange(n.size), np.diff(bounds))
-        for k, run_values in enumerate(runs):
-            # unbuffered: each region takes its run values in center then row order
-            reduce.at(sums[k, s, first:first + n.size], owner, run_values)
+        # a region's runs are consecutive; a region without nodes is never written
+        held = np.flatnonzero(n)
+        sums[:, s, first + held] = reduce.reduceat(runs, bounds[held], axis=1)
     return sums
 
 

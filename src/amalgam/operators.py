@@ -253,17 +253,19 @@ def apply_operator(
     """Truncated singular integral, or its commutator with b when b is given.
 
     T f(x_i) = h^dim sum over |x_i - x_j| > eps of K(x_i - x_j) f(x_j).
-    The truncation must keep at least the two nearest cells out, eps >= 2h,
-    so the diagonal singularity never enters the sum.  With b the result is
-    b (T f) - T (b f); f and b f go through the transform one after the
-    other, and the difference is formed in place.
+    The truncation keeps the two nearest cells out, eps >= 2h, so the diagonal
+    singularity never enters the sum, and a node pair in, eps < (n - 1) h sqrt(dim).
+    With b the result is b (T f) - T (b f); f and b f go through the transform
+    one after the other, and the difference is formed in place.
     """
     grid = f.grid
     if kernel.dim != grid.dim:
         raise ConfigurationError("kernel and grid dimensions do not match")
     h = grid.spacing
-    if epsilon < 2.0 * h * (1.0 - 1e-12):
-        raise ConfigurationError(f"truncation epsilon must be at least 2h = {2 * h!r}")
+    reach = (grid.points_per_axis - 1) * h * math.sqrt(grid.dim)
+    if not (2.0 * h * (1.0 - 1e-12) <= epsilon and reach > epsilon * (1.0 + 1e-12)):
+        raise ConfigurationError(f"truncation epsilon must be at least 2h = {2 * h!r} and below "
+                                 f"the longest node displacement (n - 1) h sqrt(dim) = {reach!r}")
     if b is not None and b.grid != grid:
         raise ConfigurationError("symbol b lives on a different grid")
     spectrum = _kernel_spectrum(kernel, grid, epsilon)

@@ -128,21 +128,18 @@ def doubling_profile(w: Weight, family: RegionFamily) -> WeightProfile:
     stats = (float(ratios.max()), float(ratios.min()))
 
     # each column of the table is a concentric chain of log-mass against
-    # log-size; fit one shared slope, summing chains in order of first size.
-    # A chain is a row that reads 0 off the chain, so its sums, and its dot
-    # products (np.matmul calls BLAS's dot, as np.dot does), add its terms in order
+    # log-size; fit one shared slope, centering each chain on its own means
     chain = m > 0.0
     fitted = np.flatnonzero(chain.sum(axis=0) >= 2)
     if fitted.size == 0:
         return WeightProfile(*stats, None, None, int(ratios.size))
     log_size = np.log(family.sizes)
     log_m = np.log(m, out=np.zeros_like(m), where=chain)
-    cols = fitted[np.argsort(chain.argmax(axis=0)[fitted], kind="stable")]
-    on = chain[:, cols].T
+    on = chain[:, fitted].T
     n = on.sum(axis=1, keepdims=True)
     xc, yc = (np.where(on, v - v.sum(axis=1, keepdims=True) / n, 0.0)
-              for v in (log_size * on, log_m[:, cols].T))
-    num, den = (float(np.cumsum(np.matmul(xc[:, None, :], v[:, :, None]))[-1]) for v in (yc, xc))
+              for v in (log_size * on, log_m[:, fitted].T))
+    num, den = float(np.sum(xc * yc)), float(np.sum(xc * xc))
     if den == 0.0:
         raise PreconditionError("comparison fit needs at least two distinct sizes")
     delta = num / den

@@ -109,6 +109,8 @@ def test_invalid_json_rejected(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["norm", "--config", str(path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+    assert main(["norm", "--config", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_weights_command(tmp_path, capsys):
@@ -139,6 +141,16 @@ def test_weights_command_on_one_size_prints_null_fit(tmp_path, capsys):
     assert payload["doubling_constant"] > 1.0
     assert payload["comparison_exponent"] is None
     assert payload["comparison_constant"] is None
+
+
+def test_weights_command_rejects_a_fit_on_one_distinct_size(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "w.json",
+        {"grid": GRID_SMALL, "family": {"sizes": [0.5, 0.5], "center_stride": 64}, "weight": "r**0.5"},
+    )
+    assert main(["weights", "--config", cfg]) == 1
+    assert "comparison fit needs at least two distinct sizes" in capsys.readouterr().err
 
 
 def test_holder_command(tmp_path, capsys):
@@ -173,6 +185,23 @@ def test_operator_command_writes_csv(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_abs"] > 0
     assert (out_dir / "image.csv").exists()
+
+
+@pytest.mark.parametrize("dim, points, vanishing", [(1, 256, 255), (2, 16, 22)])
+def test_operator_command_rejects_a_truncation_past_the_box(tmp_path, capsys, dim, points, vanishing):
+    # from (points - 1) sqrt(dim) cells on no node pair survives and the image is zero
+    def run(eps_nodes):
+        cfg = write_cfg(tmp_path, "op.json", {
+            "grid": {"dim": dim, "points_per_axis": points},
+            "function": "ind(-1.0, 1.0)" if dim == 1 else "ind2(-1.0, 1.0, -1.0, 1.0)",
+            "operator": {"kernel": "hilbert" if dim == 1 else "riesz", "eps_nodes": eps_nodes},
+        })
+        return main(["operator", "--config", cfg])
+
+    assert run(vanishing) == 1
+    assert "longest node displacement" in capsys.readouterr().err
+    assert run(vanishing - 1) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs"] > 0
 
 
 def test_bump_command(tmp_path, capsys):
@@ -362,6 +391,15 @@ def test_verify_gate_failure_without_strict(tmp_path, capsys):
     assert "hypothesis weight_class_plateau: FAILED" in out
 
 
+def test_verify_exits_2_on_violations(tmp_path, capsys):
+    # one region, on [-4, -3.75], outside every member's support: every bound
+    # side is zero while the operator's image is not
+    cfg = write_cfg(tmp_path, "v.json", {"experiment": {"points": 256, "center_stride": 256, "sizes": [0.25]}})
+    assert main(["verify", "strong", "--config", cfg]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "violations: bump0, logbump1, ind2, gauss3, steps4, ind5" in out
+
+
 def test_verify_unknown_theorem_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nope"])
@@ -506,10 +544,11 @@ def test_verify_rejects_bad_regions_and_levels(tmp_path, capsys, theorem, field,
 
 
 def test_verify_rejects_negative_refine(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "strong", "--refine", "-3"])
-    assert exc.value.code == 2
-    assert "--refine" in capsys.readouterr().err
+    for levels in ("-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "strong", "--refine", levels])
+        assert exc.value.code == 2
+        assert "--refine" in capsys.readouterr().err
 
 
 def _readme_examples():

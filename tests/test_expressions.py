@@ -142,6 +142,10 @@ def test_rejections(small_grid):
         "unknown_name",
         "log(-1.0) * 0 + x",  # nan result
         "exp(10000.0)",  # inf result
+        "",  # empty
+        "   ",
+        "ind2(-1.0, 1.0, -1.0, 1.0)",  # a 2D indicator on a 1D grid
+        "[1.0, 2.0]",  # two values, not one per node
     ]
     for expr in bad:
         with pytest.raises(ExpressionError):

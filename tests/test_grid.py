@@ -115,6 +115,42 @@ def test_region_matches_direct_scan(small_grid, tiny_grid_2d):
                 assert np.array_equal(got, want)
 
 
+def _ball_runs_match_the_scan(grid, centers, size):
+    """grid._runs of balls of one size against the scan dx**2 + dy**2 < size**2."""
+    owner, start, stop = amalgam.grid._runs("ball", np.array(centers), size, grid)
+    x, y = grid.coords.T
+    for k, (cx, cy) in enumerate(centers):
+        want = np.flatnonzero((x - cx) ** 2 + (y - cy) ** 2 < size**2)
+        assert np.array_equal(amalgam.grid._run_nodes(start[owner == k], stop[owner == k]), want)
+
+
+def test_ball_runs_slide_their_ends_onto_the_exact_test(monkeypatch):
+    # the ends estimated from sqrt(size**2 - dx**2) miss by a node where the
+    # boundary passes through nodes on a non-dyadic spacing: at nodes (32, 17)
+    # and size 5h two ends move, onto the scan
+    g = make_grid(dim=2, half_width=0.3, points_per_axis=64)
+    center = (0.0, -0.140625)
+    assert g.node_index(center) == 32 * 64 + 17
+    moved, slide = [], amalgam.grid._slide
+
+    def counting(j, step, move):
+        out = slide(j, step, move)
+        moved.append(int(np.count_nonzero(out != j)))
+        return out
+
+    monkeypatch.setattr(amalgam.grid, "_slide", counting)
+    _ball_runs_match_the_scan(g, [center], 5 * g.spacing)
+    assert sum(moved) == 2
+
+
+@pytest.mark.parametrize("half_width", [0.3, 3.0])
+@pytest.mark.parametrize("legs", [5, 13, 17])
+def test_ball_runs_match_the_scan_on_pythagorean_sizes(half_width, legs):
+    # hypotenuses of 3-4-5, 5-12-13 and 8-15-17 cells put nodes on the boundary
+    g = make_grid(dim=2, half_width=half_width, points_per_axis=64)
+    _ball_runs_match_the_scan(g, g.coords[::7], legs * g.spacing)
+
+
 def test_region_dilate_and_fits():
     g = make_grid(dim=1, points_per_axis=256)
     reg = Region("ball", (1.0,), 1.0)
@@ -124,13 +160,31 @@ def test_region_dilate_and_fits():
     assert not reg.dilate(3.1).fits_box(g)
 
 
-def test_region_validation():
+def test_region_validation(small_grid):
     with pytest.raises(ConfigurationError):
         Region("disk", (0.0,), 1.0)
     with pytest.raises(ConfigurationError):
         Region("ball", (0.0,), 0.0)
     with pytest.raises(ConfigurationError):
         Region("ball", (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ConfigurationError, match="region and grid dimensions"):
+        Region("ball", (0.0, 0.0), 1.0).node_indices(small_grid)
+    with pytest.raises(ConfigurationError, match="center_stride"):
+        region_family(small_grid, (1.0,), center_stride=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, g2: DiscreteFunction(g, np.ones(g.n_nodes)) + DiscreteFunction(g2, np.ones(g2.n_nodes)),
+     "grids do not match"),
+    (lambda g, g2: amalgam.grid.node_masses(g, np.ones(g.n_nodes + 1)), "weight does not match"),
+    (lambda g, g2: window_sums(region_family(g, (1.0,), center_stride=64), g2, [np.ones(g2.n_nodes)]),
+     "centers do not match"),
+    (lambda g, g2: window_sums(region_family(g, (1.0,), center_stride=64), g, [np.ones(g.n_nodes + 1)]),
+     "arrays do not match"),
+], ids=["function-grids", "node-masses", "family-centers", "window-arrays"])
+def test_grid_inputs_must_match_the_grid(small_grid, tiny_grid_2d, call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call(small_grid, tiny_grid_2d)
 
 
 def test_family_iteration_order(small_grid):
@@ -449,8 +503,8 @@ def test_one_family_on_several_grids_reads_each_grid_layout():
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
 def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
     # each run adds the sums of its segments, the pieces between the multiples
-    # of B and the ends of the layout entry's runs, and the run sums reach each
-    # region in center-then-row order: bit for bit the same
+    # of B and the ends of the layout entry's runs, and each region reduces its
+    # run sums, in row order, by np.add.reduceat: bit for bit the same
     grid = make_grid(dim=dim, half_width=2.0, points_per_axis=2048 if dim == 1 else 64)
     rng = np.random.default_rng(7)
     arrays = rng.standard_normal((2, grid.n_nodes)) * np.exp(rng.uniform(-20, 20, grid.n_nodes))
@@ -472,8 +526,10 @@ def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
         pieces = [run_sum(padded, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         segments = np.column_stack([*pieces, np.zeros(2)])
         at = {c: j for j, c in enumerate(cuts)}
-        for k, lo, hi in zip(owner, start, stop):
-            want[:, s, first + k] += run_sum(segments, at[lo], at[hi])
+        for k in np.unique(owner):
+            rows = [run_sum(segments, at[lo], at[hi])
+                    for lo, hi in zip(start[owner == k], stop[owner == k])]
+            want[:, s, first + k] = np.add.reduceat(np.column_stack(rows), [0], axis=1)[:, 0]
     assert np.array_equal(sums, want)
     # the 1D runs of 0.5 and 1.3 are long enough for blocks, the 2D rows are not
     assert used == ({1, 16, 32} if dim == 1 else {1})

@@ -78,6 +78,11 @@ def test_corpus_respects_margin(small_grid):
         assert np.any(f.values != 0.0), label
 
 
+def test_corpus_renders_on_a_grid_of_its_dimension(small_grid, tiny_grid_2d):
+    with pytest.raises(ConfigurationError, match="corpus and grid dimensions"):
+        Corpus.generate(2, seed=0).realize(tiny_grid_2d)
+
+
 def test_case_result_edges():
     ok = CaseResult("a", 1.0, 2.0)
     assert ok.ratio == 0.5
@@ -245,13 +250,17 @@ def test_bump_gate_solves_few_entries(monkeypatch):
     assert entries["passes"] + entries["contract"] <= 0.7 * entries["gathered"]
 
 
-def test_bump_params_validation():
+def test_bump_params_validation(small_grid):
     with pytest.raises(ConfigurationError):
         BumpParams(1.0, 1.5, "two")
     with pytest.raises(ConfigurationError):
         BumpParams(2.0, 0.5, "two")
     with pytest.raises(ConfigurationError):
         BumpParams(2.0, 1.5, "median")
+    fam = region_family(small_grid, (1.0,), center_stride=64)
+    other = make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
+    with pytest.raises(ConfigurationError, match="different grids"):
+        bump_check(constant_weight(small_grid), constant_weight(other), BumpParams(2.0, 1.5, "two"), fam)
 
 
 def test_bmo_lemma_log_growth(desk_grid):
@@ -286,6 +295,8 @@ def test_bmo_lemma_preconditions(desk_grid):
     const = sample("1.0", desk_grid)
     with pytest.raises(PreconditionError):
         bmo_lemma_check(const, Region("ball", (0.0,), 0.125), fam, jmax=1)
+    with pytest.raises(ConfigurationError, match="jmax"):
+        bmo_lemma_check(b, Region("ball", (0.0,), 0.125), fam, jmax=0)
 
 
 def test_sharp_domination_plain(desk_grid):
@@ -743,3 +754,6 @@ def test_report_handles_infinite_ratio():
     blob = json.dumps(report.to_dict())
     assert "inf" in blob
     assert report.violations == ("x",)
+    # JSON has no nan either: a nan drift is written as the string "nan"
+    report = RatioReport("strong", (), (), {}, {"grid_refinement": math.nan})
+    assert report.to_dict()["stability"] == {"grid_refinement": "nan"}

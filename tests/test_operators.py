@@ -105,6 +105,8 @@ def test_kernel_validation():
         Kernel("hilbert", 2)
     with pytest.raises(ConfigurationError):
         Kernel("riesz", 2, component=2)
+    with pytest.raises(ConfigurationError, match="kernel dim"):
+        Kernel("riesz", 3)
 
 
 def test_hilbert_pointwise():
@@ -325,6 +327,21 @@ def test_operator_epsilon_validation(small_grid):
         apply_operator(k, f, small_grid.spacing)
     with pytest.raises(ConfigurationError):
         apply_operator(Kernel("riesz", 2), f, 4 * small_grid.spacing)
+    b = sample("1.0", make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
+    with pytest.raises(ConfigurationError, match="symbol b"):
+        apply_operator(k, f, 4 * small_grid.spacing, b)
+
+
+@pytest.mark.parametrize("dim, points, vanishing", [(1, 256, 255), (2, 16, 22)])
+def test_operator_rejects_a_truncation_past_every_node_pair(dim, points, vanishing):
+    # the longest displacement is (points - 1) h sqrt(dim): 255 cells in 1D, 15 sqrt(2) in 2D,
+    # the bound ExperimentSpec puts on eps_nodes
+    grid = make_grid(dim=dim, points_per_axis=points)
+    f = sample("1.0", grid)
+    kernel = Kernel("hilbert" if dim == 1 else "riesz", dim)
+    with pytest.raises(ConfigurationError, match="longest node displacement"):
+        apply_operator(kernel, f, vanishing * grid.spacing)
+    assert np.abs(apply_operator(kernel, f, (vanishing - 1) * grid.spacing).values).max() > 0
 
 
 def test_zero_kernel_maps_to_zero(small_grid):

@@ -209,6 +209,9 @@ def test_holder_validation(small_grid):
         holder_check(f, f, "nope")
     with pytest.raises(ConfigurationError):
         holder_check(f, f, "triple")
+    g = sample("x", make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
+    with pytest.raises(ConfigurationError, match="grids do not match"):
+        holder_check(f, g, "conjugate", p=2.0)
 
 
 def test_young_slope_is_t_times_the_derivative():

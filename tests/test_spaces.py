@@ -11,6 +11,7 @@ from amalgam import (
     AmalgamSpec,
     ConfigurationError,
     DiscreteFunction,
+    PreconditionError,
     Region,
     SpaceParams,
     Weight,
@@ -265,6 +266,23 @@ def test_unknown_variant_rejected(small_grid):
     fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
     with pytest.raises(ConfigurationError):
         AmalgamSpec(SpaceParams(1.0, 2.0, 8.0), fam, None, None, "median")
+
+
+def test_norm_inputs_rejected(small_grid):
+    f = sample("x", small_grid)
+    for norm in (local_lp_norm, local_weak_lp_norm):
+        with pytest.raises(ConfigurationError, match="p >= 1"):
+            norm(f, 0.5)
+    fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
+    other = make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
+    for inner, outer in ((constant_weight(other), None), (None, constant_weight(other))):
+        spec = AmalgamSpec(SpaceParams(1.0, 2.0, 8.0), fam, inner, outer)
+        with pytest.raises(ConfigurationError, match="weight lives on a different grid"):
+            amalgam_norms(small_grid, [f.values], spec)
+    # a region between two nodes, smaller than half a cell, holds none
+    empty = region_family(small_grid, sizes=(1e-9,), centers=[(0.5 * small_grid.spacing,)])
+    with pytest.raises(PreconditionError, match="every region"):
+        bmo_norm(f, empty)
 
 
 def test_amalgam_homogeneous(small_grid, rng):

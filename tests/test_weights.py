@@ -97,6 +97,12 @@ def test_characteristic_monotone_in_p(small_grid):
     assert c15 >= c2 >= c3 >= 1.0 - 1e-12
 
 
+def test_constant_weight_must_be_positive(small_grid):
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigurationError, match="constant weight must be positive"):
+            constant_weight(small_grid, c)
+
+
 def test_characteristic_invalid_p(small_grid):
     w = constant_weight(small_grid)
     fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
