@@ -12,9 +12,11 @@ over a whole family, which is how the statistics made of window sums and a
 window minimum (masses, L^p sums, level masses, the A_p characteristic) are
 computed; and batch_table evaluates a nonlinear statistic (Luxemburg norm,
 weak L^p, mean oscillation) on node values gathered once per batch of
-node_batches, many regions at once.  A statistic on one region is a
-batch_table over a family of one (region_statistic), and spread_max puts the
-largest value of the regions holding a node on it.
+node_batches, many regions at once, or on the regions of a mask alone.
+band_masses adds node masses per band of a node labelling in one pass over
+the batches.  A statistic on one region is a batch_table over a family of
+one (region_statistic), and spread_max puts the largest value of the
+regions holding a node on it.
 """
 
 from __future__ import annotations
@@ -465,49 +467,77 @@ def _warn_empty(counts: np.ndarray) -> None:
 # four rounds, Luxemburg passes on the nodes above t = 1 alone) median cpu_s
 # read 0.359 and 0.327 s at 2^15 and 2^16, peak RSS 53.38 and 53.77 MB;
 # endpoint_1d_dense, whose 1D batches of whole-grid regions grow with the size,
-# read 40.46 and 40.97 MB of peak RSS, and 0.078 and 0.079 s of cpu_s
+# read 40.46 and 40.97 MB of peak RSS, and 0.078 and 0.079 s of cpu_s.
+# band_masses over that gate's 256^2 family (3.6M node entries) took 21 ms at
+# 2^15 and 28 ms at 2^14 and 2^16
 _BATCH_NODES = 2**15
 
 
-def node_batches(family: RegionFamily, grid: Grid):
+def node_batches(family: RegionFamily, grid: Grid, where=None):
     """(size index, first center, node indices, node counts) over a family, batch by batch.
 
     A batch is _BATCH_NODES // (nodes of the largest region) consecutive
     centers of one size, at least one; each region's nodes are contiguous,
     in center order.  Only the runs are kept, so memory stays bounded by a batch.
+    Given where, a [size, center] mask, only its regions are handed out: a
+    batch spans _BATCH_NODES // (nodes of its largest masked region) of them,
+    and the centers between them read count 0 and add no node.
     """
     for s, first, edges, place, counts, bounds, _ in _family_runs(family, grid):
         start, stop = edges[2 * place], edges[2 * place + 1]
-        per = max(1, _BATCH_NODES // max(int(counts.max()), 1))
-        for lo in range(0, counts.size, per):
-            r0, r1 = bounds[lo], bounds[min(lo + per, counts.size)]
-            yield s, first + lo, _run_nodes(start[r0:r1], stop[r0:r1]), counts[lo:lo + per]
+        if where is None:
+            picked = np.arange(counts.size)
+        else:
+            counts = np.where(where[s, first:first + counts.size], counts, 0)
+            picked = np.flatnonzero(counts)
+        per = max(1, _BATCH_NODES // max(int(counts.max(initial=0)), 1))
+        for lo in range(0, picked.size, per):
+            batch = picked[lo:lo + per]
+            runs = _run_nodes(bounds[batch], bounds[batch + 1])
+            c0, c1 = int(batch[0]), int(batch[-1]) + 1
+            yield s, first + c0, _run_nodes(start[runs], stop[runs]), counts[c0:c1]
 
 
 def batch_table(
-    family: RegionFamily, grid: Grid, arrays, value: Callable, warn: bool = False, tables=()
+    family: RegionFamily, grid: Grid, arrays, value: Callable, warn: bool = False, where=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A nonlinear statistic of node arrays on every region, and node counts, as [size, center].
 
-    Each array is gathered once per node_batches batch.  value(*rows, *entries,
-    counts, starts) gets the batch's regions that hold nodes, region k at
-    row[starts[k]:starts[k] + counts[k]] of each row and at entry[k] of each
-    [size, center] table of tables, and returns one value per region.  A region
-    without nodes reads 0, with an EmptyRegionWarning when warn is set.
+    Each array is gathered once per node_batches batch.  value(*rows, counts,
+    starts) gets the batch's regions that hold nodes, region k at
+    row[starts[k]:starts[k] + counts[k]] of each row, and returns one value
+    per region.  A region without nodes reads 0, with an EmptyRegionWarning
+    when warn is set.  Given where, a [size, center] mask, the regions
+    outside it are never gathered, and read 0 in the table and the counts.
     """
     table = np.zeros((len(family.sizes), len(family.centers)))
     counts = np.zeros(table.shape, dtype=np.intp)
-    for s, first, idx, n in node_batches(family, grid):
+    for s, first, idx, n in node_batches(family, grid, where):
         counts[s, first:first + n.size] = n
         held = np.flatnonzero(n)
         if held.size:
             n = n[held]
-            entries = [t[s, first + held] for t in tables]
             # no name holds the gathered rows, so they are freed before the next batch
-            table[s, first + held] = value(*[a[idx] for a in arrays], *entries, n, np.cumsum(n) - n)
+            table[s, first + held] = value(*[a[idx] for a in arrays], n, np.cumsum(n) - n)
     if warn:
-        _warn_empty(counts)
+        _warn_empty(counts if where is None else counts[where])
     return table, counts
+
+
+def band_masses(family: RegionFamily, grid: Grid, bands, k: int, masses=None) -> np.ndarray:
+    """The mass of each of k node bands in every region of a family, as [size, center, k].
+
+    bands holds each node's band, an integer in [0, k); masses None counts
+    the nodes.  One node_batches pass makes one np.bincount per batch, so
+    each region adds its own nodes, never a difference of prefix sums.
+    """
+    out = np.zeros((len(family.sizes), len(family.centers), k))
+    for s, first, idx, n in node_batches(family, grid):
+        key = np.repeat(np.arange(0, n.size * k, k), n)
+        key += bands[idx]
+        out[s, first:first + n.size] = np.bincount(
+            key, None if masses is None else masses[idx], n.size * k).reshape(n.size, k)
+    return out
 
 
 def spread_max(family: RegionFamily, grid: Grid, table: np.ndarray, out: np.ndarray) -> None:

@@ -309,9 +309,9 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     Every mode evaluates to exactly one when both weights are constant
     one, which anchors the scale.  In orlicz mode only the regions that can
     attain the sup are solved exactly: luxemburg_table, handed the u side as
-    factor, drops a region once a Newton pass's upper bound on its value
-    stays below the best lower bound in the family, so the value and its
-    first argmax are those of the full table bit for bit.
+    factor, brackets every region's value from its band masses and solves
+    only those whose upper bound reaches the best lower bound in the family,
+    so the value and its first argmax are those of the full table bit for bit.
     """
     if u.grid != v.grid:
         raise ConfigurationError("bump weights live on different grids")

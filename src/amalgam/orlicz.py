@@ -25,17 +25,17 @@ are None), the kept nodes' a, and four rows for Y(t), t Y'(t), the lift
 only its broadcast of s, made by np.repeat, is new.
 
 A sup over the family of a factor times the norm (the bump condition)
-needs only the regions that can attain it.  Each Newton pass bounds
-lam = max|f| / s: where G(s) > 1, s is past the root and factor max|f| / s
-is a lower bound; everywhere, factor max|f| max(G(s), 1) / s is an upper
-bound, since the convex G with G(0) = 0 stays below its chord through 0.
-The best lower bound of the family so far is the bar, and a region whose
-upper bound stays 1e-9 below it leaves Newton and the contract.  The margin
-covers summation rounding, about 1e-12, so every region that ties with
-the sup is solved, by the same arithmetic as alone, and the sup and its
-first argmax are the full table's bit for bit.  On the bump gate's balls
-the passes and the contract then read 0.65 Young evaluations per gathered
-node entry, where the full table reads 2.3.
+needs only the regions that can attain it.  The values fall into
+geometric bands of ratio 1.01, at most 128 of them with a band of zeros,
+and each region's norm is bracketed by that of its band masses placed at
+the bands' least values and c times that, c the largest ratio within a
+band.  The best lower bound of the family is the bar, and a region whose
+upper bound stays 1e-9 below it is never gathered.  The margin covers
+summation rounding, about 1e-12, so every region that ties with the sup
+is solved, by the same arithmetic as alone, and the sup and its first
+argmax are the full table's bit for bit.  On the bump gate's balls the
+bracket and the solves then read 0.32 Young evaluations per node entry of
+the family, where the full table reads 2.3.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import (
-    DiscreteFunction, Grid, Region, RegionFamily, batch_table, node_masses, region_statistic,
+    DiscreteFunction, Grid, Region, RegionFamily, band_masses, batch_table, node_masses,
+    region_statistic,
 )
 
 __all__ = [
@@ -208,27 +209,31 @@ def luxemburg_table(
     volume, so only the values are gathered and the solve reads masses None.
     Given factor, a [size, center] table, the table holds factor times the
     norm, bit for bit, on every region where that product can attain its max
-    over the family, and -inf on the others: a region leaves the solve once a
-    Newton pass bounds its product below a lower bound that some region of
-    the family, in any batch, has reached.
+    over the family, and -inf on the others and where the product is nan:
+    _bracket bounds every region's norm from its band masses, and only the
+    regions whose upper bound reaches the best lower bound are gathered and
+    solved.
     """
-    arrays = [np.abs(np.asarray(values, dtype=np.float64))]
-    if weight is not None:
-        arrays.append(node_masses(grid, weight))
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    m = None if weight is None else node_masses(grid, weight)
     # one work array serves every batch; only the pages a batch uses are touched
     work = np.empty((_SOLVE_ROWS, grid.n_nodes))
-    bar = np.full(1, -np.inf)
 
     def solve(a, *rest):
         nonlocal work
-        *rows, counts, _ = rest  # the masses if weighted, then the factor entries
-        m = None if weight is None else rows.pop(0)
+        *masses, counts, _ = rest  # the masses if weighted
         if work.shape[1] < a.size:  # a batch of overlapping regions can outnumber the nodes
             work = np.empty((_SOLVE_ROWS, a.size))
-        return _solve(Y, a, m, counts, work, rows[0] if rows else None, bar)
+        return _solve(Y, a, masses[0] if masses else None, counts, work)
 
-    tables = () if factor is None else (factor,)
-    return batch_table(family, grid, arrays, solve, tables=tables)[0]
+    arrays = [a] if m is None else [a, m]
+    if factor is None:
+        return batch_table(family, grid, arrays, solve)[0]
+    low, high = factor * _bracket(family, grid, a, m, Y, work)
+    bar = np.fmax.reduce(low, axis=None, initial=-np.inf) * (1.0 - _PRUNE_MARGIN)
+    keep = ~(high * (1.0 + _PRUNE_MARGIN) < bar)  # a nan bound stays
+    value = factor * batch_table(family, grid, arrays, solve, where=keep)[0]
+    return np.where(keep & ~np.isnan(value), value, -np.inf)
 
 
 # work rows of _solve: |f| / max|f|; the Jensen terms, then the kept masses (unused
@@ -238,9 +243,49 @@ _SOLVE_ROWS = 7
 # Newton's last step: once a step moves s by at most this share of s, the
 # trial is the root to rounding, since the next step would be about its square
 _STEP_STOP = 1e-8
-# a segment leaves the solve once its upper bound is this share below the bar;
-# the bounds and the solved values carry summation rounding of about 1e-12
+# a region is solved unless its upper bound stays this share below the bar; the
+# bounds and the solved values carry summation rounding of about 1e-12
 _PRUNE_MARGIN = 1e-9
+# _bracket's value bands: geometric, of ratio 1 + _BAND_RATIO, and at most
+# _BANDS of them with the zero band, each wider where |f| ranges further.  The
+# two_weight_2d gate (69, 80 and 90 bands at 1%) solves 44 regions at 64^2,
+# 128^2 and 256^2; capped at 64 bands, 44, 56 and 68.  With v = r**3 or
+# r**-2, whose |f| ranges further, 128 to 512 bands take the same time
+_BAND_RATIO = 0.01
+_BANDS = 128
+
+
+def _bracket(family: RegionFamily, grid: Grid, a, m, Y: YoungFunction, work) -> np.ndarray:
+    """Lower and upper bounds on the norm of values a, masses m, on every region: [2, size, center].
+
+    The positive a fall into geometric bands, the zeros into band 0 of edge
+    0, and every region's band masses (grid.band_masses) are placed at the
+    least value of each band.  That distribution lies below a, and c times
+    it above a, c being the largest ratio of a band's largest value to its
+    least, so as the norm grows with |f| and scales with it, the norm of the
+    distribution, solved by _solve on the region's bands of positive mass
+    alone, and c times that norm bound the region's norm.
+    """
+    bands = np.zeros(a.size, dtype=np.intp)
+    pos = a > 0
+    if pos.any():
+        logs = np.log(a[pos])
+        least = logs.min()
+        width = max(math.log1p(_BAND_RATIO), (logs.max() - least) / (_BANDS - 1))
+        bands[pos] = 1 + np.minimum((logs - least) / width, _BANDS - 2).astype(np.intp)
+    k = int(bands.max()) + 1
+    low, high = np.full(k, np.inf), np.zeros(k)
+    np.minimum.at(low, bands, a)
+    np.maximum.at(high, bands, a)
+    masses = band_masses(family, grid, bands, k, m).reshape(-1, k)
+    held = masses > 0
+    counts, masses = np.count_nonzero(held, axis=1), masses[held]
+    if work.shape[1] < masses.size:
+        work = np.empty((_SOLVE_ROWS, masses.size))
+    lam = _solve(Y, np.broadcast_to(low, held.shape)[held], masses, counts, work)
+    # a band without nodes reads 0 / inf; the zero band, 0 / 0, is left out
+    c = np.fmax.reduce(high[1:] / low[1:], initial=1.0)
+    return np.array([lam, c * lam]).reshape(2, len(family.sizes), len(family.centers))
 
 
 def _shrink(keep, counts, *entries):
@@ -257,15 +302,13 @@ def _shrink(keep, counts, *entries):
 # inf / inf where exp overflows is part of the solve, and so is a division by
 # zero at subnormal |f|
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> np.ndarray:
+def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
     """Luxemburg norms of segments of counts[k] consecutive |f| values a and masses m.
 
     m None means equal masses: every product with m is skipped, and a
     segment's total mass is its node count.  Every full-length intermediate
     goes into the _SOLVE_ROWS rows of work, at least a.size wide, or of a new
-    array when work is not given.  Given factor, one per segment, and bar, a
-    one-entry array, it returns factor times the norms, -inf on the segments
-    _newton drops below bar, and raises bar to the largest value it returns.
+    array when work is not given.
     """
     lam = np.zeros(counts.size)
     # entries without mass drop out, and so do segments without any
@@ -310,12 +353,7 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
         if m is not None:
             m = np.take(m, kept, out=work[1, :kept.size], mode="clip")
     if ids.size:  # _newton reads a live segment
-        scale = None if factor is None else factor[ids] * top
-        lam[ids] = top / _newton(Y, a, m, counts, total, s0, below, q, work[3:], scale, bar)
-        # a dropped segment, whose root reads nan, skips the contract too
-        solved = ~np.isnan(lam[ids])
-        counts, a, m = _shrink(solved, counts, a, m)
-        ids, total, top, s0, below = (x[solved] for x in (ids, total, top, s0, below))
+        lam[ids] = top / _newton(Y, a, m, counts, total, s0, below, q, work[3:])
     # the contract, on avg Y(|f| / lam): step lam up where it fails, doubling the step
     step = np.spacing(lam[ids])
     for _ in range(64):
@@ -335,16 +373,10 @@ def _solve(Y: YoungFunction, a, m, counts, work=None, factor=None, bar=None) -> 
         step = 2.0 * step
     else:
         raise ConfigurationError("luxemburg norm failed to meet its constraint")
-    if factor is None:
-        return lam
-    value = factor * lam
-    bar[0] = np.fmax.reduce(value, initial=bar[0])
-    return np.where(np.isnan(value), -np.inf, value)
+    return lam
 
 
-def _newton(
-    Y: YoungFunction, a, m, counts, total, s0, below, q, work, scale=None, bar=None
-) -> np.ndarray:
+def _newton(Y: YoungFunction, a, m, counts, total, s0, below, q, work) -> np.ndarray:
     """The root s of G(s) = (sum Y(s a) m + below (s / s0)^q) / total = 1 on each segment.
 
     Newton from s0 = u / avg a, u = Y.unit_argument and max a = 1, never
@@ -360,11 +392,6 @@ def _newton(
     np.repeat into t = s a, has Y(t) and t Y'(t) written into the four rows
     of work, and sums them, times m, per segment.  It runs under _solve's
     errstate.
-
-    Given scale, factor max|f| per segment, and the one-entry bar, each pass
-    also bounds factor lam = scale / root (_bounds), raises bar to the best
-    lower bound, and drops the segments whose upper bound stays _PRUNE_MARGIN
-    below bar; their root reads nan.
     """
     starts = np.cumsum(counts) - counts
     u, s = Y.unit_argument, s0
@@ -388,12 +415,6 @@ def _newton(
         at_root = low & newton
         done = at_root | ((size <= _STEP_STOP * s) & (slope < np.inf))
         root[ids[done]] = np.where(at_root, s, trial)[done]
-        if scale is not None:
-            lower, upper = _bounds(scale, s, mass, total)
-            bar[0] = max(bar[0], lower.max())
-            pruned = upper * (1.0 + _PRUNE_MARGIN) < bar[0]
-            root[ids[pruned]] = np.nan
-            done |= pruned
         newton = (trial > lo) & (trial < hi) & (size <= 0.5 * prev)
         nxt = np.where(newton, trial, np.sqrt(lo) * np.sqrt(hi))
         prev, s = np.abs(nxt - s), nxt
@@ -405,20 +426,7 @@ def _newton(
             ids, total, s, lo, hi, prev, newton, s0, below = (
                 x[~done] for x in (ids, total, s, lo, hi, prev, newton, s0, below)
             )
-            scale = None if scale is None else scale[~done]
     raise ConfigurationError("luxemburg norm did not converge")
-
-
-def _bounds(scale, s, mass, total):
-    """Lower and upper bounds on scale / root from one Newton pass at s.
-
-    G = mass / total is convex with G(0) = 0, so below s it stays under the
-    chord G(s) s' / s: the root is at least s / max(G(s), 1), and the upper
-    bound is scale max(G(s), 1) / s.  Where G(s) > 1, s is past the root and
-    scale / s is a lower bound; elsewhere the lower bound reads -inf.
-    """
-    g = mass / total
-    return np.where(g > 1.0, scale / s, -np.inf), scale / s * np.maximum(g, 1.0)
 
 
 def _average(a, m, counts, starts) -> np.ndarray:

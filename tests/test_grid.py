@@ -1,3 +1,4 @@
+import itertools
 import math
 import weakref
 from unittest import mock
@@ -472,6 +473,67 @@ def test_node_batches_hand_out_each_region_once(dim, shape, limit):
     for s, size in enumerate(fam.sizes):
         for c, center in enumerate(centers):
             assert np.array_equal(nodes[s, c], oracles.region_nodes(grid, center, size, shape))
+
+
+def _mask_family(dim, shape):
+    """A family with empty regions, regions past the box and more centers than one chunk of runs."""
+    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=256 if dim == 1 else 16)
+    h = grid.spacing
+    if dim == 1:
+        centers = [(c + t,) for c in grid.axis for t in (0.0, h / 2)]
+    else:
+        centers = [(cx + t, cy + t) for cx in grid.axis[::2] for cy in grid.axis for t in (0.0, h / 2)]
+    return grid, region_family(grid, (h / 4, 0.3, 1.0, 3.0), shape=shape, centers=centers)
+
+
+@pytest.mark.parametrize("limit", [1, 100, 2**14])
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_batch_table_where_gathers_only_the_mask(dim, shape, limit):
+    grid, fam = _mask_family(dim, shape)
+    rng = np.random.default_rng(limit + dim)
+    values = rng.standard_normal(grid.n_nodes)
+    gathered = []
+
+    def top(ids, vals, counts, starts):
+        gathered.append(ids.astype(np.intp))
+        return np.maximum.reduceat(vals, starts)
+
+    arrays = [np.arange(grid.n_nodes, dtype=np.float64), values]
+    full, full_counts = amalgam.grid.batch_table(fam, grid, arrays, top)
+    for where in (rng.random(full.shape) < 0.1, np.zeros(full.shape, dtype=bool)):
+        gathered.clear()
+        with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+            table, counts = amalgam.grid.batch_table(fam, grid, arrays, top, where=where)
+        assert np.array_equal(table[where], full[where]) and not table[~where].any()
+        assert np.array_equal(counts, np.where(where, full_counts, 0))
+        # every node of a masked region is gathered once, and no other node
+        want = [oracles.region_nodes(grid, c, s, shape)
+                for (k, s), (j, c) in itertools.product(enumerate(fam.sizes), enumerate(fam.centers))
+                if where[k, j]]
+        assert np.array_equal(np.sort(np.concatenate([np.empty(0, np.intp)] + gathered)),
+                              np.sort(np.concatenate([np.empty(0, np.intp)] + want)))
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_band_masses_add_each_region_per_band(dim, shape):
+    grid, fam = _mask_family(dim, shape)
+    rng = np.random.default_rng(dim)
+    k = 7
+    bands = rng.integers(0, k, grid.n_nodes)
+    # masses over 10^40, so that a difference of prefix sums would lose the small ones
+    masses = np.exp(rng.uniform(-46.0, 46.0, grid.n_nodes))
+    sums, counts = window_sums(fam, grid, [masses])
+    got, got_counts = (amalgam.grid.band_masses(fam, grid, bands, k, m) for m in (masses, None))
+    assert got.shape == (len(fam.sizes), len(fam.centers), k)
+    assert np.array_equal(got_counts.sum(axis=2), counts)
+    np.testing.assert_allclose(got.sum(axis=2), sums[0], rtol=1e-12, atol=0.0)
+    for s, size in enumerate(fam.sizes):
+        for c, center in enumerate(fam.centers[::7]):
+            idx = oracles.region_nodes(grid, center, size, shape)
+            for b in range(k):
+                want = math.fsum(masses[idx][bands[idx] == b].tolist())
+                assert got[s, 7 * c, b] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert got_counts[s, 7 * c, b] == np.count_nonzero(bands[idx] == b)
 
 
 def test_one_family_on_several_grids_reads_each_grid_layout():

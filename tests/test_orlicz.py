@@ -605,43 +605,34 @@ def test_luxemburg_contract_counts_the_nodes_below_one(monkeypatch, Y):
         assert lam == pytest.approx(oracles.brute_luxemburg(v, w, Y, rel=1e-14), rel=1e-5)
 
 
-def _pass_bounds(monkeypatch, Y, a, m):
-    """The solve of one segment with factor 1, and the (lower, upper) bounds of each Newton pass."""
-    seen = []
-    bounds = amalgam.orlicz._bounds
-    monkeypatch.setattr(amalgam.orlicz, "_bounds", lambda *args: seen.append(bounds(*args)) or seen[-1])
-    [lam] = amalgam.orlicz._solve(Y, a, m, np.array([a.size]), None, np.ones(1), np.full(1, -np.inf))
-    return lam, [(float(lo[0]), float(hi[0])) for lo, hi in seen]
-
-
-def _assert_brackets(lam, passes):
-    for lower, upper in passes:
-        # past the root the solve only moves down in s, so lam >= lower holds exactly;
-        # the chord bound is tight for linear Y, so it gets the summation rounding
-        assert lower <= lam <= upper * (1.0 + 1e-12)
+BRACKET_GRIDS = {
+    "1d": make_grid(dim=1, half_width=4.0, points_per_axis=64),
+    "2d": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     young_functions(),
-    node_values(64),
-    hnp.arrays(np.float64, 64, elements=st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e3)),
+    st.sampled_from(sorted(BRACKET_GRIDS)),
+    # the weight's range: none, random, or subnormal
+    st.sampled_from([None, (1e-3, 1e3), (1e-310, 2e-308)]),
+    st.integers(0, 250),
+    st.data(),
 )
-def test_luxemburg_pass_bounds_bracket_the_norm(Y, vals, w):
-    # the bounds the bump gate's prune reads, on random segments
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        lam, passes = _pass_bounds(monkeypatch, Y, vals, w * PROP_GRID.cell_volume)
-    assert lam == luxemburg_norm(DiscreteFunction(PROP_GRID, vals), Y, weight=w)
-    _assert_brackets(lam, passes)
-
-
-def test_luxemburg_pass_bounds_at_a_bisection(monkeypatch):
-    # the overflowing-slope exp segment: t Y'(t) overflows at the Jensen start, so
-    # the solve bisects, and a bisection step lands at G(s) <= 1 (lower bound -inf)
-    vals = np.zeros(64)
-    vals[:3] = [211.0, 1e-3, 1.0]
-    w = np.ones(64)
-    w[1] = 961.0
-    lam, passes = _pass_bounds(monkeypatch, YoungFunction.exponential(), vals, w)
-    assert any(lower == -math.inf for lower, _ in passes) and any(lower > 0 for lower, _ in passes)
-    _assert_brackets(lam, passes)
+def test_luxemburg_band_bracket_holds_the_norm(Y, where, weights, spread, data):
+    # |f| with zeros, over up to 10^500: past 1 + _BAND_RATIO per band at the band cap
+    grid = BRACKET_GRIDS[where]
+    n = grid.n_nodes
+    vals = data.draw(node_values(n)) * 10.0 ** data.draw(
+        hnp.arrays(np.float64, n, elements=st.integers(-spread, spread)))
+    w = m = None
+    if weights is not None:
+        w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(*weights)))
+        m = amalgam.grid.node_masses(grid, w)
+    # sizes past the box, and one below the spacing whose regions hold a node or none
+    fam = region_family(grid, sizes=(grid.spacing / 4, 0.3, 1.0, 6.0), center_stride=3)
+    lam = luxemburg_table(fam, grid, vals, Y, w)
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, n))
+    lo, hi = amalgam.orlicz._bracket(fam, grid, vals, m, Y, work)
+    assert np.all(lo <= lam * (1.0 + 1e-9)) and np.all(lam <= hi * (1.0 + 1e-9))
