@@ -33,7 +33,6 @@ from .errors import ConfigurationError, EmptyRegionWarning
 
 __all__ = [
     "Grid",
-    "make_grid",
     "DiscreteFunction",
     "Region",
     "RegionFamily",
@@ -63,8 +62,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.half_width > 0):
-            raise ConfigurationError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ConfigurationError("half_width must be positive and finite")
         if not _is_power_of_two(self.points_per_axis) or self.points_per_axis < 8:
             raise ConfigurationError(
                 "points_per_axis must be a power of two >= 8, "
@@ -98,17 +97,11 @@ class Grid:
         out.flags.writeable = False
         return out
 
-    def refined(self) -> "Grid":
-        return Grid(self.dim, self.half_width, 2 * self.points_per_axis)
-
     def node_index(self, point: Sequence[float]):
         """Flat index of the node nearest to a point, or of each point of an [m, dim] array."""
         ij = np.rint((np.asarray(point, dtype=np.float64) + self.half_width) / self.spacing)
         ij = np.clip(ij, 0, self.points_per_axis - 1).astype(np.intp)
         return np.ravel_multi_index(tuple(ij.T), (self.points_per_axis,) * self.dim)
-
-
-make_grid = Grid
 
 
 @dataclass(frozen=True)
@@ -132,32 +125,6 @@ class DiscreteFunction:
             raise ConfigurationError("function values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def abs(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, np.abs(self.values))
-
-    __abs__ = abs
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, DiscreteFunction):
-            if other.grid != self.grid:
-                raise ConfigurationError("grids do not match")
-            return other.values
-        return np.asarray(other, dtype=np.float64)
-
-    def __add__(self, other) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, self.values + self._coerce(other))
-
-    def __sub__(self, other) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, self.values - self._coerce(other))
-
-    def __mul__(self, other) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.grid, -self.values)
 
 
 def _slide(j: np.ndarray, step: int, move) -> np.ndarray:

@@ -282,10 +282,10 @@ class BumpParams:
     mode: str = "orlicz"
 
     def __post_init__(self):
-        if self.p is not None and self.p <= 1.0:
-            raise ConfigurationError("bump conditions need p > 1")
-        if self.r < 1.0:
-            raise ConfigurationError("bump conditions need r >= 1")
+        if self.p is not None and not 1.0 < self.p < math.inf:
+            raise ConfigurationError("bump conditions need 1 < p < inf")
+        if not 1.0 <= self.r < math.inf:
+            raise ConfigurationError("bump conditions need 1 <= r < inf")
         if self.mode not in ("two", "power", "orlicz"):
             raise ConfigurationError(f"unknown bump mode {self.mode!r}")
 
@@ -366,6 +366,8 @@ def bmo_lemma_check(
     if (p is None) != (w is None):
         missing = "the weight" if w is None else "p"
         raise ConfigurationError(f"the weighted check needs p and a weight; {missing} is missing")
+    if p is not None and not 1.0 <= p < math.inf:
+        raise ConfigurationError(f"the weighted check needs 1 <= p < inf, got {p}")
     top = region.dilate(2.0 ** (jmax + 1))
     if not top.fits_box(grid):
         raise PreconditionError(

@@ -77,12 +77,12 @@ class YoungFunction:
     def __post_init__(self):
         if self.tag not in ("power", "llogl", "exp", "bump"):
             raise ConfigurationError(f"unknown Young function tag {self.tag!r}")
-        if self.tag == "power" and self.param < 1:
-            raise ConfigurationError("power Young function needs p >= 1")
-        if self.tag == "llogl" and self.param < 0:
-            raise ConfigurationError("llogl Young function needs kappa >= 0")
-        if self.tag == "bump" and self.param <= 1:
-            raise ConfigurationError("bump Young function needs exponent > 1")
+        if self.tag == "power" and not 1 <= self.param < math.inf:
+            raise ConfigurationError("power Young function needs 1 <= p < inf")
+        if self.tag == "llogl" and not 0 <= self.param < math.inf:
+            raise ConfigurationError("llogl Young function needs 0 <= kappa < inf")
+        if self.tag == "bump" and not 1 < self.param < math.inf:
+            raise ConfigurationError("bump Young function needs 1 < exponent < inf")
 
     @classmethod
     def power(cls, p: float) -> "YoungFunction":

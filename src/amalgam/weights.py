@@ -1,8 +1,9 @@
 """Positive weights and their Muckenhoupt-style diagnostics.
 
-Weights keep their defining expression so they can be re-rendered on a
-refined grid; characteristics are suprema over a region family, which is
-how every continuum supremum is realized in this package.
+A weight keeps its defining expression only to name it in the positivity
+error: harness._Context renders the weights of each grid from the strings
+of the ExperimentSpec.  Characteristics are suprema over a region family,
+which is how every continuum supremum is realized in this package.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .expressions import evaluate
-from .grid import DiscreteFunction, Grid, RegionFamily, window_sums
+from .grid import DiscreteFunction, Grid, RegionFamily, sample, window_sums
 
 __all__ = [
     "Weight",
     "weight_from_expression",
-    "power_weight",
-    "constant_weight",
     "muckenhoupt_characteristic",
     "WeightProfile",
     "doubling_profile",
@@ -50,25 +48,7 @@ class Weight:
 
 
 def weight_from_expression(expression: str, grid: Grid) -> Weight:
-    return Weight(DiscreteFunction(grid, evaluate(expression, grid)), expression)
-
-
-def power_weight(grid: Grid, a: float) -> Weight:
-    """|x|^a with the distance clipped below at h/2, so the weight stays positive.
-
-    In dimension one this lies in the p > 1 Muckenhoupt class exactly for
-    -1 < a < p - 1, which makes it the standard probe weight.  Outside the
-    class the clipping keeps the characteristic over centered balls finite,
-    but it grows like C h^{-s} with s = max(-1 - a, a - (p - 1)) the
-    distance to the class, i.e. by 2^s per halving of h.
-    """
-    return weight_from_expression(f"r**({float(a)!r})", grid)
-
-
-def constant_weight(grid: Grid, c: float = 1.0) -> Weight:
-    if not (c > 0):
-        raise ConfigurationError("constant weight must be positive")
-    return weight_from_expression(repr(float(c)), grid)
+    return Weight(sample(expression, grid), expression)
 
 
 def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> float:

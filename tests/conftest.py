@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from amalgam import Corpus, make_grid, region_family
+from amalgam import Corpus, Grid, region_family
 
 
 @pytest.fixture(scope="session")
 def desk_grid():
     """The standard working grid: dimension one, box half width 4, 2^12 nodes."""
-    return make_grid(dim=1, half_width=4.0, points_per_axis=4096)
+    return Grid(dim=1, half_width=4.0, points_per_axis=4096)
 
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return make_grid(dim=1, half_width=4.0, points_per_axis=256)
+    return Grid(dim=1, half_width=4.0, points_per_axis=256)
 
 
 @pytest.fixture(scope="session")
 def tiny_grid_2d():
-    return make_grid(dim=2, half_width=2.0, points_per_axis=16)
+    return Grid(dim=2, half_width=2.0, points_per_axis=16)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def spill_families_2d():
     nodes; at the size h/4 that point's region holds no node, and every
     other region holds at least one.
     """
-    grid = make_grid(dim=2, half_width=2.0, points_per_axis=32)
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=32)
     h = grid.spacing
     ax = grid.axis[::7]
     centers = [(x, y) for x in ax for y in ax] + [(grid.axis[10] + h / 2, grid.axis[20] + h / 2)]

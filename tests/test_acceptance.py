@@ -20,6 +20,7 @@ from amalgam import (
     Corpus,
     DiscreteFunction,
     ExperimentSpec,
+    Grid,
     Kernel,
     Region,
     SpaceParams,
@@ -28,18 +29,16 @@ from amalgam import (
     apply_operator,
     bmo_norm,
     bump_check,
-    constant_weight,
     local_lp_norm,
     luxemburg_norm,
     holder_check,
-    make_grid,
     muckenhoupt_characteristic,
-    power_weight,
     region_family,
     region_mean,
     sample,
     sharp_domination_check,
     theorem_experiment,
+    weight_from_expression,
 )
 from amalgam.cli import main as cli_main
 
@@ -109,13 +108,13 @@ def test_criterion_03_average_below_llogl(desk_grid):
     started = time.perf_counter()
     failures = []
     rng = np.random.default_rng(303)
-    w_half = power_weight(desk_grid, 0.5)
+    w_half = weight_from_expression("r**(0.5)", desk_grid)
     violations = 0
     for k in range(200):
         f = DiscreteFunction(desk_grid, rng.normal(size=desk_grid.n_nodes))
         reg = _random_region(desk_grid, rng)
         w = None if k % 2 == 0 else w_half
-        avg = region_mean(f.abs(), reg, w)
+        avg = region_mean(DiscreteFunction(desk_grid, np.abs(f.values)), reg, w)
         lux = luxemburg_norm(f, YoungFunction.llogl(1.0), reg, w)
         if avg > lux * (1 + 1e-12):
             violations += 1
@@ -128,11 +127,11 @@ def test_criterion_04_power_weight_class_law():
     started = time.perf_counter()
     failures = []
     p = 2.0
-    grids = [make_grid(points_per_axis=n) for n in (2048, 4096, 8192)]
+    grids = [Grid(points_per_axis=n) for n in (2048, 4096, 8192)]
 
     def centered_char(a, grid):
         fam = region_family(grid, sizes=(0.5, 1.0, 2.0), centers=[(0.0,)])
-        return muckenhoupt_characteristic(power_weight(grid, a), p, fam)
+        return muckenhoupt_characteristic(weight_from_expression(f"r**({a!r})", grid), p, fam)
 
     # in class (-1 < a < p - 1): the characteristic plateaus under refinement
     for a in (-0.5, 0.5, 0.75):
@@ -193,7 +192,7 @@ def test_criterion_06_hilbert_closed_form():
     failures = []
 
     def max_err(n):
-        g = make_grid(points_per_axis=n)
+        g = Grid(points_per_axis=n)
         f = sample("ind(-1.0, 1.0)", g)
         img = apply_operator(Kernel("hilbert", 1), f, 4 * g.spacing)
         x = g.axis
@@ -240,7 +239,7 @@ def test_criterion_08_mean_growth_anchor(desk_grid):
     # +0.07 h / r, so the raw difference is first order in h: anchor its
     # Richardson limit, and require the raw error to halve with h
     coarse = dyadic_diffs(desk_grid)
-    fine = dyadic_diffs(desk_grid.refined())
+    fine = dyadic_diffs(Grid(desk_grid.dim, desk_grid.half_width, 2 * desk_grid.points_per_axis))
     for j, (d1, d2) in enumerate(zip(coarse, fine), start=1):
         target = (j + 1) * math.log(2.0)
         err = (2.0 * d2 - d1) - target
@@ -273,7 +272,7 @@ def test_criterion_10_sharp_domination(desk_grid, corpus20):
     started = time.perf_counter()
     failures = []
     kernel = Kernel("hilbert", 1)
-    fine_grid = make_grid(points_per_axis=8192)
+    fine_grid = Grid(points_per_axis=8192)
     fine_corpus = dict(Corpus.generate(20, seed=0).realize(fine_grid))
     b_desk = sample("logabs", desk_grid)
     b_fine = sample("logabs", fine_grid)
@@ -352,9 +351,9 @@ def test_criterion_11_strong_type_experiment():
         )
 
     # degree one homogeneity of both norms, hence scale invariance of the ratio
-    grid = make_grid(points_per_axis=4096)
+    grid = Grid(points_per_axis=4096)
     fam = region_family(grid, sizes=spec.sizes, center_stride=256)
-    space = AmalgamSpec(SpaceParams(2.0, 4.0, 8.0), fam, power_weight(grid, 0.5))
+    space = AmalgamSpec(SpaceParams(2.0, 4.0, 8.0), fam, weight_from_expression("r**(0.5)", grid))
     corpus = Corpus.generate(3, seed=0).realize(grid)
     kernel = Kernel("hilbert", 1)
     worst_h = 0.0
@@ -362,11 +361,12 @@ def test_criterion_11_strong_type_experiment():
         image = apply_operator(kernel, f, 4 * grid.spacing)
         for g in (f, image):
             n1 = amalgam_norm(g, space)
-            n2 = amalgam_norm(2.0 * g, space)
+            n2 = amalgam_norm(DiscreteFunction(grid, 2.0 * g.values), space)
             worst_h = max(worst_h, abs(n2 / (2.0 * n1) - 1.0))
         r1 = amalgam_norm(image, space) / amalgam_norm(f, space)
-        image2 = apply_operator(kernel, 2.0 * f, 4 * grid.spacing)
-        r2 = amalgam_norm(image2, space) / amalgam_norm(2.0 * f, space)
+        f2 = DiscreteFunction(grid, 2.0 * f.values)
+        image2 = apply_operator(kernel, f2, 4 * grid.spacing)
+        r2 = amalgam_norm(image2, space) / amalgam_norm(f2, space)
         worst_h = max(worst_h, abs(r2 / r1 - 1.0))
     if not worst_h < 1e-8:
         failures.append(f"homogeneity defect {worst_h:.3e}, needs < 1e-8")
@@ -406,7 +406,8 @@ def test_criterion_12_endpoint_experiment(desk_grid):
     worst_inv = 0.0
     for label, f in corpus:
         image = apply_operator(kernel, f, eps, b)
-        image2 = apply_operator(kernel, 2.0 * f, eps, b)
+        f2 = DiscreteFunction(desk_grid, 2.0 * f.values)
+        image2 = apply_operator(kernel, f2, eps, b)
         vmax = float(np.max(np.abs(f.values)))
         for factor in spec.lambda_factors:
             lam = factor * vmax
@@ -418,7 +419,7 @@ def test_criterion_12_endpoint_experiment(desk_grid):
                 scale = max(abs(want), 1e-300)
                 worst_match = max(worst_match, abs(got - want) / scale)
             lhs2, rhs2 = oracles.endpoint_level(
-                desk_grid, fam, image2, 2.0 * f, 2.0 * lam, ones, ones, 1.0, 4.0, phi
+                desk_grid, fam, image2, f2, 2.0 * lam, ones, ones, 1.0, 4.0, phi
             )
             for a, bb in ((lhs, lhs2), (rhs, rhs2)):
                 scale = max(abs(a), abs(bb))
@@ -435,7 +436,7 @@ def test_criterion_13_bump_checker(desk_grid):
     started = time.perf_counter()
     failures = []
     fam = region_family(desk_grid, sizes=(0.25, 0.5, 1.0, 2.0), center_stride=256)
-    one = constant_weight(desk_grid, 1.0)
+    one = weight_from_expression("1.0", desk_grid)
     for mode in ("two", "power", "orlicz"):
         got = bump_check(one, one, BumpParams(2.0, 1.5, mode), fam).value
         if got != 1.0:
@@ -444,11 +445,11 @@ def test_criterion_13_bump_checker(desk_grid):
     params = BumpParams(2.0, 1.5, "orlicz")
     values = []
     for n in (4096, 8192):
-        g = make_grid(points_per_axis=n)
+        g = Grid(points_per_axis=n)
         famn = region_family(
             g, sizes=(0.25, 0.5, 1.0, 2.0), center_stride=256 * (n // 4096)
         )
-        u = power_weight(g, 0.5)
+        u = weight_from_expression("r**(0.5)", g)
         values.append(bump_check(u, u, params, famn).value)
     if not all(math.isfinite(v) for v in values):
         failures.append(f"bump value not finite: {values}")

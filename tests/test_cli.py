@@ -238,17 +238,34 @@ def test_bmo_command_with_lemma(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "given, missing",
-    [({"p": 2.0}, "the weight is missing"), ({"weight": "1.0 + r"}, "p is missing")],
-    ids=["p_only", "weight_only"],
+    "given, message",
+    [({"p": 2.0}, "the weight is missing"), ({"weight": "1.0 + r"}, "p is missing"),
+     ({"p": 0, "weight": "1.0"}, "error: the weighted check needs 1 <= p < inf"),
+     ({"p": -1, "weight": "1.0"}, "error: the weighted check needs 1 <= p < inf")],
+    ids=["p_only", "weight_only", "p_zero", "p_negative"],
 )
-def test_bmo_lemma_half_set_weighted_check_rejected(tmp_path, capsys, given, missing):
+def test_bmo_lemma_half_set_weighted_check_rejected(tmp_path, capsys, given, message):
     lemma = {"center": [0.0], "size": 0.125, **given}
     cfg = write_cfg(tmp_path, "bmo.json", {"grid": GRID_SMALL, "symbol": "logabs", "lemma": lemma})
     assert main(["bmo", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert missing in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("r", ["NaN", "Infinity", "1e999"])
+def test_bump_non_finite_r_rejected(tmp_path, capsys, r):
+    # json reads NaN and Infinity, and 1e999 overflows to inf
+    path = tmp_path / "b.json"
+    path.write_text(
+        '{"grid": {"points_per_axis": 512}, "family": {"sizes": [0.5, 1.0], "center_stride": 128},'
+        ' "weights": {"u": "r**0.5", "v": "r**0.5"},'
+        f' "bump": {{"r": {r}, "mode": "power"}}}}'
+    )
+    assert main(["bump", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bump conditions need 1 <= r < inf")
 
 
 VERIFY_CFG = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amalgam import ExpressionError, make_grid
+from amalgam import ExpressionError, Grid
 from amalgam import expressions
 from amalgam.expressions import EXPRESSION_LANGUAGE, evaluate
 

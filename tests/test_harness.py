@@ -19,6 +19,7 @@ from amalgam import (
     Corpus,
     DiscreteFunction,
     ExperimentSpec,
+    Grid,
     HypothesisError,
     Kernel,
     PreconditionError,
@@ -30,14 +31,11 @@ from amalgam import (
     apply_operator,
     bmo_lemma_check,
     bump_check,
-    constant_weight,
     covering_region,
     doubling_profile,
     luxemburg_table,
-    make_grid,
     maximal,
     muckenhoupt_characteristic,
-    power_weight,
     region_family,
     sample,
     sharp_domination_check,
@@ -110,7 +108,7 @@ def test_drift_is_relative_or_absolute_from_zero():
 
 def test_bump_check_unit_weights_exact(small_grid):
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=64)
-    one = constant_weight(small_grid, 1.0)
+    one = weight_from_expression("1.0", small_grid)
     for mode in ("two", "power", "orlicz"):
         res = bump_check(one, one, BumpParams(2.0, 1.5, mode), fam)
         assert res.value == 1.0, mode
@@ -121,16 +119,16 @@ def test_bump_check_unit_weights_exact(small_grid):
 def test_bump_check_power_dominates_two(small_grid):
     # r > 1 power means are larger than plain means by Jensen
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=64)
-    u = power_weight(small_grid, 0.5)
+    u = weight_from_expression("r**(0.5)", small_grid)
     two = bump_check(u, u, BumpParams(2.0, 1.0, "two"), fam).value
     power = bump_check(u, u, BumpParams(2.0, 1.5, "power"), fam).value
     assert power >= two * (1 - 1e-12)
 
 
 BUMP_GRIDS = {
-    "1d": (make_grid(dim=1, half_width=4.0, points_per_axis=256), "ball"),
-    "2d-ball": (make_grid(dim=2, half_width=2.0, points_per_axis=32), "ball"),
-    "2d-cube": (make_grid(dim=2, half_width=2.0, points_per_axis=32), "cube"),
+    "1d": (Grid(dim=1, half_width=4.0, points_per_axis=256), "ball"),
+    "2d-ball": (Grid(dim=2, half_width=2.0, points_per_axis=32), "ball"),
+    "2d-cube": (Grid(dim=2, half_width=2.0, points_per_axis=32), "cube"),
 }
 
 
@@ -186,9 +184,9 @@ def _full_table_bump(u, v, params, fam):
 
 
 PRUNE_GRIDS = {
-    "1d": (make_grid(dim=1, half_width=4.0, points_per_axis=64), "ball"),
-    "2d-ball": (make_grid(dim=2, half_width=2.0, points_per_axis=16), "ball"),
-    "2d-cube": (make_grid(dim=2, half_width=2.0, points_per_axis=16), "cube"),
+    "1d": (Grid(dim=1, half_width=4.0, points_per_axis=64), "ball"),
+    "2d-ball": (Grid(dim=2, half_width=2.0, points_per_axis=16), "ball"),
+    "2d-cube": (Grid(dim=2, half_width=2.0, points_per_axis=16), "cube"),
 }
 
 
@@ -257,10 +255,14 @@ def test_bump_params_validation(small_grid):
         BumpParams(2.0, 0.5, "two")
     with pytest.raises(ConfigurationError):
         BumpParams(2.0, 1.5, "median")
+    for p, r in ((math.nan, 1.5), (math.inf, 1.5), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ConfigurationError, match="< inf"):
+            BumpParams(p, r, "power")
     fam = region_family(small_grid, (1.0,), center_stride=64)
-    other = make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
+    other = Grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
     with pytest.raises(ConfigurationError, match="different grids"):
-        bump_check(constant_weight(small_grid), constant_weight(other), BumpParams(2.0, 1.5, "two"), fam)
+        bump_check(weight_from_expression("1.0", small_grid), weight_from_expression("1.0", other),
+                   BumpParams(2.0, 1.5, "two"), fam)
 
 
 def test_bmo_lemma_log_growth(desk_grid):
@@ -281,7 +283,7 @@ def test_bmo_lemma_weighted(desk_grid):
     b = sample("logabs", desk_grid)
     fam = region_family(desk_grid, sizes=(0.125, 0.25), centers=[(0.0,)])
     reg = Region("ball", (0.0,), 0.125)
-    w = power_weight(desk_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", desk_grid)
     res = bmo_lemma_check(b, reg, fam, jmax=3, p=2.0, w=w)
     assert res.weighted_ratios is not None
     assert all(math.isfinite(v) and v > 0 for v in res.weighted_ratios)
@@ -297,6 +299,10 @@ def test_bmo_lemma_preconditions(desk_grid):
         bmo_lemma_check(const, Region("ball", (0.0,), 0.125), fam, jmax=1)
     with pytest.raises(ConfigurationError, match="jmax"):
         bmo_lemma_check(b, Region("ball", (0.0,), 0.125), fam, jmax=0)
+    w = weight_from_expression("1.0", desk_grid)
+    for p in (0.0, -1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="1 <= p < inf"):
+            bmo_lemma_check(b, Region("ball", (0.0,), 0.125), fam, jmax=1, p=p, w=w)
 
 
 def test_sharp_domination_plain(desk_grid):
@@ -329,7 +335,7 @@ def test_no_path_walks_a_family_region_by_region(small_grid):
 
     f = sample("gauss(0.5, 0.5)", small_grid)
     b = sample("logabs", small_grid)
-    w = power_weight(small_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", small_grid)
     fam = region_family(small_grid, sizes=(0.25, 0.5), center_stride=32)
     cover = [fam, covering_region(small_grid).as_family()]
     eps = 4 * small_grid.spacing
@@ -458,7 +464,7 @@ def test_experiment_spec_rejects_eps_nodes_where_the_operator_vanishes(dim, poin
         ExperimentSpec("strong", eps_nodes=vanishing, **spec)
     kept = ExperimentSpec("strong", eps_nodes=vanishing - 1, **spec)
     # one node pair, the box's two far corners, survives the truncation
-    grid = make_grid(dim=dim, half_width=kept.half_width, points_per_axis=points)
+    grid = Grid(dim=dim, half_width=kept.half_width, points_per_axis=points)
     f = DiscreteFunction(grid, np.eye(1, grid.n_nodes).ravel())
     image = apply_operator(Kernel(kernel, dim), f, kept.eps_nodes * grid.spacing)
     big = np.abs(image.values) > 1e-9 * np.abs(image.values).max()
@@ -488,7 +494,7 @@ def test_one_center_set_per_run(monkeypatch, theorem, dim, points, stride):
     spec = tiny_spec(theorem, dim=dim, points=points, center_stride=stride, corpus_n=2,
                      kernel_tag="riesz" if dim == 2 else "hilbert")
     theorem_experiment(spec, refinements=2)
-    base = region_family(make_grid(dim=dim, points_per_axis=points), spec.sizes,
+    base = region_family(Grid(dim=dim, points_per_axis=points), spec.sizes,
                          center_stride=stride).centers
     # the plateau gate's half, same and double grids, and two refinement
     # levels, the first on the gate's double grid: each grid is built once
@@ -596,7 +602,7 @@ def test_endpoint_levels_under_outer_measure_match_oracle():
     )
     report = theorem_experiment(spec, refinements=0, eps_stability=False)
     by_label = {c.label: c for c in report.cases}
-    grid = make_grid(points_per_axis=spec.points)
+    grid = Grid(points_per_axis=spec.points)
     fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
     w = sample(spec.w_expr, grid).values
     mu = sample(spec.mu_expr, grid).values
@@ -626,7 +632,7 @@ def test_endpoint_levels_in_2d_match_oracle():
     )
     report = theorem_experiment(spec, refinements=0, eps_stability=False)
     by_label = {c.label: c for c in report.cases}
-    grid = make_grid(dim=2, points_per_axis=spec.points)
+    grid = Grid(dim=2, points_per_axis=spec.points)
     fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
     w = sample(spec.w_expr, grid).values
     mu = sample(spec.mu_expr, grid).values
@@ -656,7 +662,7 @@ def _two_weight_run(theorem, dim, **kw):
     spec = tiny_spec(theorem, dim=dim, u_expr="r**0.3", v_expr="1.0 + r**0.5",
                      mu_expr="1.0 + 0.5 * r", **grid_args, **kw)
     report = theorem_experiment(spec, refinements=0, eps_stability=False)
-    grid = make_grid(dim=dim, points_per_axis=spec.points)
+    grid = Grid(dim=dim, points_per_axis=spec.points)
     fam = region_family(grid, sizes=spec.sizes, center_stride=spec.center_stride)
     u, v, mu = (sample(e, grid) for e in (spec.u_expr, spec.v_expr, spec.mu_expr))
     b = sample(spec.b_expr, grid) if theorem == "two_weight_endpoint" else None

@@ -10,6 +10,7 @@ import oracles
 from amalgam import (
     ConfigurationError,
     DiscreteFunction,
+    Grid,
     Kernel,
     PreconditionError,
     Region,
@@ -17,7 +18,6 @@ from amalgam import (
     apply_operator,
     covering_region,
     dini_integrals,
-    make_grid,
     maximal,
     region_family,
     sample,
@@ -141,7 +141,7 @@ def test_riesz_pointwise_2d():
 
 
 def test_apply_operator_matches_direct_1d():
-    g = make_grid(dim=1, points_per_axis=128)
+    g = Grid(dim=1, points_per_axis=128)
     f = sample("gauss(0.5, 0.4) + ind(-2.0, -1.0)", g)
     k = Kernel("hilbert", 1)
     eps = 4 * g.spacing
@@ -161,7 +161,7 @@ def test_apply_operator_matches_direct_2d(tiny_grid_2d):
 
 
 def test_commutator_matches_direct():
-    g = make_grid(dim=1, points_per_axis=128)
+    g = Grid(dim=1, points_per_axis=128)
     f = sample("gauss(0.5, 0.4)", g)
     b = sample("logabs", g)
     k = Kernel("hilbert", 1)
@@ -182,7 +182,7 @@ def test_commutator_matches_direct():
 def test_apply_operator_matches_direct_at_edges(grid_args, k, eps_cells, rtol, atol, rng):
     # random values put mass at both ends of the box, so the extreme offsets
     # +-(n - 1) contribute and a kernel layout that wraps fails
-    g = make_grid(**grid_args)
+    g = Grid(**grid_args)
     f = DiscreteFunction(g, rng.normal(size=g.n_nodes))
     b = DiscreteFunction(g, rng.normal(size=g.n_nodes))
     eps = eps_cells * g.spacing
@@ -213,7 +213,7 @@ def fresh_spectra():
 
 
 def _blocked_matches_full_lattice(dim, n, k, seed):
-    g = make_grid(dim=dim, points_per_axis=n)
+    g = Grid(dim=dim, points_per_axis=n)
     eps = 3.0 * g.spacing
     want = oracles.full_lattice_spectrum(k, g, eps)
     got = operators._kernel_spectrum(k, g, eps)
@@ -244,13 +244,13 @@ def test_spectrum_evaluates_half_the_lattice(fresh_spectra, monkeypatch, dim, n,
     pointwise = Kernel.pointwise
     monkeypatch.setattr(Kernel, "pointwise", lambda self, diff: (
         offsets.append(diff.size // self.dim) or pointwise(self, diff)))
-    g = make_grid(dim=dim, points_per_axis=n)
+    g = Grid(dim=dim, points_per_axis=n)
     operators._kernel_spectrum(k, g, 3.0 * g.spacing)
     assert sum(offsets) == (n + 1) * 2 * n if dim == 2 else 2 * n
 
 
 def test_spectrum_build_holds_a_few_blocks(fresh_spectra):
-    g = make_grid(dim=2, points_per_axis=256)
+    g = Grid(dim=2, points_per_axis=256)
     tracemalloc.start()
     try:
         spectrum = operators._kernel_spectrum(Kernel("riesz", 2), g, 3.0 * g.spacing)
@@ -262,7 +262,7 @@ def test_spectrum_build_holds_a_few_blocks(fresh_spectra):
 
 
 def test_commutator_apply_holds_a_few_node_arrays(fresh_spectra):
-    g = make_grid(dim=2, points_per_axis=512)
+    g = Grid(dim=2, points_per_axis=512)
     k = Kernel("riesz", 2)
     eps = 3.0 * g.spacing
     f, b = (DiscreteFunction(g, v) for v in np.random.default_rng(5).normal(size=(2, g.n_nodes)))
@@ -287,7 +287,7 @@ OPERATOR_CASES = st.sampled_from(
 @given(OPERATOR_CASES, st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.floats(2.0, 9.0))
 def test_commutator_with_constant_symbol_vanishes(case, seed, c, eps_cells):
     dim, n, k = case
-    g = make_grid(dim=dim, points_per_axis=n)
+    g = Grid(dim=dim, points_per_axis=n)
     f = DiscreteFunction(g, np.random.default_rng(seed).normal(size=g.n_nodes))
     eps = eps_cells * g.spacing
     Tf = apply_operator(k, f, eps).values
@@ -300,7 +300,7 @@ def test_commutator_with_constant_symbol_vanishes(case, seed, c, eps_cells):
 def test_odd_kernel_is_antisymmetric(case, seed, eps_cells):
     # <Tf, g> = -<f, Tg> because K(-x) = -K(x)
     dim, n, k = case
-    grid = make_grid(dim=dim, points_per_axis=n)
+    grid = Grid(dim=dim, points_per_axis=n)
     f, g = np.random.default_rng(seed).normal(size=(2, grid.n_nodes))
     eps = eps_cells * grid.spacing
     Tf = apply_operator(k, DiscreteFunction(grid, f), eps).values
@@ -310,12 +310,12 @@ def test_odd_kernel_is_antisymmetric(case, seed, eps_cells):
 
 
 def test_operator_linearity():
-    g = make_grid(dim=1, points_per_axis=256)
+    g = Grid(dim=1, points_per_axis=256)
     f1 = sample("gauss(0.0, 0.5)", g)
     f2 = sample("ind(-1.0, 0.0)", g)
     k = Kernel("hilbert", 1)
     eps = 4 * g.spacing
-    lhs = apply_operator(k, f1 + f2, eps).values
+    lhs = apply_operator(k, DiscreteFunction(g, f1.values + f2.values), eps).values
     rhs = apply_operator(k, f1, eps).values + apply_operator(k, f2, eps).values
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -327,7 +327,7 @@ def test_operator_epsilon_validation(small_grid):
         apply_operator(k, f, small_grid.spacing)
     with pytest.raises(ConfigurationError):
         apply_operator(Kernel("riesz", 2), f, 4 * small_grid.spacing)
-    b = sample("1.0", make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
+    b = sample("1.0", Grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
     with pytest.raises(ConfigurationError, match="symbol b"):
         apply_operator(k, f, 4 * small_grid.spacing, b)
 
@@ -336,7 +336,7 @@ def test_operator_epsilon_validation(small_grid):
 def test_operator_rejects_a_truncation_past_every_node_pair(dim, points, vanishing):
     # the longest displacement is (points - 1) h sqrt(dim): 255 cells in 1D, 15 sqrt(2) in 2D,
     # the bound ExperimentSpec puts on eps_nodes
-    grid = make_grid(dim=dim, points_per_axis=points)
+    grid = Grid(dim=dim, points_per_axis=points)
     f = sample("1.0", grid)
     kernel = Kernel("hilbert" if dim == 1 else "riesz", dim)
     with pytest.raises(ConfigurationError, match="longest node displacement"):

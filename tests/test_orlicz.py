@@ -17,12 +17,12 @@ from amalgam import (
     ConfigurationError,
     DiscreteFunction,
     EmptyRegionWarning,
+    Grid,
     Region,
     YoungFunction,
     holder_check,
     luxemburg_norm,
     luxemburg_table,
-    make_grid,
     region_family,
     sample,
 )
@@ -50,6 +50,10 @@ def test_young_validation():
         YoungFunction.bump(1.0)
     with pytest.raises(ConfigurationError):
         YoungFunction("nope", 1.0)
+    for tag in ("power", "llogl", "bump"):
+        for param in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="< inf"):
+                YoungFunction(tag, param)
 
 
 def test_unit_argument():
@@ -90,7 +94,7 @@ def test_luxemburg_matches_root_oracle(small_grid, rng):
             )
             assert got == pytest.approx(want, rel=1e-8)
     # a norm of about 1e-2, where an absolute root tolerance would decide the oracle
-    grid = make_grid(dim=1, half_width=4.0, points_per_axis=4096)
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=4096)
     spike = np.full(grid.n_nodes, 1e-3)
     spike[2048] = 0.1
     Y = YoungFunction.exponential()
@@ -134,7 +138,8 @@ def test_luxemburg_far_scales(small_grid, rng):
               YoungFunction.bump(2.0)):
         base = luxemburg_norm(f, Y)
         for c in (1e-300, 1e300):
-            assert luxemburg_norm(c * f, Y) == pytest.approx(c * base, rel=1e-12)
+            assert luxemburg_norm(DiscreteFunction(small_grid, c * f.values), Y) == pytest.approx(
+                c * base, rel=1e-12)
 
 
 def test_luxemburg_zero_function(small_grid):
@@ -165,7 +170,7 @@ def test_luxemburg_scaling(small_grid, rng):
     f = DiscreteFunction(small_grid, np.abs(rng.normal(size=small_grid.n_nodes)))
     Y = YoungFunction.llogl(1.0)
     n1 = luxemburg_norm(f, Y)
-    n2 = luxemburg_norm(2.0 * f, Y)
+    n2 = luxemburg_norm(DiscreteFunction(small_grid, 2.0 * f.values), Y)
     assert n2 == pytest.approx(2.0 * n1, rel=1e-9)
 
 
@@ -209,7 +214,7 @@ def test_holder_validation(small_grid):
         holder_check(f, f, "nope")
     with pytest.raises(ConfigurationError):
         holder_check(f, f, "triple")
-    g = sample("x", make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
+    g = sample("x", Grid(dim=1, points_per_axis=2 * small_grid.points_per_axis))
     with pytest.raises(ConfigurationError, match="grids do not match"):
         holder_check(f, g, "conjugate", p=2.0)
 
@@ -285,7 +290,7 @@ def young_functions(draw):
     return YoungFunction.exponential()
 
 
-PROP_GRID = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+PROP_GRID = Grid(dim=1, half_width=4.0, points_per_axis=64)
 
 
 @st.composite
@@ -325,11 +330,11 @@ def test_luxemburg_contract(Y, vals, w, center, size):
 
 
 TABLE_GRIDS = {
-    "1d": make_grid(dim=1, half_width=4.0, points_per_axis=64),
-    "2d-ball": make_grid(dim=2, half_width=2.0, points_per_axis=16),
-    "2d-cube": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+    "1d": Grid(dim=1, half_width=4.0, points_per_axis=64),
+    "2d-ball": Grid(dim=2, half_width=2.0, points_per_axis=16),
+    "2d-cube": Grid(dim=2, half_width=2.0, points_per_axis=16),
     # cell volume (6 / 16)^2 = 9 / 64, not a power of two
-    "2d-ball-3": make_grid(dim=2, half_width=3.0, points_per_axis=16),
+    "2d-ball-3": Grid(dim=2, half_width=3.0, points_per_axis=16),
 }
 
 
@@ -368,7 +373,7 @@ EXP_SPIKE_PASSES = 12
 
 @pytest.mark.parametrize("spike_at", [0, 1000, 4095])
 def test_luxemburg_exp_spike_pass_bound(monkeypatch, spike_at):
-    grid = make_grid(dim=1, half_width=4.0, points_per_axis=4096)
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=4096)
     vals = np.full(grid.n_nodes, 1e-3)
     vals[spike_at] = 4095 / 3096  # max / avg = 1e3
     assert vals.max() / vals.mean() == pytest.approx(1e3)
@@ -385,7 +390,7 @@ def test_luxemburg_exp_spike_pass_bound(monkeypatch, spike_at):
 def test_luxemburg_exp_overflowing_slope():
     # at the Jensen start t Y'(t) overflows while Y(t) does not, so the Newton
     # step reads 0 there; the solve must bisect on rather than stop at s0
-    grid = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     vals = np.zeros(grid.n_nodes)
     vals[:3] = [211.0, 1e-3, 1.0]
     w = np.ones(grid.n_nodes)
@@ -398,7 +403,7 @@ def test_luxemburg_exp_overflowing_slope():
 
 def test_luxemburg_stop_saves_a_pass_per_batch(monkeypatch):
     # the bump gate's solve: v^(-1/p) for v = r^0.3 and p = 2, under (t (1 + log+ t))^2
-    grid = make_grid(dim=2, half_width=2.0, points_per_axis=128)
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=128)
     values = sample("r**-0.15", grid).values
     fam = region_family(grid, sizes=(0.25, 0.5, 1.0), shape="ball", center_stride=8)
     counts = {}
@@ -428,7 +433,7 @@ def test_luxemburg_stop_saves_a_pass_per_batch(monkeypatch):
 def test_luxemburg_split_reads_fewer_entries(monkeypatch):
     # the bump gate's solve, as in the stop test: the nodes below t = 1 at the
     # Jensen start are summed once, so the passes read only the others
-    grid = make_grid(dim=2, half_width=2.0, points_per_axis=128)
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=128)
     values = sample("r**-0.15", grid).values
     fam = region_family(grid, sizes=(0.25, 0.5, 1.0), shape="ball", center_stride=8)
     entries = dict(gathered=0, passes=0, contract=0)
@@ -524,7 +529,7 @@ EQUAL_MASS_GRIDS = [((1, 4.0, 64), True), ((2, 2.0, 16), True), ((2, 3.0, 16), F
 def test_unweighted_table_is_the_unit_weight_table(grid_args, exact, Y):
     # without a weight the solve reads no masses; a unit weight reads h^dim at every node
     dim, half_width, n = grid_args
-    grid = make_grid(dim=dim, half_width=half_width, points_per_axis=n)
+    grid = Grid(dim=dim, half_width=half_width, points_per_axis=n)
     rng = np.random.default_rng(n)
     vals = np.where(rng.random(grid.n_nodes) < 0.2, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes) ** 4 * 3.0)
     fam = region_family(grid, sizes=(0.3, 1.0, 6.0), shape="ball", center_stride=3)
@@ -541,7 +546,7 @@ def test_unweighted_table_is_the_unit_weight_table(grid_args, exact, Y):
 
 
 def test_unweighted_table_gathers_only_the_values(monkeypatch):
-    grid = make_grid(dim=2, half_width=2.0, points_per_axis=16)
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=16)
     fam = region_family(grid, sizes=(0.5, 1.0), shape="ball", center_stride=3)
     vals = sample("r**-0.15", grid).values
     batch_table, solve, node_masses = (
@@ -606,8 +611,8 @@ def test_luxemburg_contract_counts_the_nodes_below_one(monkeypatch, Y):
 
 
 BRACKET_GRIDS = {
-    "1d": make_grid(dim=1, half_width=4.0, points_per_axis=64),
-    "2d": make_grid(dim=2, half_width=2.0, points_per_axis=16),
+    "1d": Grid(dim=1, half_width=4.0, points_per_axis=64),
+    "2d": Grid(dim=2, half_width=2.0, points_per_axis=16),
 }
 
 

@@ -11,6 +11,7 @@ from amalgam import (
     AmalgamSpec,
     ConfigurationError,
     DiscreteFunction,
+    Grid,
     PreconditionError,
     Region,
     SpaceParams,
@@ -20,14 +21,11 @@ from amalgam import (
     amalgam_norm_detail,
     amalgam_norms,
     bmo_norm,
-    constant_weight,
     covering_region,
     holder_check,
     local_lp_norm,
     local_weak_lp_norm,
     luxemburg_norm,
-    make_grid,
-    power_weight,
     region_family,
     region_mean,
     sample,
@@ -104,9 +102,9 @@ def test_region_mean_weighted(small_grid, rng):
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 def test_no_region_is_the_covering_region(dim, weighted, rng):
     # region=None means the whole box: covering_region, every node in flat order
-    grid = make_grid(dim=dim, half_width=2.0, points_per_axis=64 if dim == 1 else 16)
+    grid = Grid(dim=dim, half_width=2.0, points_per_axis=64 if dim == 1 else 16)
     f, g = (DiscreteFunction(grid, rng.normal(size=grid.n_nodes)) for _ in range(2))
-    w = power_weight(grid, 0.3) if weighted else None
+    w = weight_from_expression("r**(0.3)", grid) if weighted else None
     stats = [
         lambda reg: local_lp_norm(f, 2.5, reg, w),
         lambda reg: local_weak_lp_norm(f, 1.5, reg, w),
@@ -141,7 +139,7 @@ def test_bmo_constant_is_zero(small_grid):
 def test_amalgam_matches_brute(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
-    w = power_weight(small_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", small_grid)
     for q in (8.0, math.inf):
         spec = AmalgamSpec(SpaceParams(2.0, 4.0, q), fam, w)
         got = amalgam_norm(f, spec)
@@ -151,7 +149,7 @@ def test_amalgam_matches_brute(small_grid, rng):
 
 @pytest.mark.parametrize("shape", ["ball", "cube"])
 def test_amalgam_2d_matches_brute(shape, rng):
-    grid = make_grid(dim=2, half_width=2.0, points_per_axis=32)
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=32)
     f = DiscreteFunction(grid, rng.normal(size=grid.n_nodes))
     # sizes from under a cell to past the box, so some regions spill over the edge
     fam = region_family(grid, sizes=(0.1, 0.5, 1.0, 3.0), shape=shape, center_stride=3)
@@ -225,7 +223,7 @@ def test_amalgam_norms_of_no_rows(small_grid, variant, p):
 def test_amalgam_with_outer_weight(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
-    mu = constant_weight(small_grid, 2.0)
+    mu = weight_from_expression("2.0", small_grid)
     spec = AmalgamSpec(SpaceParams(2.0, 4.0, 8.0), fam, None, mu)
     base = AmalgamSpec(SpaceParams(2.0, 4.0, 8.0), fam, None, None)
     # constant outer weight scales the outer sum by 2^{1/q}
@@ -274,8 +272,9 @@ def test_norm_inputs_rejected(small_grid):
         with pytest.raises(ConfigurationError, match="p >= 1"):
             norm(f, 0.5)
     fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
-    other = make_grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
-    for inner, outer in ((constant_weight(other), None), (None, constant_weight(other))):
+    other = Grid(dim=1, points_per_axis=2 * small_grid.points_per_axis)
+    one = weight_from_expression("1.0", other)
+    for inner, outer in ((one, None), (None, one)):
         spec = AmalgamSpec(SpaceParams(1.0, 2.0, 8.0), fam, inner, outer)
         with pytest.raises(ConfigurationError, match="weight lives on a different grid"):
             amalgam_norms(small_grid, [f.values], spec)
@@ -288,11 +287,11 @@ def test_norm_inputs_rejected(small_grid):
 def test_amalgam_homogeneous(small_grid, rng):
     f = DiscreteFunction(small_grid, rng.normal(size=small_grid.n_nodes))
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
-    w = power_weight(small_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", small_grid)
     for variant in ("strong", "weak"):
         spec = AmalgamSpec(SpaceParams(2.0, 4.0, 8.0), fam, w, None, variant)
         n1 = amalgam_norm(f, spec)
-        n3 = amalgam_norm(3.0 * f, spec)
+        n3 = amalgam_norm(DiscreteFunction(small_grid, 3.0 * f.values), spec)
         assert n3 == pytest.approx(3.0 * n1, rel=1e-12)
 
 
@@ -376,7 +375,7 @@ def test_outer_norm_monotone_in_sizes(tw, q, data):
     assert outer_norm(grown, q, weights)[0] >= outer_norm(table, q, weights)[0]
 
 
-PROPERTY_GRID = make_grid(dim=1, half_width=4.0, points_per_axis=64)
+PROPERTY_GRID = Grid(dim=1, half_width=4.0, points_per_axis=64)
 PROPERTY_FAMILY = region_family(PROPERTY_GRID, (0.5, 1.0, 2.0), center_stride=4)
 
 

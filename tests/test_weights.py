@@ -8,13 +8,11 @@ import oracles
 from amalgam import (
     ConfigurationError,
     DiscreteFunction,
+    Grid,
     PreconditionError,
     Weight,
-    constant_weight,
     doubling_profile,
-    make_grid,
     muckenhoupt_characteristic,
-    power_weight,
     region_family,
     weight_from_expression,
 )
@@ -33,11 +31,11 @@ def test_weight_requires_positive_values(small_grid):
 
 def test_power_weight_clipped(small_grid):
     h = small_grid.spacing
-    w = power_weight(small_grid, -0.5)
+    w = weight_from_expression("r**(-0.5)", small_grid)
     i0 = small_grid.node_index((0.0,))
     assert w.values[i0] == (h / 2) ** -0.5
     assert np.all(np.isfinite(w.values))
-    wp = power_weight(small_grid, 0.5)
+    wp = weight_from_expression("r**(0.5)", small_grid)
     assert wp.values[i0] == (h / 2) ** 0.5
 
 
@@ -82,14 +80,14 @@ def test_characteristic_gathers_no_node_values(monkeypatch, small_grid, spill_fa
 
 
 def test_characteristic_constant_weight(small_grid):
-    w = constant_weight(small_grid, 3.7)
+    w = weight_from_expression("3.7", small_grid)
     fam = region_family(small_grid, sizes=(0.5, 1.0), center_stride=32)
     for p in (1.0, 2.0):
         assert muckenhoupt_characteristic(w, p, fam) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_characteristic_monotone_in_p(small_grid):
-    w = power_weight(small_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", small_grid)
     fam = region_family(small_grid, sizes=(0.5, 1.0, 2.0), center_stride=64)
     c15 = muckenhoupt_characteristic(w, 1.5, fam)
     c2 = muckenhoupt_characteristic(w, 2.0, fam)
@@ -98,13 +96,13 @@ def test_characteristic_monotone_in_p(small_grid):
 
 
 def test_constant_weight_must_be_positive(small_grid):
-    for c in (0.0, -1.0, math.nan):
-        with pytest.raises(ConfigurationError, match="constant weight must be positive"):
-            constant_weight(small_grid, c)
+    for c in ("0.0", "-1.0"):
+        with pytest.raises(ConfigurationError, match="must be strictly positive"):
+            weight_from_expression(c, small_grid)
 
 
 def test_characteristic_invalid_p(small_grid):
-    w = constant_weight(small_grid)
+    w = weight_from_expression("1.0", small_grid)
     fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
     with pytest.raises(ConfigurationError):
         muckenhoupt_characteristic(w, 0.5, fam)
@@ -112,14 +110,14 @@ def test_characteristic_invalid_p(small_grid):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_characteristic_empty_family_rejected(small_grid):
-    w = constant_weight(small_grid)
+    w = weight_from_expression("1.0", small_grid)
     fam = region_family(small_grid, sizes=(1e-9,), centers=[(0.5 * small_grid.spacing,)])
     with pytest.raises(PreconditionError):
         muckenhoupt_characteristic(w, 2.0, fam)
 
 
 def test_doubling_profile_unit_weight(small_grid):
-    w = constant_weight(small_grid)
+    w = weight_from_expression("1.0", small_grid)
     fam = region_family(small_grid, sizes=(0.25, 0.5, 1.0), center_stride=32)
     prof = doubling_profile(w, fam)
     # doubling a 1d ball doubles the node count up to one-node effects
@@ -131,7 +129,7 @@ def test_doubling_profile_unit_weight(small_grid):
 
 
 def test_doubling_profile_power_weight(small_grid):
-    w = power_weight(small_grid, 0.5)
+    w = weight_from_expression("r**(0.5)", small_grid)
     fam = region_family(small_grid, sizes=(0.25, 0.5, 1.0), center_stride=32)
     prof = doubling_profile(w, fam)
     assert 1.01 < prof.reverse_doubling_constant <= prof.doubling_constant
@@ -142,12 +140,12 @@ def test_doubling_profile_power_weight(small_grid):
 def test_doubling_profile_matches_region_loop(small_grid, tiny_grid_2d):
     one_d = region_family(small_grid, sizes=(0.25, 0.5, 1.0), center_stride=32)
     cases = [
-        (constant_weight(small_grid), one_d),
-        (power_weight(small_grid, 0.5), one_d),
+        (weight_from_expression("1.0", small_grid), one_d),
+        (weight_from_expression("r**(0.5)", small_grid), one_d),
         # unsorted sizes, and centers close enough to the edge that some
         # regions or their doublings leave the box
         (
-            power_weight(small_grid, -0.3),
+            weight_from_expression("r**(-0.3)", small_grid),
             region_family(small_grid, (2.0, 0.5, 1.0), center_stride=8),
         ),
         (
@@ -155,7 +153,7 @@ def test_doubling_profile_matches_region_loop(small_grid, tiny_grid_2d):
             region_family(tiny_grid_2d, (0.25, 0.5, 0.75), shape="cube", center_stride=2),
         ),
         (
-            power_weight(tiny_grid_2d, 0.5),
+            weight_from_expression("r**(0.5)", tiny_grid_2d),
             region_family(tiny_grid_2d, (0.5, 0.25), shape="ball", center_stride=3),
         ),
     ]
@@ -172,8 +170,8 @@ def test_doubling_profile_matches_region_loop(small_grid, tiny_grid_2d):
 
 
 def test_doubling_profile_needs_room():
-    g = make_grid(dim=1, points_per_axis=256)
-    w = constant_weight(g)
+    g = Grid(dim=1, points_per_axis=256)
+    w = weight_from_expression("1.0", g)
     fam = region_family(g, sizes=(3.0,), centers=[(0.0,)])
     with pytest.raises(PreconditionError):
         doubling_profile(w, fam)  # the doubled ball spills out of the box
