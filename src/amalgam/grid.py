@@ -186,11 +186,11 @@ def _run_nodes(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 
 def _check_regions(shape: str, centers, sizes) -> None:
-    """The region rules: a ball or a cube, sizes > 0, centers all of 1 or all of 2 coordinates."""
+    """The region rules: a ball or a cube, 0 < size < inf, centers all of 1 or all of 2 coordinates."""
     if shape not in ("ball", "cube"):
         raise ConfigurationError(f"shape must be 'ball' or 'cube', got {shape!r}")
-    if not sizes or not all(s > 0 for s in sizes):
-        raise ConfigurationError("need a region size, and every region size positive")
+    if not sizes or not all(0 < s < np.inf for s in sizes):
+        raise ConfigurationError("need a region size, and every region size positive and finite")
     if {len(c) for c in centers} not in ({1}, {2}):
         raise ConfigurationError("need a center, and all centers of 1 or all of 2 coordinates")
 

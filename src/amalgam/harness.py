@@ -583,14 +583,17 @@ def _run_cases(ctx: _Context, eps_nodes: int) -> List[CaseResult]:
     """The cases on ctx at a truncation radius of eps_nodes cells; only the operator side is new."""
 
     def rows():
-        # each member's image is rendered once, when the norms first read one of its cases
+        # each member's image is rendered once, when the norms first read one of its cases,
+        # and taken in modulus once when its cases are levels
         f = image = None
         for _, member, lam in ctx.cases:
             if member is not f:
                 # ctx.b is set exactly for the images of [b, T]
                 f, image = member, apply_operator(ctx.kernel, member, eps_nodes * ctx.grid.spacing,
                                                   ctx.b).values
-            yield image if lam is None else np.abs(image) > lam
+                if lam is not None:
+                    image = np.abs(image)
+            yield image if lam is None else image > lam
 
     lhs = _side(ctx, ctx.lhs, rows())
     return [CaseResult(label, value, bound, lam)

@@ -7,6 +7,10 @@ nondecreasing modulus on (0, 1].  The operator itself is realized as the
 eps-truncated singular sum on the grid, which is a discrete convolution.
 In 1D and 2D alike it is computed by one numpy.fft product on a (2n)^dim
 lattice, O(N log N) in the node count N, against a cached kernel spectrum.
+That spectrum evaluates the kernel on one orthant of offsets, (n+1)^dim of
+them, and mirrors the lattice's columns and rows from it: every kernel is
+odd along its component axis and even along the other, and a kernel added
+later must keep that parity.
 """
 
 from __future__ import annotations
@@ -151,15 +155,27 @@ class Kernel:
     def pointwise(self, diff: np.ndarray) -> np.ndarray:
         """Kernel value at displacement diff, shape (..., dim); zero at 0."""
         d = np.asarray(diff, dtype=np.float64).reshape(-1, self.dim)
-        rho = np.sqrt(np.sum(d * d, axis=-1))
+        return self._truncated(0.0, *d.T)
+
+    def _truncated(self, cutoff: float, *offsets: np.ndarray) -> np.ndarray:
+        """Kernel value at the per-axis offsets, which broadcast; zero where |x| <= cutoff.
+
+        |x|^2 sums the per-axis squares in axis order, as a sum over a
+        stacked last axis does, so the values match a stacked evaluation
+        bit for bit.
+        """
+        rho2 = offsets[0] * offsets[0]
+        for x in offsets[1:]:
+            rho2 = rho2 + x * x
+        rho = np.sqrt(rho2)
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.tag == "hilbert":
-                out = 1.0 / (math.pi * d[:, 0])
+                out = 1.0 / (math.pi * offsets[0])
             elif self.tag == "riesz":
-                out = d[:, self.component] / rho ** (self.dim + 1)
+                out = offsets[self.component] / rho ** (self.dim + 1)
             else:
                 out = np.zeros_like(rho)
-        return np.where(rho > 0, out, 0.0)
+        return np.where(rho > cutoff, out, 0.0)
 
 
 # lattice entries per block: each transient of a spectrum build or an apply
@@ -178,36 +194,45 @@ def _kernel_spectrum(kernel: Kernel, grid: Grid, epsilon: float) -> np.ndarray:
     fft a block of columns at a time.  A verify run reads each spectrum in
     one stretch, so the cache keeps the last two.
 
-    In 2D the offsets satisfy m[2n - r] = -m[r] exactly, and every kernel is
-    odd along its component axis and even along the other, so lattice row
-    2n - r, and its rfft, is row r times -1 (component 0) or 1, up to the
-    sign of a zero.  Only rows 0..n are evaluated; rows n+1..2n-1 are copied
-    from rows n-1..1.  A kernel added later must keep that parity (a radial
-    factor does) or build every row.  In 1D there is one row and nothing is
-    copied.
+    The offsets satisfy m[2n - i] = -m[i] exactly, and every kernel is odd
+    along its component axis and even along the other, so lattice column
+    2n - c is column c times -1 (component axis) or 1, and in 2D lattice
+    row 2n - r, and its rfft, is row r times -1 (component 0) or 1, up to
+    the sign of a zero.  The kernel is evaluated only on the orthant of
+    indices 0..n per axis, (n+1)^dim offsets, with |x|^2 from per-axis
+    squares that broadcast; columns n+1..2n-1 are copied from columns
+    n-1..1 before each row's rfft, and rows n+1..2n-1 from rows n-1..1
+    after it.  A kernel added later must keep that parity (a radial factor
+    does) or build every offset.
     """
     n = grid.points_per_axis
-    m = np.concatenate([np.arange(n), np.arange(-n, 0)]) * grid.spacing
+    # a reserve of 16 lattice rows, released untouched: releasing a block that glibc
+    # mapped on its own raises the size it serves from the heap to that block's and
+    # the free heap it keeps to twice that, so later 1D applies reuse paged-in heap
+    # (without it a 1D 16384 verify strong took about 3 times the page faults; 4 rows
+    # sufficed there, but a 4096-point verify endpoint needed 16); in 2D, at 128^2
+    # and 256^2, the reserve is too small to move either threshold
+    np.empty((16, 2 * n))
+    m = np.concatenate([np.arange(n), [-n]]) * grid.spacing  # lattice indices 0..n
+    cutoff = epsilon * (1.0 + 1e-12)
     n_rows = (2 * n) ** (grid.dim - 1)
     built = min(n_rows, n + 1)
+    col_sign, row_sign = (-1.0 if kernel.component == axis else 1.0 for axis in (grid.dim - 1, 0))
     rows = None
     per = max(1, _BLOCK // (2 * n))
     for r in range(0, built, per):
         k = min(per, built - r)
         # a row's leading offset is m[row] in 2D; the one 1D row has none
-        diff = np.empty((k, 2 * n, grid.dim))
-        diff[..., :-1] = m[r:r + k, None, None]
-        diff[..., -1] = m
-        rho = np.sqrt(np.sum(diff * diff, axis=-1))
-        vals = kernel.pointwise(diff).reshape(rho.shape)
-        lattice = np.where(rho > epsilon * (1.0 + 1e-12), vals, 0.0)
+        lattice = np.empty((k, 2 * n))
+        lattice[:, :n + 1] = kernel._truncated(cutoff, *(m[r:r + k, None],) * (grid.dim - 1), m)
+        np.multiply(lattice[:, n - 1:0:-1], col_sign, out=lattice[:, n + 1:])
         if rows is None:
-            # allocated above the first block's temporaries, whose freed memory then
-            # stays in the heap for every apply; allocated before them, it went back to
-            # the system, and a 1D 16384 verify strong took three times the page faults
+            # allocated above the first block's values, whose freed memory then stays
+            # in the heap for the applies; allocated before them, a 2D 128^2 verify
+            # two_weight_strong took 13% more page faults
             rows = np.empty((n_rows, n + 1), dtype=complex)
         np.fft.rfft(lattice, out=rows[r:r + k])
-    np.multiply(rows[n - 1:0:-1], -1.0 if kernel.component == 0 else 1.0, out=rows[n + 1:])
+    np.multiply(rows[n - 1:0:-1], row_sign, out=rows[n + 1:])
     spectrum = rows.reshape((2 * n,) * (grid.dim - 1) + (n + 1,))
     cols = max(1, _BLOCK // n_rows)
     for c in range(0, n + 1, cols):

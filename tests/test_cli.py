@@ -268,6 +268,22 @@ def test_bump_non_finite_r_rejected(tmp_path, capsys, r):
     assert captured.err.startswith("error: bump conditions need 1 <= r < inf")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["norm"], '{"grid": {"points_per_axis": 512}, "function": "gauss(0.0, 0.5)",'
+               ' "family": {"sizes": [Infinity], "center_stride": 128}}'),
+    (["verify", "strong"], '{"experiment": {"points": 512, "corpus_n": 3, "center_stride": 128,'
+                           ' "sizes": [0.5, Infinity]}}'),
+], ids=["norm", "verify"])
+def test_infinite_region_size_rejected(tmp_path, capsys, argv, text):
+    # json reads Infinity; an infinite size once printed "argmax_size": Infinity, which is not JSON
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "every region size positive and finite" in captured.err
+
+
 VERIFY_CFG = {
     "experiment": {
         "points": 512,

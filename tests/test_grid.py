@@ -168,6 +168,9 @@ def test_region_validation(small_grid):
         Region("ball", (0.0, 0.0), 1.0).node_indices(small_grid)
     with pytest.raises(ConfigurationError, match="center_stride"):
         region_family(small_grid, (1.0,), center_stride=0)
+    for sizes in ((math.inf,), (0.5, math.inf), (math.nan,)):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            region_family(small_grid, sizes, center_stride=64)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -200,8 +203,11 @@ def test_family_iteration_order(small_grid):
     ("ball", ((0.0,),), (0.0, 1.0)),
     ("cube", ((0.0,),), (-0.5, 1.0)),
     ("ball", ((0.0,),), (math.nan,)),
+    ("ball", ((0.0,),), (math.inf,)),
+    ("cube", ((0.0, 0.0),), (0.5, math.inf)),
     ("ball", ((0.0, 0.0), (0.0, 0.0, 0.0)), (1.0,)),
-], ids=["shape", "zero-size", "negative-size", "nan-size", "three-coordinates"])
+], ids=["shape", "zero-size", "negative-size", "nan-size", "inf-size", "inf-among-sizes",
+        "three-coordinates"])
 def test_family_validation_is_region_validation(shape, centers, sizes):
     # a family takes no shape, size or center that a region refuses
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Static checks on the package source.
+"""Static checks on the package source, and one on the tests.
 
 Every name a package module imports is used in that module: a stdlib-only
 stand-in for pyflakes' unused-import check, where an imported name must be
@@ -56,6 +56,11 @@ A run loads no numpy submodule it does not use: after a tiny experiment of
 every theorem in 1D and a 2D riesz run, ``numpy.polynomial`` and ``numpy.ma``
 are still absent from ``sys.modules`` (each import costs milliseconds and
 over a megabyte of resident memory in every process).
+
+No test asserts a conditional comparison: an ``assert`` in ``tests/`` whose
+whole test is ``x == y if c else z`` parses as ``(x == y) if c else z``, so
+where c is false it asserts only that z is truthy.  The comparand takes the
+parentheses instead, ``x == (y if c else z)``.
 """
 
 import ast
@@ -70,6 +75,7 @@ import pytest
 from amalgam.harness import THEOREMS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "amalgam"
+TESTS = Path(__file__).resolve().parent
 
 
 def _annotations(tree: ast.Module):
@@ -657,3 +663,26 @@ def test_runs_leave_unused_numpy_submodules_unloaded():
     run = subprocess.run([sys.executable, "-c", _EVERY_THEOREM_RUN], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+def _conditional_asserts(tree: ast.Module):
+    """Lines of each assert whose test is a conditional expression with a comparison as its body."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+                  and isinstance(node.test, ast.IfExp) and isinstance(node.test.body, ast.Compare))
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_of_a_conditional_comparison(path):
+    found = _conditional_asserts(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, ", ".join(f"{path.name}:{line}" for line in found)
+
+
+def test_conditional_assert_is_caught():
+    tree = ast.parse(
+        "def test_count(n, dim, total):\n"
+        "    assert total == 2 * n if dim == 2 else n\n"
+        "    assert total == (2 * n if dim == 2 else n)\n"
+        "    assert (n if dim == 2 else total)\n"
+        "    assert (total == n) if dim == 2 else total > n\n"
+    )
+    assert _conditional_asserts(tree) == [2, 5]

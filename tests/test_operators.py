@@ -192,17 +192,29 @@ def test_apply_operator_matches_direct_at_edges(grid_args, k, eps_cells, rtol, a
         assert np.allclose(got.values, want, rtol=rtol, atol=atol)
 
 
+def _case(dim, n, k, half_width=4.0, eps_cells=3):
+    tail = "" if (half_width, eps_cells) == (4.0, 3) else f"-hw{half_width:g}-eps{eps_cells}"
+    return pytest.param(dim, n, k, half_width, eps_cells, id=f"{dim}d-{n}-{k.tag}{k.component}{tail}")
+
+
 # the 2D 256^2 lattice has 257 spectrum columns, so its last column block holds one;
-# the 1D 65536-node transform has 65537 columns, two blocks
+# the 1D 65536-node transform has 65537 columns, two blocks.  Half width 3.0 makes h
+# no power of two, and the zero kernel's mirrors copy zeros
 BLOCKED_CASES = [
-    (1, 64, Kernel("hilbert", 1)),
-    (1, 65536, Kernel("hilbert", 1)),
-    (2, 16, Kernel("riesz", 2, component=0)),
-    (2, 16, Kernel("riesz", 2, component=1)),
-    (2, 256, Kernel("riesz", 2, component=0)),
-    (2, 256, Kernel("riesz", 2, component=1)),
+    _case(1, 64, Kernel("hilbert", 1)),
+    _case(1, 65536, Kernel("hilbert", 1)),
+    _case(2, 16, Kernel("riesz", 2, component=0)),
+    _case(2, 16, Kernel("riesz", 2, component=1)),
+    _case(2, 256, Kernel("riesz", 2, component=0)),
+    _case(2, 256, Kernel("riesz", 2, component=1)),
+    _case(1, 64, Kernel("riesz", 1), 3.0, 2),
+    _case(1, 4096, Kernel("hilbert", 1), 3.0, 5),
+    _case(1, 64, Kernel("zero", 1), 3.0, 5),
+    _case(2, 32, Kernel("riesz", 2, component=0), 3.0, 2),
+    _case(2, 32, Kernel("riesz", 2, component=1), 3.0, 5),
+    _case(2, 16, Kernel("zero", 2, component=0), 3.0, 2),
+    _case(2, 16, Kernel("zero", 2, component=1)),
 ]
-BLOCKED_IDS = [f"{d}d-{n}-{k.tag}{k.component}" for d, n, k in BLOCKED_CASES]
 
 
 @pytest.fixture
@@ -212,41 +224,64 @@ def fresh_spectra():
     operators._kernel_spectrum.cache_clear()
 
 
-def _blocked_matches_full_lattice(dim, n, k, seed):
-    g = Grid(dim=dim, points_per_axis=n)
-    eps = 3.0 * g.spacing
+def _blocked_matches_full_lattice(dim, n, k, half_width, eps_cells, seed):
+    g = Grid(dim=dim, half_width=half_width, points_per_axis=n)
+    eps = eps_cells * g.spacing
     want = oracles.full_lattice_spectrum(k, g, eps)
     got = operators._kernel_spectrum(k, g, eps)
+    # == lets a mirrored zero kernel differ in the sign of a zero
     assert got.shape == want.shape and np.array_equal(got, want)
     f, b = (DiscreteFunction(g, v) for v in np.random.default_rng(seed).normal(size=(2, g.n_nodes)))
     for symbol in (None, b):
-        assert np.array_equal(apply_operator(k, f, eps, symbol).values,
-                              oracles.stacked_apply(k, f, eps, symbol))
+        assert (apply_operator(k, f, eps, symbol).values.tobytes()
+                == oracles.stacked_apply(k, f, eps, symbol).tobytes())
 
 
-@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES, ids=BLOCKED_IDS)
-def test_blocked_transforms_match_full_lattice(fresh_spectra, dim, n, k):
-    # rfftn's axis sequence run in blocks changes no bit of the spectrum, T f or [b, T] f
-    _blocked_matches_full_lattice(dim, n, k, seed=n)
+@pytest.mark.parametrize("dim, n, k, half_width, eps_cells", BLOCKED_CASES)
+def test_blocked_transforms_match_full_lattice(fresh_spectra, dim, n, k, half_width, eps_cells):
+    # the orthant, its mirrors and rfftn's axis sequence run in blocks change no bit
+    # of the spectrum, T f or [b, T] f
+    _blocked_matches_full_lattice(dim, n, k, half_width, eps_cells, seed=n)
 
 
-@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES[:4], ids=BLOCKED_IDS[:4])
-def test_small_blocks_match_full_lattice(fresh_spectra, monkeypatch, dim, n, k):
+@pytest.mark.parametrize("dim, n, k, half_width, eps_cells", BLOCKED_CASES[:4])
+def test_small_blocks_match_full_lattice(fresh_spectra, monkeypatch, dim, n, k, half_width,
+                                         eps_cells):
     # 100-entry blocks: 2D lattice rows go 3 to a block (32 = 10 * 3 + 2), columns 3 (17 = 5 * 3 + 2)
     monkeypatch.setattr(operators, "_BLOCK", 100)
-    _blocked_matches_full_lattice(dim, n, k, seed=n + 1)
+    _blocked_matches_full_lattice(dim, n, k, half_width, eps_cells, seed=n + 1)
 
 
-@pytest.mark.parametrize("dim, n, k", BLOCKED_CASES, ids=BLOCKED_IDS)
-def test_spectrum_evaluates_half_the_lattice(fresh_spectra, monkeypatch, dim, n, k):
-    # 2D rows n+1..2n-1 mirror rows n-1..1, so only rows 0..n are evaluated; 1D has one row
+@pytest.mark.parametrize("dim, n, k, half_width, eps_cells", BLOCKED_CASES)
+def test_spectrum_evaluates_one_orthant(fresh_spectra, monkeypatch, dim, n, k, half_width,
+                                        eps_cells):
+    # columns n+1..2n-1 mirror columns n-1..1 and 2D rows n+1..2n-1 mirror rows n-1..1,
+    # so only indices 0..n of each axis are evaluated
     offsets = []
-    pointwise = Kernel.pointwise
-    monkeypatch.setattr(Kernel, "pointwise", lambda self, diff: (
-        offsets.append(diff.size // self.dim) or pointwise(self, diff)))
-    g = Grid(dim=dim, points_per_axis=n)
-    operators._kernel_spectrum(k, g, 3.0 * g.spacing)
-    assert sum(offsets) == (n + 1) * 2 * n if dim == 2 else 2 * n
+    truncated = Kernel._truncated
+    monkeypatch.setattr(Kernel, "_truncated", lambda self, cutoff, *x: (
+        offsets.append(math.prod(np.broadcast_shapes(*map(np.shape, x))))
+        or truncated(self, cutoff, *x)))
+    g = Grid(dim=dim, half_width=half_width, points_per_axis=n)
+    operators._kernel_spectrum(k, g, eps_cells * g.spacing)
+    assert sum(offsets) == (n + 1) ** dim
+
+
+PARITY_KERNELS = [Kernel("hilbert", 1), Kernel("riesz", 1), Kernel("zero", 1),
+                  *(Kernel(tag, 2, component=c) for tag in ("riesz", "zero") for c in (0, 1))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(PARITY_KERNELS), st.integers(0, 1),
+       st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+def test_kernel_parity_is_exact(k, axis, x):
+    # both spectrum mirrors rest on K(.., -x_a, ..) = -K(x) on the component axis, +K(x) off it
+    axis = min(axis, k.dim - 1)
+    x = np.array(x[:k.dim])
+    flipped = x.copy()
+    flipped[axis] = -flipped[axis]
+    sign = -1.0 if axis == k.component else 1.0
+    assert k.pointwise(flipped)[0] == sign * k.pointwise(x)[0]
 
 
 def test_spectrum_build_holds_a_few_blocks(fresh_spectra):
