@@ -304,7 +304,7 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     two:     (avg u)^{1/p} (avg v^{1-p'})^{1/p'}
     power:   (avg u^r)^{1/(rp)} (avg v^{(1-p')r})^{1/(rp')}
     orlicz:  (avg u^r)^{1/(rp)} times the averaged Luxemburg norm of
-             v^{-1/p} under t (1 + log+ t)^{p'}
+             v^{-1/p} under [t (1 + log+ t)]^{p'}
 
     Every mode evaluates to exactly one when both weights are constant
     one, which anchors the scale.  In orlicz mode only the regions that can
@@ -328,7 +328,7 @@ def bump_check(u: Weight, v: Weight, params: BumpParams, family: RegionFamily) -
     u_side = means[0] ** (1.0 / (r * p))
     if params.mode == "orlicz":
         # regions that cannot attain the sup read -inf
-        table = luxemburg_table(family, grid, v.values ** (-1.0 / p), YoungFunction.bump(pp),
+        table = luxemburg_table(family, grid, v.values ** (-1.0 / p), YoungFunction.llogl(pp),
                                 factor=u_side)
     else:
         table = u_side * means[1] ** (1.0 / (r * pp))
@@ -404,7 +404,6 @@ def sharp_domination_check(
     delta: float = 0.5,
     b: Optional[DiscreteFunction] = None,
     eps_exponent: float = 0.75,
-    bmo_family: Optional[RegionFamily] = None,
 ) -> SharpReport:
     """Pointwise domination of the sharp function of the operator image.
 
@@ -428,8 +427,7 @@ def sharp_domination_check(
             raise ConfigurationError("need delta < eps_exponent < 1")
         Cf = apply_operator(kernel, f, epsilon, b)
         lhs = maximal(Cf, "sharp_delta", families, delta=delta)
-        fam_for_bmo = bmo_family if bmo_family is not None else family
-        scale = bmo_norm(b, fam_for_bmo)
+        scale = bmo_norm(b, family)
         rhs_vals = scale * (
             maximal(Tf, "hl_delta", families, delta=eps_exponent).values
             + maximal(f, "llogl", families).values

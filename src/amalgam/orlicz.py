@@ -1,5 +1,10 @@
 """Young functions, Luxemburg norms, and Holder-type pairings.
 
+The Young functions are t^p, e^t - 1 and the L log L family
+[t (1 + log+ t)]^s, whose s = 1 is the endpoint estimates' t (1 + log+ t)
+and s = p' the two-weight log bump.  YoungFunction._values states each
+formula once; a Newton pass takes Y from it and forms only t Y'(t).
+
 Luxemburg norms are taken in averaged form: the infimum over lam > 0 of
 the mass-weighted average of Y(|f|/lam) staying at or below one.  With
 Y(t) = t^p this reproduces the averaged L^p norm, and the averaged form
@@ -65,40 +70,32 @@ __all__ = [
 class YoungFunction:
     """A convex Young function Y with Y(0) = 0, indexed by tag and parameter.
 
-    power:  Y(t) = t^p, p >= 1
-    llogl:  Y(t) = t (1 + log+ t)^kappa
+    power:  Y(t) = t^p, 1 <= p < inf
+    llogl:  Y(t) = [t (1 + log+ t)]^s, 1 <= s < inf; s = 1 is the endpoint
+            estimates' t (1 + log+ t), s = p' the two-weight log bump
     exp:    Y(t) = e^t - 1
-    bump:   Y(t) = [t (1 + log+ t)]^s, s > 1
     """
 
     tag: str
     param: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in ("power", "llogl", "exp", "bump"):
+        if self.tag not in ("power", "llogl", "exp"):
             raise ConfigurationError(f"unknown Young function tag {self.tag!r}")
-        if self.tag == "power" and not 1 <= self.param < math.inf:
-            raise ConfigurationError("power Young function needs 1 <= p < inf")
-        if self.tag == "llogl" and not 0 <= self.param < math.inf:
-            raise ConfigurationError("llogl Young function needs 0 <= kappa < inf")
-        if self.tag == "bump" and not 1 < self.param < math.inf:
-            raise ConfigurationError("bump Young function needs 1 < exponent < inf")
+        if self.tag != "exp" and not 1 <= self.param < math.inf:
+            raise ConfigurationError(f"{self.tag} Young function needs 1 <= exponent < inf")
 
     @classmethod
     def power(cls, p: float) -> "YoungFunction":
         return cls("power", float(p))
 
     @classmethod
-    def llogl(cls, kappa: float = 1.0) -> "YoungFunction":
-        return cls("llogl", float(kappa))
+    def llogl(cls, s: float) -> "YoungFunction":
+        return cls("llogl", float(s))
 
     @classmethod
     def exponential(cls) -> "YoungFunction":
         return cls("exp", 1.0)
-
-    @classmethod
-    def bump(cls, exponent: float) -> "YoungFunction":
-        return cls("bump", float(exponent))
 
     @classmethod
     def phi(cls) -> "YoungFunction":
@@ -111,61 +108,42 @@ class YoungFunction:
             out = self._values(t, np.empty_like(t))
         return out if out.ndim else float(out)
 
-    def _values(self, t, out):
-        """Y(t) into out, an array of t's shape other than t; t is only read."""
+    def _values(self, t, out, lift=None):
+        """Y(t) into out, an array of t's shape other than t; t is only read.
+
+        llogl builds its lift 1 + log+ t in lift, or in out when lift is None.
+        """
         if self.tag == "power":
             return _power(t, self.param, out)
         if self.tag == "exp":
             return np.expm1(t, out=out)
-        # 1 + log+ t, raised to kappa before the factor t (llogl) or with it (bump)
-        _lift(t, out)
-        if self.tag == "llogl":
-            _power(out, self.param, out)
-        out *= t
-        return _power(out, self.param, out) if self.tag == "bump" else out
+        lift = out if lift is None else lift
+        np.add(np.log(np.maximum(t, 1.0, out=lift), out=lift), 1.0, out=lift)
+        return _power(np.multiply(lift, t, out=out), self.param, out)
 
-    def _with_slope(self, t, out=None):
+    @np.errstate(over="ignore", invalid="ignore")
+    def _with_slope(self, t, out):
         """Y(t) and t Y'(t), with the right derivative at t = 1, into out[0] and out[1].
 
-        t is only read.  llogl and bump build the lift 1 + log+ t in out[2] and
-        the derivative's factor in out[3], or in new rows when given fewer.
+        t is only read.  out has four rows: llogl builds the lift 1 + log+ t in
+        out[2] and the derivative's factor lift + [t >= 1] in out[3].
         """
-        if out is None:
-            out = np.empty((4, t.size))
-        y, ty = out[0], out[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.tag == "power":
-                _power(t, self.param, y)
-                np.multiply(self.param, y, out=ty)
-                return y, ty
-            if self.tag == "exp":
-                np.expm1(t, out=y)
-                np.add(y, 1.0, out=ty)
-                ty *= t
-                return y, ty
-            lift, factor = out[2:4] if len(out) >= 4 else np.empty((2, t.size))
-            _lift(t, lift)
-            # factor = lift + kappa [t >= 1] (llogl) or lift + [t >= 1] (bump)
+        y, ty, lift, factor = out
+        self._values(t, y, lift)
+        if self.tag == "exp":
+            return y, np.multiply(np.add(y, 1.0, out=ty), t, out=ty)
+        np.multiply(self.param, y, out=ty)
+        if self.tag == "llogl":
             np.greater_equal(t, 1.0, out=factor)
-            if self.tag == "llogl":
-                factor *= self.param
-                factor += lift
-                _power(lift, self.param, y)
-                y *= t
-                np.multiply(y, factor, out=ty)
-            else:
-                factor += lift
-                np.multiply(t, lift, out=y)
-                _power(y, self.param, y)
-                np.multiply(self.param, y, out=ty)
-                ty *= factor
+            factor += lift
+            ty *= factor
             ty /= lift
         return y, ty
 
     @property
     def power_below_one(self) -> Optional[float]:
         """q with Y(t) = t^q for every t <= 1, or None (exp has no such part)."""
-        return {"llogl": 1.0, "exp": None}.get(self.tag, self.param)
+        return None if self.tag == "exp" else self.param
 
     @property
     def unit_argument(self) -> float:
@@ -176,11 +154,6 @@ class YoungFunction:
 def _power(x, p, out):
     """x ** p into out.  For p = 2 numpy's power forms x * x: np.square, three times as fast."""
     return np.square(x, out=out) if p == 2.0 else np.power(x, p, out=out)
-
-
-def _lift(t, out):
-    """1 + log+ t into out, the factor of t in llogl and bump."""
-    return np.add(np.log(np.maximum(t, 1.0, out=out), out=out), 1.0, out=out)
 
 
 def luxemburg_norm(

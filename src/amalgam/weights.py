@@ -58,8 +58,8 @@ def muckenhoupt_characteristic(w: Weight, p: float, family: RegionFamily) -> flo
     At p = 2 the product avg(w) * avg(1/w) is symmetric under w -> 1/w, so
     |x|^a and |x|^{-a} have the same characteristic.
     """
-    if p < 1:
-        raise ConfigurationError("muckenhoupt characteristic needs p >= 1")
+    if not 1 <= p < math.inf:
+        raise ConfigurationError("muckenhoupt characteristic needs 1 <= p < inf")
     arrays = [w.values] if p == 1.0 else [w.values, w.values ** (-1.0 / (p - 1.0))]
     sums, counts = window_sums(family, w.grid, arrays, warn=True)
     if not counts.any():

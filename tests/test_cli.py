@@ -153,6 +153,21 @@ def test_weights_command_rejects_a_fit_on_one_distinct_size(tmp_path, capsys):
     assert "comparison fit needs at least two distinct sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["NaN", "Infinity"])
+def test_weights_command_non_finite_p_rejected(tmp_path, capsys, p):
+    # json reads NaN and Infinity; p = NaN once printed "characteristic": NaN, which is
+    # not JSON, and p = Infinity the mean of w
+    path = tmp_path / "w.json"
+    path.write_text(
+        '{"grid": {"points_per_axis": 512}, "family": {"sizes": [0.5, 1.0], "center_stride": 128},'
+        f' "weight": "r**0.5", "p": {p}}}'
+    )
+    assert main(["weights", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: muckenhoupt characteristic needs 1 <= p < inf")
+
+
 def test_holder_command(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -24,6 +24,10 @@ regions as for families.
 The A_p characteristic is made of window sums and a window minimum: weights.py
 names no ``batch_table``, so it gathers no node values.
 
+Each Young formula is stated once, in ``YoungFunction._values``:
+``_with_slope`` names no ``_power``, ``_lift`` or ``expm1`` and calls
+``self._values``, so a Newton pass reads Y from the contract's code.
+
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
 
@@ -303,6 +307,48 @@ def test_batch_table_in_weights_is_caught():
     assert _refs(tree, ("batch_table",)) == [(1, "batch_table"), (4, "batch_table")]
     grid_py = ast.parse((PACKAGE / "grid.py").read_text())
     assert {name for _, name in _refs(grid_py, ("batch_table",))} == {"batch_table"}
+
+
+_FORMULAS = ("_power", "_lift", "expm1")
+
+
+def _young_method(tree: ast.Module, name):
+    [method] = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "YoungFunction"
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == name]
+    return method
+
+
+def _restated_formulas(tree: ast.Module):
+    """(line, name) of each _power, _lift or expm1 that YoungFunction._with_slope
+    names, and of its def as self._values when it does not call self._values."""
+    slope = _young_method(tree, "_with_slope")
+    found = _refs(slope, _FORMULAS)
+    if not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "_values"
+               and getattr(n.func.value, "id", None) == "self" for n in ast.walk(slope)):
+        found.append((slope.lineno, "self._values"))
+    return sorted(found)
+
+
+def test_slope_evaluates_young_through_values():
+    found = _restated_formulas(ast.parse((PACKAGE / "orlicz.py").read_text()))
+    assert not found, ", ".join(f"orlicz.py:{line} {name}" for line, name in found)
+
+
+def test_restated_young_formula_is_caught():
+    # _with_slope as it stood when it stated each formula a second time
+    tree = ast.parse(
+        "class YoungFunction:\n"
+        "    def _values(self, t, out):\n"
+        "        return np.expm1(t, out=out)\n"
+        "    def _with_slope(self, t, out):\n"
+        "        if self.tag == 'exp':\n"
+        "            return np.expm1(t, out=out[0]), self.values(t, out[1])\n"
+        "        _lift(t, out[2])\n"
+        "        return _power(t, self.param, out[0]), Y._values(t, out[1])\n"
+    )
+    assert _restated_formulas(tree) == [(4, "self._values"), (6, "expm1"), (7, "_lift"), (8, "_power")]
+    values = _young_method(ast.parse((PACKAGE / "orlicz.py").read_text()), "_values")
+    assert {name for _, name in _refs(values, _FORMULAS)} == {"_power", "expm1"}
 
 
 _BATCHES = ("node_batches",)

@@ -104,8 +104,9 @@ def test_constant_weight_must_be_positive(small_grid):
 def test_characteristic_invalid_p(small_grid):
     w = weight_from_expression("1.0", small_grid)
     fam = region_family(small_grid, sizes=(1.0,), center_stride=64)
-    with pytest.raises(ConfigurationError):
-        muckenhoupt_characteristic(w, 0.5, fam)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="needs 1 <= p < inf"):
+            muckenhoupt_characteristic(w, p, fam)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
