@@ -232,13 +232,16 @@ def test_young_slope_is_t_times_the_derivative():
         assert np.allclose(ty, want, rtol=1e-6), Y.tag
 
 
-# llogl at s = 1 (Phi) and at the bump exponents p' of p = 3, 2 and 1.5
-ALL_TAGS = [YoungFunction.power(1.0), YoungFunction.power(2.5), YoungFunction.llogl(1.0),
-            YoungFunction.llogl(1.5), YoungFunction.llogl(2.0), YoungFunction.llogl(3.0),
-            YoungFunction.exponential()]
+# llogl at s = 1 (Phi) and at the bump exponents p' of p = 3, 2 and 1.5, by id
+ALL_TAGS = {f"{Y.tag}-{Y.param}": Y for Y in (
+    YoungFunction.power(1.0), YoungFunction.power(2.5), YoungFunction.llogl(1.0),
+    YoungFunction.llogl(1.5), YoungFunction.llogl(2.0), YoungFunction.llogl(3.0),
+    YoungFunction.exponential())}
+# the bump gate's Young function at p = 3, built as bump_check builds it from p' = p / (p - 1)
+ALL_TAGS["bump-1.5"] = YoungFunction.llogl(3.0 / (3.0 - 1.0))
 
 
-@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", ALL_TAGS.values(), ids=list(ALL_TAGS))
 def test_young_slope_only_reads_its_arguments(Y):
     t = np.array([0.0, 0.01, 0.3, 1.0, 1.5, 4.0, 30.0, 800.0])
     kept = t.copy()
@@ -252,7 +255,7 @@ def test_young_slope_only_reads_its_arguments(Y):
     assert np.array_equal(out[:2], np.stack([y, ty]))
 
 
-@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", ALL_TAGS.values(), ids=list(ALL_TAGS))
 def test_young_slope_in_work_rows_allocates_no_float_row(Y):
     # handed all four work rows, a Newton pass allocates no temporary of its length
     n = 2**14
@@ -268,7 +271,7 @@ def test_young_slope_in_work_rows_allocates_no_float_row(Y):
     assert peak < 8 * n
 
 
-@pytest.mark.parametrize("Y", ALL_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", ALL_TAGS.values(), ids=list(ALL_TAGS))
 def test_young_slope_values_are_the_contract_values(Y):
     # the Newton pass reads Y from the contract's _values, so the two agree on
     # either side of t = 1 and far from it
@@ -457,11 +460,11 @@ def test_luxemburg_split_reads_fewer_entries(monkeypatch):
 
 
 # power(3) joins the tags: on the spike region every node but the max is below t = 1
-EDGE_TAGS = ALL_TAGS + [YoungFunction.power(3.0)]
-SPLIT_TAGS = [Y for Y in EDGE_TAGS if Y.tag != "exp"]
+EDGE_TAGS = ALL_TAGS | {"power-3.0": YoungFunction.power(3.0)}
+SPLIT_TAGS = {key: Y for key, Y in EDGE_TAGS.items() if Y.tag != "exp"}
 
 
-@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", EDGE_TAGS.values(), ids=list(EDGE_TAGS))
 def test_luxemburg_split_edges_match_oracle(monkeypatch, Y):
     rng = np.random.default_rng(7)
     regions = [
@@ -496,7 +499,7 @@ def test_luxemburg_split_edges_match_oracle(monkeypatch, Y):
     assert (np.repeat(s0, kept) * a_n >= 1.0).all()
 
 
-@pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", SPLIT_TAGS.values(), ids=list(SPLIT_TAGS))
 def test_luxemburg_split_in_work_rows_allocates_no_float_row(monkeypatch, Y):
     # the split compacts into work rows: one solve over a 2^15-entry batch stays
     # below the 3.164 batch rows (Newton's broadcasts and shrinks) that the
@@ -528,7 +531,7 @@ EQUAL_MASS_GRIDS = [((1, 4.0, 64), True), ((2, 2.0, 16), True), ((2, 3.0, 16), F
 
 
 @pytest.mark.parametrize("grid_args, exact", EQUAL_MASS_GRIDS, ids=["1d-w4", "2d-w2", "2d-w3"])
-@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", EDGE_TAGS.values(), ids=list(EDGE_TAGS))
 def test_unweighted_table_is_the_unit_weight_table(grid_args, exact, Y):
     # without a weight the solve reads no masses; a unit weight reads h^dim at every node
     dim, half_width, n = grid_args
@@ -573,7 +576,7 @@ def test_unweighted_table_gathers_only_the_values(monkeypatch):
     assert gathered == [2] and calls == 1 and masses and all(m is not None for m in masses)
 
 
-@pytest.mark.parametrize("Y", EDGE_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", EDGE_TAGS.values(), ids=list(EDGE_TAGS))
 def test_luxemburg_equal_masses_allocate_less(Y):
     # the 2^15-entry batch of the work-row test: with masses None no shrink
     # copies a mass row, and unit masses give the same norms bit for bit
@@ -595,7 +598,7 @@ def test_luxemburg_equal_masses_allocate_less(Y):
     assert peaks[1] < peaks[0]
 
 
-@pytest.mark.parametrize("Y", SPLIT_TAGS, ids=lambda Y: f"{Y.tag}-{Y.param}")
+@pytest.mark.parametrize("Y", SPLIT_TAGS.values(), ids=list(SPLIT_TAGS))
 def test_luxemburg_contract_counts_the_nodes_below_one(monkeypatch, Y):
     # a Newton root 1e-6 too large leaves lam too small, and on a spike region
     # the kept max node alone stays below the constraint: the contract must add
