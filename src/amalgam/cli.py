@@ -224,8 +224,8 @@ def _cmd_weights(args) -> int:
     family = _build_family(cfg, grid)
     w = weight_from_expression(_require(cfg, "weight", "weights"), grid)
     p = cfg["p"]
-    profile = doubling_profile(w, family)
     out = {"characteristic": muckenhoupt_characteristic(w, p, family), "p": p}
+    profile = doubling_profile(w, family)
     out.update(_attrs(profile, "doubling_constant", "reverse_doubling_constant"))
     out.update(_attrs(profile, "comparison_exponent", "comparison_constant"))
     _print(out)

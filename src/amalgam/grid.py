@@ -8,13 +8,13 @@ varying fastest.
 Only this module turns regions into nodes.  A region is a set of flat
 [start, stop) node runs: one in 1D, one per grid row in 2D.  Nodes are read
 two ways: window_sums adds, or takes the minimum of, node arrays run by run
-over a whole family, which is how the statistics made of window sums and a
-window minimum (masses, L^p sums, level masses, the A_p characteristic) are
-computed; and batch_table evaluates a nonlinear statistic (Luxemburg norm,
-weak L^p, mean oscillation) on node values gathered once per batch of
-node_batches, many regions at once, or on the regions of a mask alone.
-band_masses adds node masses per band of a node labelling in one pass over
-the batches.  A statistic on one region is a batch_table over a family of
+over a whole family, from segments of the node line cut once for all its sizes,
+which is how the statistics made of window sums and a window minimum (masses,
+L^p sums, level masses, the A_p characteristic) are computed; and batch_table
+evaluates a nonlinear statistic (Luxemburg norm, weak L^p, mean oscillation)
+on node values gathered once per batch of node_batches, many regions at once,
+or on the regions of a mask alone.  band_masses adds node masses per band of
+a node labelling in one pass over the batches.  A statistic on one region is a batch_table over a family of
 one (region_statistic), and spread_max puts the largest value of the
 regions holding a node on it.
 """
@@ -309,8 +309,9 @@ def node_masses(grid: Grid, weight=None) -> np.ndarray:
 
 
 _CENTER_CHUNK = 128
-# mean run below which B = 1: per window_sums call, 2D rows of 12-165 nodes take 1.2-1.7x as
-# long at B = 8-64; the 4096-node endpoint family (rows of 251-1791) 1.47 ms at B = 1, 0.49 ms
+# mean run below which B = 1: per window_sums call over four arrays, 2D families at 64^2-256^2
+# (mean rows of 17-65 nodes) take 0.95-1.3x as long at B = 8-64; over ten, the 4096-node
+# endpoint family (mean run 874) 1.17 ms at B = 1, 0.25 ms at its B = 32
 _BLOCK_MIN_RUN = 256
 
 
@@ -321,32 +322,35 @@ def _in_start_order(lo, hi):
     return edges.astype(np.int32), np.argsort(order).astype(np.int32)
 
 
-def _segments(start, stop, n, runs):
-    """(B, cuts, edges, place): how window_sums adds the runs [start, stop) of one layout entry.
+def _segments(edges: list, n: int):
+    """(cuts, edges): the one segmentation of a family whose layout entries' runs are edges.
 
-    B is a power of two near the square root of the mean run, 1 below a mean of
-    _BLOCK_MIN_RUN.  The n nodes are cut at every multiple of B and every run end,
-    and a run adds its segments: edges and place are the _in_start_order over cuts.
-    With B = 1 there are no cuts, and edges and place are runs, the runs' own.
+    edges holds each entry's _in_start_order edges.  B is a power of two near the
+    square root of the family's mean run, 1 below a mean of _BLOCK_MIN_RUN.  The n
+    nodes are cut once, at every multiple of B and every run end of every size, and
+    a run adds its segments: each entry's edges become indices into cuts, its place
+    unchanged.  With B = 1 there are no cuts, and the edges are the entries' own.
     """
-    mean = (stop - start).mean() if start.size else 0.0
+    # entry by entry, not over one copy of every run: at 256^2 that copy takes 0.4 MB
+    runs = sum(e.size for e in edges) // 2
+    mean = sum(int((e[1::2] - e[::2]).sum()) for e in edges) / runs if runs else 0.0
     b = 1 << int(np.round(np.log2(mean) / 2)) if mean >= _BLOCK_MIN_RUN else 1
     if b == 1:
-        return 1, np.empty(0, np.int32), *runs
+        return np.empty(0, np.int32), edges
     # not np.union1d: np.unique imports numpy.ma on first use, 9 ms and 1.6 MB per process
-    cuts = np.flatnonzero(np.bincount(np.concatenate([np.arange(0, n + 1, b), start, stop])))
-    lo, hi = (np.searchsorted(cuts, e) for e in (start, stop))
-    return b, cuts.astype(np.int32), *_in_start_order(lo, hi)
+    cuts = np.flatnonzero(np.bincount(np.concatenate([np.arange(0, n + 1, b), *edges])))
+    return cuts.astype(np.int32), [np.searchsorted(cuts, e).astype(np.int32) for e in edges]
 
 
 @lru_cache(maxsize=3)
 def _family_runs(family: RegionFamily, grid: Grid):
-    """(size index, first center, edges, place, node counts, bounds, segments) per size and chunk.
+    """(cuts, layout): the family's _segments cuts, and per size and chunk the entry
+    (size index, first center, edges, place, node counts, bounds, segment edges).
 
     Centers go in chunks so that the runs of a 2D size stay a few MB.  The
     runs are in center then row order, those of center k of the chunk at
-    bounds[k]:bounds[k + 1], kept as their _in_start_order and _segments,
-    read-only, for the last three (family, grid) pairs, in int32 arrays.
+    bounds[k]:bounds[k + 1], kept as their _in_start_order and, over cuts, as
+    segment edges, read-only, for the last three (family, grid) pairs, in int32 arrays.
     """
     centers = np.array(family.centers)
     if centers.shape[1] != grid.dim:
@@ -358,12 +362,12 @@ def _family_runs(family: RegionFamily, grid: Grid):
             owner, start, stop = _runs(family.shape, chunk, size, grid)
             counts = np.bincount(owner, stop - start, minlength=len(chunk)).astype(np.intp)
             bounds = np.searchsorted(owner, np.arange(len(chunk) + 1))
-            runs = _in_start_order(start, stop)
-            segments = _segments(start, stop, grid.n_nodes, runs)
-            for a in (counts, bounds, *runs, *segments[1:]):
-                a.flags.writeable = False
-            layout.append((s, first, *runs, counts, bounds, segments))
-    return tuple(layout)
+            layout.append((s, first, *_in_start_order(start, stop), counts, bounds))
+    cuts, edges = _segments([entry[2] for entry in layout], grid.n_nodes)
+    layout = tuple((*entry, e) for entry, e in zip(layout, edges))
+    for a in (cuts, *(a for entry in layout for a in entry[2:])):
+        a.flags.writeable = False
+    return cuts, layout
 
 
 # node entries window_sums reads per chunk: cold endpoint_1d_dense runs (2-vCPU Xeon VM)
@@ -393,7 +397,7 @@ def window_sums(
     # counted last, so a new layout is built once the first chunk is made: built
     # before it, endpoint_1d_dense peaked 0.3 MB higher in RSS (bench/run.py)
     counts = np.zeros((len(family.sizes), len(family.centers)), dtype=np.intp)
-    for s, first, _, _, n, _, _ in _family_runs(family, grid):
+    for s, first, _, _, n, _, _ in _family_runs(family, grid)[1]:
         counts[s, first:first + n.size] = n
     sums = np.concatenate(sums)
     if warn:
@@ -411,8 +415,9 @@ def _chunk_sums(family: RegionFamily, grid: Grid, arrays: list, reduce) -> np.nd
             raise ConfigurationError("arrays do not match the grid")
         row[:-1] = a
     sums = np.zeros((len(arrays), len(family.sizes), len(family.centers)))
-    for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):
-        segments = reduce.reduceat(padded, cuts, axis=1) if cuts.size else padded
+    cuts, layout = _family_runs(family, grid)
+    segments = reduce.reduceat(padded, cuts, axis=1) if cuts.size else padded
+    for s, first, _, place, n, bounds, edges in layout:
         # reduceat reduces between consecutive edges and the even slots are the runs;
         # in start order an odd slot is short, in center order it spans most of a row
         runs = reduce.reduceat(segments, edges, axis=1)[:, ::2][:, place]
@@ -450,7 +455,7 @@ def node_batches(family: RegionFamily, grid: Grid, where=None):
     batch spans _BATCH_NODES // (nodes of its largest masked region) of them,
     and the centers between them read count 0 and add no node.
     """
-    for s, first, edges, place, counts, bounds, _ in _family_runs(family, grid):
+    for s, first, edges, place, counts, bounds, _ in _family_runs(family, grid)[1]:
         start, stop = edges[2 * place], edges[2 * place + 1]
         if where is None:
             picked = np.arange(counts.size)

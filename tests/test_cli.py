@@ -168,6 +168,24 @@ def test_weights_command_non_finite_p_rejected(tmp_path, capsys, p):
     assert captured.err.startswith("error: muckenhoupt characteristic needs 1 <= p < inf")
 
 
+@pytest.mark.parametrize("p", ["NaN", "Infinity", "0.5"])
+def test_weights_command_checks_p_before_the_profile(tmp_path, capsys, monkeypatch, p):
+    # an invalid p exits before the doubling profile reads the family
+    def profile(*args):
+        raise AssertionError("doubling_profile ran before the check on p")
+
+    monkeypatch.setattr(amalgam.cli, "doubling_profile", profile)
+    path = tmp_path / "w.json"
+    path.write_text(
+        '{"grid": {"points_per_axis": 512}, "family": {"sizes": [0.5, 1.0], "center_stride": 128},'
+        f' "weight": "r**0.5", "p": {p}}}'
+    )
+    assert main(["weights", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: muckenhoupt characteristic needs 1 <= p < inf")
+
+
 def test_holder_command(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -409,21 +409,22 @@ def test_window_sums_of_a_wide_ranging_weight(dim, shape):
 def long_run_families(draw):
     """A 1D grid, a family of one long and one free size, and node arrays.
 
-    Three or more centers in the box hold at least 600 nodes each at the long
-    size, so its runs average more than _BLOCK_MIN_RUN; up to three centers
+    Four or more centers in the box hold at least 1000 nodes each at the long
+    size, and every center adds at most one more run, or two past the box, so
+    the family's runs average more than _BLOCK_MIN_RUN; up to three centers
     past the box edge hold a run of a few nodes or none.
     """
     n = draw(st.sampled_from([1024, 2048, 4096]))
     grid = Grid(dim=1, half_width=draw(st.sampled_from([4.0, 3.0])), points_per_axis=n)
     h, reach = grid.spacing, grid.half_width
-    long = draw(st.integers(600, n).map(lambda m: m * h) | st.floats(600 * h, 2 * reach))
+    long = draw(st.integers(1000, n).map(lambda m: m * h) | st.floats(1000 * h, 2 * reach))
     other = draw(st.floats(1e-3, 2 * reach) | st.integers(1, n).map(lambda m: m * h))
     # centers on nodes, midway between them, or anywhere in the box
     node = st.integers(0, n - 1).map(lambda i: float(grid.axis[i]))
     inside = node | node.map(lambda x: x + h / 2) | st.floats(-reach, reach - h)
     edge = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-2, 40))
     past = edge.map(lambda e: e[0] * (reach + long - e[1] * h))
-    centers = draw(st.lists(inside, min_size=3, max_size=12)) + draw(st.lists(past, max_size=3))
+    centers = draw(st.lists(inside, min_size=4, max_size=12)) + draw(st.lists(past, max_size=3))
     fam = region_family(grid, (long, other), centers=[(x,) for x in centers])
     # nonnegative entries over up to 300 decades, some of them zero
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -433,6 +434,22 @@ def long_run_families(draw):
     return grid, fam, arrays
 
 
+def _reference_runs(fam, grid):
+    """(size index, first center, owner, start, stop) of each layout entry, by grid._runs."""
+    centers = np.array(fam.centers)
+    chunk = amalgam.grid._CENTER_CHUNK
+    return [(s, first, *amalgam.grid._runs(fam.shape, centers[first:first + chunk], size, grid))
+            for s, size in enumerate(fam.sizes) for first in range(0, len(centers), chunk)]
+
+
+def _family_block(entries):
+    """The B of a family of _reference_runs: 2**round(log2(mean run) / 2), 1 below
+    a mean run of _BLOCK_MIN_RUN nodes."""
+    length = np.concatenate([stop - start for *_, start, stop in entries])
+    mean = length.mean() if length.size else 0.0
+    return 2 ** round(math.log2(mean) / 2) if mean >= amalgam.grid._BLOCK_MIN_RUN else 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(long_run_families())
 def test_blocked_window_sums_match_fsum(case):
@@ -440,7 +457,7 @@ def test_blocked_window_sums_match_fsum(case):
     sums, counts = window_sums(fam, grid, arrays)
     mins, min_counts = window_sums(fam, grid, arrays, np.minimum)
     assert np.array_equal(min_counts, counts)
-    assert max(entry[6][0] for entry in amalgam.grid._family_runs(fam, grid)) > 1
+    assert _family_block(_reference_runs(fam, grid)) > 1
     for s, size in enumerate(fam.sizes):
         for c, center in enumerate(fam.centers):
             idx = oracles.region_indices(grid, center, size, "ball")
@@ -568,8 +585,8 @@ def test_one_family_on_several_grids_reads_each_grid_layout():
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
 def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
     # each run adds the sums of its segments, the pieces between the multiples
-    # of B and the ends of the layout entry's runs, and each region reduces its
-    # run sums, in row order, by np.add.reduceat: bit for bit the same
+    # of the family's B and the ends of the runs of every size, and each region
+    # reduces its run sums, in row order, by np.add.reduceat: bit for bit the same
     grid = Grid(dim=dim, half_width=2.0, points_per_axis=2048 if dim == 1 else 64)
     rng = np.random.default_rng(7)
     arrays = rng.standard_normal((2, grid.n_nodes)) * np.exp(rng.uniform(-20, 20, grid.n_nodes))
@@ -580,24 +597,72 @@ def test_window_sums_add_run_sums_in_center_then_row_order(dim, shape):
     def run_sum(a, start, stop):
         return np.add.reduceat(a, [start, stop], axis=1)[:, 0]
 
-    centers = np.array(fam.centers)
+    entries = _reference_runs(fam, grid)
+    b = _family_block(entries)
+    ends = [e for *_, start, stop in entries for e in (*start.tolist(), *stop.tolist())]
+    cuts = sorted({*range(0, grid.n_nodes + 1, b), *ends})
+    # the family is cut once; with B = 1 the segments are the nodes, and no cut is kept
+    assert amalgam.grid._family_runs(fam, grid)[0].tolist() == (cuts if b > 1 else [])
+    pieces = [run_sum(padded, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    segments = np.column_stack([*pieces, np.zeros(2)])
+    at = {c: j for j, c in enumerate(cuts)}
     want = np.zeros(sums.shape)
-    used = set()
-    for s, first, *_, (b, *_) in amalgam.grid._family_runs(fam, grid):
-        used.add(b)
-        chunk = centers[first:first + amalgam.grid._CENTER_CHUNK]
-        owner, start, stop = amalgam.grid._runs(shape, chunk, fam.sizes[s], grid)
-        cuts = sorted({*range(0, grid.n_nodes + 1, b), *start.tolist(), *stop.tolist()})
-        pieces = [run_sum(padded, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        segments = np.column_stack([*pieces, np.zeros(2)])
-        at = {c: j for j, c in enumerate(cuts)}
+    for s, first, owner, start, stop in entries:
         for k in np.unique(owner):
             rows = [run_sum(segments, at[lo], at[hi])
                     for lo, hi in zip(start[owner == k], stop[owner == k])]
             want[:, s, first + k] = np.add.reduceat(np.column_stack(rows), [0], axis=1)[:, 0]
     assert np.array_equal(sums, want)
-    # the 1D runs of 0.5 and 1.3 are long enough for blocks, the 2D rows are not
-    assert used == ({1, 16, 32} if dim == 1 else {1})
+    # the 1D runs average more than _BLOCK_MIN_RUN, the 2D rows do not
+    assert b == (32 if dim == 1 else 1)
+
+
+@st.composite
+def mixed_run_families(draw):
+    """A 1D grid, a family of two to four sizes on a strided center lattice, and node arrays.
+
+    One size's runs hold fewer than _BLOCK_MIN_RUN nodes, as the smallest
+    size of a 1D endpoint family does; the other sizes' runs hold at least
+    half the nodes, so the family's runs average at least _BLOCK_MIN_RUN and
+    the short runs add segments cut at the ends of the long ones.
+    """
+    n = draw(st.sampled_from([1024, 2048, 4096]))
+    grid = Grid(dim=1, half_width=draw(st.sampled_from([4.0, 3.0])), points_per_axis=n)
+    h, reach = grid.spacing, grid.half_width
+    short = draw(st.integers(1, 127).map(lambda m: m * h) | st.floats(h / 4, 127 * h))
+    long = st.integers(n // 2, n).map(lambda m: m * h) | st.floats(n / 2 * h, 2 * reach)
+    sizes = draw(st.permutations([short, *draw(st.lists(long, min_size=1, max_size=3))]))
+    # 8, 32 or 171 centers, the last in two chunks, on nodes or midway between them
+    stride = draw(st.sampled_from([n // 8, n // 32, 3 * n // 512]))
+    shift = draw(st.sampled_from([0.0, h / 2]))
+    fam = region_family(grid, sizes, centers=[(x + shift,) for x in grid.axis[::stride]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.floats(0.0, 300.0))
+    arrays = 10.0 ** rng.uniform(-decades / 2, decades / 2, (2, n))
+    arrays[rng.random((2, n)) < draw(st.sampled_from([0.0, 0.5, 0.99]))] = 0.0
+    return grid, fam, sizes.index(short), arrays
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_run_families())
+def test_family_segments_serve_short_and_long_runs(case):
+    grid, fam, short, arrays = case
+    entries = _reference_runs(fam, grid)
+    assert _family_block(entries) > 1
+    assert all((stop - start < amalgam.grid._BLOCK_MIN_RUN).all()
+               for s, _, _, start, stop in entries if s == short)
+    sums, counts = window_sums(fam, grid, arrays)
+    mins, min_counts = window_sums(fam, grid, arrays, np.minimum)
+    assert np.array_equal(min_counts, counts)
+    for s, size in enumerate(fam.sizes):
+        for c, center in enumerate(fam.centers):
+            idx = oracles.region_indices(grid, center, size, "ball")
+            assert counts[s, c] == idx.size
+            for k, arr in enumerate(arrays):
+                want = math.fsum(arr[idx].tolist())
+                assert sums[k, s, c] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert (sums[k, s, c] > 0.0) == (want > 0.0)
+                assert mins[k, s, c] == (arr[idx].min() if idx.size else 0.0)
 
 
 def test_window_sums_hold_one_chunk_of_a_generator(monkeypatch, small_grid):

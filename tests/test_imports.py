@@ -50,6 +50,9 @@ corpus (``Corpus.realize`` samples the members for it).
 
 Each family's node runs are laid out once: only ``_family_runs``, which keeps
 the layout, and ``Region.node_indices`` (one region) call ``grid._runs``.
+Each family is segmented once: ``_family_runs`` makes the one ``_segments``
+call, outside its loop over sizes and center chunks, and ``_chunk_sums``
+makes its one ``reduceat`` over the cuts outside its loop over layout entries.
 
 One code path serves both dimensions: only ``grid._runs`` (balls slide per
 row), ``Kernel.__post_init__`` (the Hilbert kernel is one dimensional) and
@@ -686,6 +689,78 @@ def test_runs_call_outside_the_layout_is_caught():
     assert _run_calls(tree) == [(4, "window_sums"), (4, "window_sums"), (9, "Region.fits_box")]
     grid_py = ast.parse((PACKAGE / "grid.py").read_text())
     assert {scope for _, scope in _run_calls(grid_py, owners=())} == set(_RUN_OWNERS)
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls(tree: ast.Module, match):
+    """(line, scope, looped) of each call that match accepts; looped when a loop
+    of its function holds it (a for loop's iterable is read once, outside it)."""
+    found = []
+
+    def visit(node, scope, looped):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope, looped = f"{scope}.{node.name}" if scope else node.name, False
+        if isinstance(node, ast.Call) and match(node):
+            found.append((node.lineno, scope, looped))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, looped or (
+                isinstance(node, _LOOPS) and child is not getattr(node, "iter", None)))
+
+    visit(tree, "", False)
+    return sorted(found)
+
+
+def _segment_calls(tree: ast.Module):
+    return _calls(tree, lambda call: "_segments" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+
+
+def test_each_family_is_segmented_once():
+    # one _segments call per layout, outside the loop over sizes and chunks
+    found = [(path.name, scope, looped) for path in sorted(PACKAGE.glob("*.py"))
+             for _, scope, looped in _segment_calls(ast.parse(path.read_text()))]
+    assert found == [("grid.py", "_family_runs", False)]
+
+
+def test_segmentation_per_entry_is_caught():
+    # _family_runs as it stood when each layout entry was cut on its own
+    tree = ast.parse(
+        "def _family_runs(family, grid):\n"
+        "    for s, size in enumerate(family.sizes):\n"
+        "        for first in range(0, len(centers), _CENTER_CHUNK):\n"
+        "            segments = _segments(start, stop, grid.n_nodes, runs)\n"
+        "    return [grid_mod._segments(e, n) for e in layout]\n"
+        "def _chunk_sums(family, grid, arrays, reduce):\n"
+        "    return _segments([], grid.n_nodes)\n"
+    )
+    assert _segment_calls(tree) == [(4, "_family_runs", True), (5, "_family_runs", True),
+                                    (7, "_chunk_sums", False)]
+
+
+def _segment_reduces(tree: ast.Module):
+    """(line, looped) of each reduceat over the cuts in _chunk_sums."""
+    [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_chunk_sums"]
+    return [(line, looped) for line, _, looped in _calls(fn, lambda call: getattr(
+        call.func, "attr", None) == "reduceat" and "cuts" in _names(ast.Tuple(call.args)))]
+
+
+def test_chunk_sums_reduce_segments_once_per_chunk():
+    found = _segment_reduces(ast.parse((PACKAGE / "grid.py").read_text()))
+    assert [looped for _, looped in found] == [False]
+
+
+def test_segment_reduce_per_entry_is_caught():
+    # _chunk_sums as it stood when each layout entry reduced its own segments
+    tree = ast.parse(
+        "def _chunk_sums(family, grid, arrays, reduce):\n"
+        "    for s, first, _, _, n, bounds, (_, cuts, edges, place) in _family_runs(family, grid):\n"
+        "        segments = reduce.reduceat(padded, cuts, axis=1) if cuts.size else padded\n"
+        "        runs = reduce.reduceat(segments, edges, axis=1)[:, ::2][:, place]\n"
+        "    return [np.minimum.reduceat(padded, cuts) for _ in arrays], reduce.reduceat(runs, bounds)\n"
+    )
+    assert _segment_reduces(tree) == [(3, True), (5, True)]
 
 
 _UNUSED_SUBMODULES = ("numpy.polynomial", "numpy.ma")
