@@ -13,10 +13,11 @@ which is how the statistics made of window sums and a window minimum (masses,
 L^p sums, level masses, the A_p characteristic) are computed; and batch_table
 evaluates a nonlinear statistic (Luxemburg norm, weak L^p, mean oscillation)
 on node values gathered once per batch of node_batches, many regions at once,
-or on the regions of a mask alone.  band_masses adds node masses per band of
-a node labelling in one pass over the batches.  A statistic on one region is a batch_table over a family of
-one (region_statistic), and spread_max puts the largest value of the
-regions holding a node on it.
+or on the regions of a mask alone.  band_masses adds rows of node masses per
+band of a node labelling in one pass over the batches, on a mask too.  A
+statistic on one region is a batch_table over a family of one
+(region_statistic), and spread_max puts the largest value of the regions
+holding a node on it.
 """
 
 from __future__ import annotations
@@ -161,15 +162,14 @@ def _runs(shape: str, centers: np.ndarray, size: float, grid: Grid):
     # a row holds nodes iff its nearest column passes the test
     near = np.argmin(dy2, axis=1)
     owner, row = np.nonzero(dx2 + dy2[np.arange(len(centers)), near][:, None] < s2)
-    near, row_dx2 = near[owner], dx2[owner, row]
+    near, row_dx2, cy = near[owner], dx2.ravel()[owner * n + row], centers[owner, 1]
 
-    def inside(j):
-        hit = row_dx2 + dy2[owner, np.clip(j, 0, n - 1)] < s2
+    def inside(j):  # dy2[owner, j], by a 1D gather and the same float operations
+        hit = row_dx2 + (ax[np.clip(j, 0, n - 1)] - cy) ** 2 < s2
         return hit & (j >= 0) & (j < n)
 
     # the ends estimated from sqrt(size**2 - dx**2) are off by rounding only;
     # slide them onto the exact test, never past the nearest column
-    cy = centers[owner, 1]
     reach = np.sqrt(s2 - row_dx2)
     start = np.minimum(np.searchsorted(ax, cy - reach, side="right"), near)
     stop = np.maximum(np.searchsorted(ax, cy + reach, side="left"), near + 1)
@@ -496,20 +496,25 @@ def batch_table(
     return table, counts
 
 
-def band_masses(family: RegionFamily, grid: Grid, bands, k: int, masses=None) -> np.ndarray:
+def band_masses(family: RegionFamily, grid: Grid, bands, k: int, masses=None, where=None):
     """The mass of each of k node bands in every region of a family, as [size, center, k].
 
     bands holds each node's band, an integer in [0, k); masses None counts
-    the nodes.  One node_batches pass makes one np.bincount per batch, so
-    each region adds its own nodes, never a difference of prefix sums.
+    the nodes, and a list of r rows, each masses or None, gives [r, size,
+    center, k].  One node_batches pass over the regions of the [size, center]
+    mask where, or all, makes one np.bincount per row and batch, so each
+    region adds its own nodes, never a difference of prefix sums; a region
+    outside the mask reads 0.
     """
-    out = np.zeros((len(family.sizes), len(family.centers), k))
-    for s, first, idx, n in node_batches(family, grid):
+    rows = masses if isinstance(masses, list) else [masses]
+    out = np.zeros((len(rows), len(family.sizes), len(family.centers), k))
+    for s, first, idx, n in node_batches(family, grid, where):
         key = np.repeat(np.arange(0, n.size * k, k), n)
         key += bands[idx]
-        out[s, first:first + n.size] = np.bincount(
-            key, None if masses is None else masses[idx], n.size * k).reshape(n.size, k)
-    return out
+        for table, row in zip(out, rows):
+            table[s, first:first + n.size] = np.bincount(
+                key, None if row is None else row[idx], n.size * k).reshape(n.size, k)
+    return out if isinstance(masses, list) else out[0]
 
 
 def spread_max(family: RegionFamily, grid: Grid, table: np.ndarray, out: np.ndarray) -> None:

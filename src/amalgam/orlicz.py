@@ -30,17 +30,17 @@ are None), the kept nodes' a, and four rows for Y(t), t Y'(t), the lift
 only its broadcast of s, made by np.repeat, is new.
 
 A sup over the family of a factor times the norm (the bump condition)
-needs only the regions that can attain it.  The values fall into
-geometric bands of ratio 1.01, at most 128 of them with a band of zeros,
-and each region's norm is bracketed by that of its band masses placed at
-the bands' least values and c times that, c the largest ratio within a
-band.  The best lower bound of the family is the bar, and a region whose
-upper bound stays 1e-9 below it is never gathered.  The margin covers
-summation rounding, about 1e-12, so every region that ties with the sup
-is solved, by the same arithmetic as alone, and the sup and its first
-argmax are the full table's bit for bit.  On the bump gate's balls the
-bracket and the solves then read 0.32 Young evaluations per node entry of
-the family, where the full table reads 2.3.
+needs only the regions that can attain it.  The values fall into geometric
+bands of ratio 1.01, at most 128 of them with a band of zeros, and each
+region's norm is bracketed by that of its band masses placed at the bands'
+least values and c times that, c the largest ratio within a band.  Regions
+whose upper bound reaches the best lower bound less 1e-9 are bracketed
+again from each band's mass and mean (Y is convex), within 1 + 1e-4, and
+only those left are solved.  The margin covers summation rounding, about
+1e-12, so every region that ties with the sup is solved, by the same
+arithmetic as alone, and the sup and its first argmax are the full table's
+bit for bit.  On the bump gate's balls the rounds and the solves read 0.13
+Young evaluations per node entry, where the full table reads 2.3.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def luxemburg_table(
     Given factor, a [size, center] table, the table holds factor times the
     norm, bit for bit, on every region where that product can attain its max
     over the family, and -inf on the others and where the product is nan:
-    _bracket bounds every region's norm from its band masses, and only the
-    regions whose upper bound reaches the best lower bound are gathered and
-    solved.
+    _bracket bounds every region's norm from its band masses, _convex_bracket
+    those it keeps from their band means, and only the regions whose upper
+    bound reaches the best lower bound in both rounds are gathered and solved.
     """
     a = np.abs(np.asarray(values, dtype=np.float64))
     m = None if weight is None else node_masses(grid, weight)
@@ -202,9 +202,13 @@ def luxemburg_table(
     arrays = [a] if m is None else [a, m]
     if factor is None:
         return batch_table(family, grid, arrays, solve)[0]
-    low, high = factor * _bracket(family, grid, a, m, Y, work)
+    bands = _bands(a)
+    low, high = factor * _bracket(family, grid, bands, m, Y, work)
     bar = np.fmax.reduce(low, axis=None, initial=-np.inf) * (1.0 - _PRUNE_MARGIN)
     keep = ~(high * (1.0 + _PRUNE_MARGIN) < bar)  # a nan bound stays
+    low, high = factor[keep] * _convex_bracket(family, grid, a, bands, m, Y, work, keep)
+    bar = max(bar, np.fmax.reduce(low, initial=-np.inf) * (1.0 - _PRUNE_MARGIN))
+    keep[keep] = ~(high * (1.0 + _PRUNE_MARGIN) < bar)
     value = factor * batch_table(family, grid, arrays, solve, where=keep)[0]
     return np.where(keep & ~np.isnan(value), value, -np.inf)
 
@@ -219,26 +223,17 @@ _STEP_STOP = 1e-8
 # a region is solved unless its upper bound stays this share below the bar; the
 # bounds and the solved values carry summation rounding of about 1e-12
 _PRUNE_MARGIN = 1e-9
-# _bracket's value bands: geometric, of ratio 1 + _BAND_RATIO, and at most
-# _BANDS of them with the zero band, each wider where |f| ranges further.  The
-# two_weight_2d gate (69, 80 and 90 bands at 1%) solves 44 regions at 64^2,
-# 128^2 and 256^2; capped at 64 bands, 44, 56 and 68.  With v = r**3 or
-# r**-2, whose |f| ranges further, 128 to 512 bands take the same time
+# _bands: geometric, of ratio 1 + _BAND_RATIO, at most _BANDS with the zero band,
+# wider where |f| ranges further.  On the two_weight_2d gate (69, 80 and 90 bands
+# at 1%) _bracket keeps 44 regions at 64^2, 128^2 and 256^2 (44, 56 and 68 at 64
+# bands), and _convex_bracket the 8 symmetric copies of the maximiser.  With
+# v = r**3 or r**-2, whose |f| ranges further, 128 to 512 bands take the same time
 _BAND_RATIO = 0.01
 _BANDS = 128
 
 
-def _bracket(family: RegionFamily, grid: Grid, a, m, Y: YoungFunction, work) -> np.ndarray:
-    """Lower and upper bounds on the norm of values a, masses m, on every region: [2, size, center].
-
-    The positive a fall into geometric bands, the zeros into band 0 of edge
-    0, and every region's band masses (grid.band_masses) are placed at the
-    least value of each band.  That distribution lies below a, and c times
-    it above a, c being the largest ratio of a band's largest value to its
-    least, so as the norm grows with |f| and scales with it, the norm of the
-    distribution, solved by _solve on the region's bands of positive mass
-    alone, and c times that norm bound the region's norm.
-    """
+def _bands(a):
+    """Bands of a (zeros in band 0) and each band's least and largest value, inf and 0 if empty."""
     bands = np.zeros(a.size, dtype=np.intp)
     pos = a > 0
     if pos.any():
@@ -250,7 +245,21 @@ def _bracket(family: RegionFamily, grid: Grid, a, m, Y: YoungFunction, work) -> 
     low, high = np.full(k, np.inf), np.zeros(k)
     np.minimum.at(low, bands, a)
     np.maximum.at(high, bands, a)
-    masses = band_masses(family, grid, bands, k, m).reshape(-1, k)
+    return bands, low, high
+
+
+def _bracket(family: RegionFamily, grid: Grid, bands, m, Y: YoungFunction, work):
+    """Lower and upper bounds on the norm of values a, masses m, on every region: [2, size, center].
+
+    bands is _bands(a).  Each region's band masses (grid.band_masses) sit
+    at each band's least value: that distribution lies below a, and c times
+    it above, c the largest ratio of a band's largest value to its least.
+    The norm grows with |f| and scales with it, so the norm of the band
+    masses, solved by _solve on the bands of positive mass alone, and c
+    times it bound the region's norm.
+    """
+    bands, low, high = bands
+    masses = band_masses(family, grid, bands, low.size, m).reshape(-1, low.size)
     held = masses > 0
     counts, masses = np.count_nonzero(held, axis=1), masses[held]
     if work.shape[1] < masses.size:
@@ -259,6 +268,31 @@ def _bracket(family: RegionFamily, grid: Grid, a, m, Y: YoungFunction, work) -> 
     # a band without nodes reads 0 / inf; the zero band, 0 / 0, is left out
     c = np.fmax.reduce(high[1:] / low[1:], initial=1.0)
     return np.array([lam, c * lam]).reshape(2, len(family.sizes), len(family.centers))
+
+
+def _convex_bracket(family: RegionFamily, grid: Grid, a, bands, m, Y: YoungFunction, work, where):
+    """Lower and upper bounds on the norm of values a, masses m, on the regions of where: [2, kept].
+
+    bands is _bands(a).  grid.band_masses adds each band's mass M and wM,
+    the masses times the place (a - lo) / (hi - lo) of a between the band's
+    least and largest value, 0 where they are equal.  Y is convex, so the
+    atoms (lo + w (hi - lo), M) lie below a in the convex order (Jensen)
+    and (lo, (1 - w) M), (hi, w M) above it (the chord); one _solve takes
+    both norms, which bound the region's to second order in the band ratio.
+    """
+    bands, lo, hi = bands
+    span = (hi - lo)[bands]
+    place = np.divide(a - lo[bands], span, out=np.zeros(a.size), where=span > 0)
+    if m is not None:  # scaled to max 1, so that no product with the place underflows
+        place *= (m := m / m.max())
+    mass, moment = band_masses(family, grid, bands, lo.size, [m, place], where)[:, where]
+    held = mass > 0
+    counts, mass, w = np.count_nonzero(held, axis=1), mass[held], moment[held] / mass[held]
+    lo, hi, w = *(np.broadcast_to(x, held.shape)[held] for x in (lo, hi)), np.clip(w, 0.0, 1.0)
+    atoms = np.concatenate([np.clip(lo + w * (hi - lo), lo, hi), np.column_stack([lo, hi]).ravel()])
+    masses = np.concatenate([mass, np.column_stack([(1.0 - w) * mass, w * mass]).ravel()])
+    work = work if work.shape[1] >= atoms.size else None
+    return _solve(Y, atoms, masses, np.concatenate([counts, 2 * counts]), work).reshape(2, -1)
 
 
 def _shrink(keep, counts, *entries):

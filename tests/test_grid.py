@@ -556,6 +556,23 @@ def test_band_masses_add_each_region_per_band(dim, shape):
                 assert got_counts[s, 7 * c, b] == np.count_nonzero(bands[idx] == b)
 
 
+@pytest.mark.parametrize("limit", [1, 100, 2**14])
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
+def test_band_masses_rows_on_a_mask_are_the_single_row_tables(dim, shape, limit):
+    # a list of rows shares one pass; on a mask its regions read the full tables' bits, the rest 0
+    grid, fam = _mask_family(dim, shape)
+    rng = np.random.default_rng(limit + dim)
+    k = 5
+    bands = rng.integers(0, k, grid.n_nodes)
+    masses = rng.uniform(0.5, 2.0, grid.n_nodes)
+    where = rng.random((len(fam.sizes), len(fam.centers))) < 0.3
+    want = np.array([amalgam.grid.band_masses(fam, grid, bands, k, m) for m in (masses, None)])
+    with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+        got = amalgam.grid.band_masses(fam, grid, bands, k, [masses, None], where)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, where], want[:, where]) and not got[:, ~where].any()
+
+
 def test_one_family_on_several_grids_reads_each_grid_layout():
     # the layout of a family is kept per (family, grid): the same family on
     # 64^2, 128^2 and 256^2, visited in turn, must read each grid's own runs

@@ -228,8 +228,9 @@ def test_bump_check_prune_changes_no_bit(where, pr, limit, data):
 
 def test_bump_gate_solves_few_entries(monkeypatch):
     # the bump gate of the two_weight_2d benchmark on its 128^2 grid: the band
-    # bracket and the exact solve of the 44 regions it cannot rule out read 0.32
-    # Young evaluations per node entry of the family; the full table reads 2.30
+    # bracket, the convex bracket of the 44 regions it keeps, and the exact solve
+    # of the 8 regions that one cannot rule out read 0.133 Young evaluations per
+    # node entry of the family; the full table reads 2.30
     spec = ExperimentSpec("two_weight_strong", dim=2, points=128, kernel_tag="riesz",
                           u_expr="r**0.3", v_expr="r**0.3", center_stride=8, corpus_n=3)
     ctx = harness._Context(spec, 128)
@@ -245,7 +246,7 @@ def test_bump_gate_solves_few_entries(monkeypatch):
     # the Newton passes evaluate Y through _values too
     monkeypatch.setattr(YoungFunction, "_values", counted(YoungFunction._values))
     bump_check(ctx.u, ctx.v, spec.bump, ctx.family)
-    assert sum(evaluations) <= 0.35 * entries
+    assert sum(evaluations) <= 0.15 * entries
 
 
 def test_bump_params_validation(small_grid):

@@ -622,28 +622,68 @@ BRACKET_GRIDS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    young_functions(),
-    st.sampled_from(sorted(BRACKET_GRIDS)),
-    # the weight's range: none, random, or subnormal
-    st.sampled_from([None, (1e-3, 1e3), (1e-310, 2e-308)]),
-    st.integers(0, 250),
-    st.data(),
-)
-def test_luxemburg_band_bracket_holds_the_norm(Y, where, weights, spread, data):
-    # |f| with zeros, over up to 10^500: past 1 + _BAND_RATIO per band at the band cap
-    grid = BRACKET_GRIDS[where]
+@st.composite
+def bracket_cases(draw):
+    """(grid, |f|, weight, masses, family) of the bracket tests.
+
+    |f| with zeros, over up to 10^500: past 1 + _BAND_RATIO per band at the band
+    cap; the weight none, random or subnormal; sizes past the box, and one below
+    the spacing whose regions hold a node or none.
+    """
+    grid = BRACKET_GRIDS[draw(st.sampled_from(sorted(BRACKET_GRIDS)))]
     n = grid.n_nodes
-    vals = data.draw(node_values(n)) * 10.0 ** data.draw(
+    spread = draw(st.integers(0, 250))
+    vals = draw(node_values(n)) * 10.0 ** draw(
         hnp.arrays(np.float64, n, elements=st.integers(-spread, spread)))
+    weights = draw(st.sampled_from([None, (1e-3, 1e3), (1e-310, 2e-308)]))
     w = m = None
     if weights is not None:
-        w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(*weights)))
+        w = draw(hnp.arrays(np.float64, n, elements=st.floats(*weights)))
         m = amalgam.grid.node_masses(grid, w)
-    # sizes past the box, and one below the spacing whose regions hold a node or none
     fam = region_family(grid, sizes=(grid.spacing / 4, 0.3, 1.0, 6.0), center_stride=3)
+    return grid, vals, w, m, fam
+
+
+@settings(max_examples=200, deadline=None)
+@given(young_functions(), bracket_cases())
+def test_luxemburg_band_bracket_holds_the_norm(Y, case):
+    grid, vals, w, m, fam = case
     lam = luxemburg_table(fam, grid, vals, Y, w)
-    work = np.empty((amalgam.orlicz._SOLVE_ROWS, n))
-    lo, hi = amalgam.orlicz._bracket(fam, grid, vals, m, Y, work)
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
+    lo, hi = amalgam.orlicz._bracket(fam, grid, amalgam.orlicz._bands(vals), m, Y, work)
     assert np.all(lo <= lam * (1.0 + 1e-9)) and np.all(lam <= hi * (1.0 + 1e-9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(young_functions(), bracket_cases(), st.data())
+def test_luxemburg_convex_bracket_holds_the_norm(Y, case, data):
+    # the second round's Jensen and chord bounds on a mask of the regions, and the
+    # pruned table: a region it drops never holds the sup
+    grid, vals, w, m, fam = case
+    lam = luxemburg_table(fam, grid, vals, Y, w)
+    keep = data.draw(hnp.arrays(bool, lam.shape))
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
+    bands = amalgam.orlicz._bands(vals)
+    lo, hi = amalgam.orlicz._convex_bracket(fam, grid, vals, bands, m, Y, work, keep)
+    assert lo.shape == hi.shape == (np.count_nonzero(keep),)
+    assert np.all(lo <= lam[keep] * (1.0 + 1e-9)) and np.all(lam[keep] <= hi * (1.0 + 1e-9))
+    factor = data.draw(hnp.arrays(np.float64, lam.shape, elements=st.floats(0.5, 2.0)))
+    full, pruned = factor * lam, luxemburg_table(fam, grid, vals, Y, w, factor=factor)
+    held = pruned > -np.inf
+    assert np.array_equal(pruned[held], full[held]) and np.all(full[~held] < full.max())
+    assert np.argmax(pruned) == np.argmax(full)
+
+
+def test_convex_bracket_holds_the_norm_at_subnormal_masses():
+    # masses of 1.25e-321 times a place of 1e-3 round to 0: unscaled, the chord
+    # would put the node 1 + 1e-5 at its band's least value 1 and undercut the norm
+    grid = BRACKET_GRIDS["1d"]
+    vals = np.zeros(grid.n_nodes)
+    vals[[10, 20, 30]] = 1.0, 1.00001, 1.0099
+    w, Y = np.full(grid.n_nodes, 1e-320), YoungFunction.power(2.0)
+    fam = region_family(grid, sizes=(grid.spacing / 4,), centers=[grid.axis[20]])
+    lam = luxemburg_table(fam, grid, vals, Y, w)
+    work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
+    lo, hi = amalgam.orlicz._convex_bracket(fam, grid, vals, amalgam.orlicz._bands(vals),
+                                            amalgam.grid.node_masses(grid, w), Y, work, np.ones((1, 1), bool))
+    assert lam[0, 0] == 1.00001 and lo[0] <= lam[0, 0] <= hi[0] * (1.0 + 1e-9)
