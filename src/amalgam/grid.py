@@ -13,11 +13,11 @@ which is how the statistics made of window sums and a window minimum (masses,
 L^p sums, level masses, the A_p characteristic) are computed; and batch_table
 evaluates a nonlinear statistic (Luxemburg norm, weak L^p, mean oscillation)
 on node values gathered once per batch of node_batches, many regions at once,
-or on the regions of a mask alone.  band_masses adds rows of node masses per
-band of a node labelling in one pass over the batches, on a mask too.  A
-statistic on one region is a batch_table over a family of one
-(region_statistic), and spread_max puts the largest value of the regions
-holding a node on it.
+or on the regions of a mask alone.  band_masses adds one row of node masses,
+or counts the nodes, per band of a node labelling in one pass over the
+batches, on a mask too.  A statistic on one region is a batch_table over a
+family of one (region_statistic), and spread_max puts the largest value of
+the regions holding a node on it.
 """
 
 from __future__ import annotations
@@ -319,7 +319,9 @@ def _in_start_order(lo, hi):
     """np.add.reduceat edges of the runs [lo, hi) in start order, and each run's place in them."""
     order = np.argsort(lo)
     edges = np.column_stack([lo[order], hi[order]]).ravel()
-    return edges.astype(np.int32), np.argsort(order).astype(np.int32)
+    place = np.empty(order.size, np.int32)
+    place[order] = np.arange(order.size)
+    return edges.astype(np.int32), place
 
 
 def _segments(edges: list, n: int):
@@ -499,22 +501,19 @@ def batch_table(
 def band_masses(family: RegionFamily, grid: Grid, bands, k: int, masses=None, where=None):
     """The mass of each of k node bands in every region of a family, as [size, center, k].
 
-    bands holds each node's band, an integer in [0, k); masses None counts
-    the nodes, and a list of r rows, each masses or None, gives [r, size,
-    center, k].  One node_batches pass over the regions of the [size, center]
-    mask where, or all, makes one np.bincount per row and batch, so each
-    region adds its own nodes, never a difference of prefix sums; a region
-    outside the mask reads 0.
+    bands holds each node's band, an integer in [0, k), and masses each
+    node's mass, or None to count the nodes.  One node_batches pass over the
+    regions of the [size, center] mask where, or all, makes one np.bincount
+    per batch, so each region adds its own nodes, never a difference of
+    prefix sums; a region outside the mask reads 0.
     """
-    rows = masses if isinstance(masses, list) else [masses]
-    out = np.zeros((len(rows), len(family.sizes), len(family.centers), k))
+    out = np.zeros((len(family.sizes), len(family.centers), k))
     for s, first, idx, n in node_batches(family, grid, where):
         key = np.repeat(np.arange(0, n.size * k, k), n)
         key += bands[idx]
-        for table, row in zip(out, rows):
-            table[s, first:first + n.size] = np.bincount(
-                key, None if row is None else row[idx], n.size * k).reshape(n.size, k)
-    return out if isinstance(masses, list) else out[0]
+        out[s, first:first + n.size] = np.bincount(
+            key, None if masses is None else masses[idx], n.size * k).reshape(n.size, k)
+    return out
 
 
 def spread_max(family: RegionFamily, grid: Grid, table: np.ndarray, out: np.ndarray) -> None:

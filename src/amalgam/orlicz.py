@@ -31,16 +31,17 @@ only its broadcast of s, made by np.repeat, is new.
 
 A sup over the family of a factor times the norm (the bump condition)
 needs only the regions that can attain it.  The values fall into geometric
-bands of ratio 1.01, at most 128 of them with a band of zeros, and each
-region's norm is bracketed by that of its band masses placed at the bands'
-least values and c times that, c the largest ratio within a band.  Regions
-whose upper bound reaches the best lower bound less 1e-9 are bracketed
-again from each band's mass and mean (Y is convex), within 1 + 1e-4, and
-only those left are solved.  The margin covers summation rounding, about
-1e-12, so every region that ties with the sup is solved, by the same
-arithmetic as alone, and the sup and its first argmax are the full table's
-bit for bit.  On the bump gate's balls the rounds and the solves read 0.13
-Young evaluations per node entry, where the full table reads 2.3.
+bands of ratio 1.01, at most 128 of them with a band of zeros, whose masses
+are counted once per region.  Each norm is bracketed by that of its band
+masses placed at the bands' least values and c times that, c the largest
+ratio within a band.  Regions whose upper bound reaches the best lower bound
+less 1e-9 are bracketed again from the same band masses and each band's mean
+(Y is convex), within 1 + 1e-4, and only those left are solved.  The margin
+covers summation rounding, about 1e-12, so every region that ties with the
+sup is solved, by the same arithmetic as alone, and the sup and its first
+argmax are the full table's bit for bit.  On the bump gate's balls the
+rounds and the solves read 0.13 Young evaluations per node entry, where the
+full table reads 2.3.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def luxemburg_table(
     norm, bit for bit, on every region where that product can attain its max
     over the family, and -inf on the others and where the product is nan:
     _bracket bounds every region's norm from its band masses, _convex_bracket
-    those it keeps from their band means, and only the regions whose upper
-    bound reaches the best lower bound in both rounds are gathered and solved.
+    those it keeps from the same masses and their means, and only the regions
+    whose upper bound reaches the best lower bound in both rounds are solved.
     """
     a = np.abs(np.asarray(values, dtype=np.float64))
     m = None if weight is None else node_masses(grid, weight)
@@ -203,10 +204,13 @@ def luxemburg_table(
     if factor is None:
         return batch_table(family, grid, arrays, solve)[0]
     bands = _bands(a)
-    low, high = factor * _bracket(family, grid, bands, m, Y, work)
+    # both rounds read m scaled to max 1, which the norm does not see, so no m * place underflows
+    scaled = None if m is None else m / m.max()
+    table = band_masses(family, grid, bands[0], bands[1].size, scaled)
+    low, high = factor * _bracket(table, bands, Y, work)
     bar = np.fmax.reduce(low, axis=None, initial=-np.inf) * (1.0 - _PRUNE_MARGIN)
     keep = ~(high * (1.0 + _PRUNE_MARGIN) < bar)  # a nan bound stays
-    low, high = factor[keep] * _convex_bracket(family, grid, a, bands, m, Y, work, keep)
+    low, high = factor[keep] * _convex_bracket(family, grid, a, bands, scaled, table, Y, work, keep)
     bar = max(bar, np.fmax.reduce(low, initial=-np.inf) * (1.0 - _PRUNE_MARGIN))
     keep[keep] = ~(high * (1.0 + _PRUNE_MARGIN) < bar)
     value = factor * batch_table(family, grid, arrays, solve, where=keep)[0]
@@ -248,50 +252,46 @@ def _bands(a):
     return bands, low, high
 
 
-def _bracket(family: RegionFamily, grid: Grid, bands, m, Y: YoungFunction, work):
-    """Lower and upper bounds on the norm of values a, masses m, on every region: [2, size, center].
+def _bracket(table, bands, Y, work):
+    """Lower and upper bounds on the norm of values a on every region: [2, size, center].
 
-    bands is _bands(a).  Each region's band masses (grid.band_masses) sit
-    at each band's least value: that distribution lies below a, and c times
-    it above, c the largest ratio of a band's largest value to its least.
-    The norm grows with |f| and scales with it, so the norm of the band
-    masses, solved by _solve on the bands of positive mass alone, and c
-    times it bound the region's norm.
+    table is the grid.band_masses table [size, center, k] of the bands of
+    _bands(a).  Each region's band masses sit at each band's least value:
+    that distribution lies below a, and c times it above, c the largest
+    ratio of a band's largest value to its least.  The norm grows with |f|
+    and scales with it, so the norm of the band masses, solved by _solve on
+    the bands of positive mass alone, and c times it bound the region's norm.
     """
-    bands, low, high = bands
-    masses = band_masses(family, grid, bands, low.size, m).reshape(-1, low.size)
-    held = masses > 0
-    counts, masses = np.count_nonzero(held, axis=1), masses[held]
-    if work.shape[1] < masses.size:
-        work = np.empty((_SOLVE_ROWS, masses.size))
-    lam = _solve(Y, np.broadcast_to(low, held.shape)[held], masses, counts, work)
+    _, low, high = bands
+    held = table > 0
+    counts = np.count_nonzero(held, axis=2).ravel()
+    lam = _solve(Y, np.broadcast_to(low, held.shape)[held], table[held], counts, work)
     # a band without nodes reads 0 / inf; the zero band, 0 / 0, is left out
     c = np.fmax.reduce(high[1:] / low[1:], initial=1.0)
-    return np.array([lam, c * lam]).reshape(2, len(family.sizes), len(family.centers))
+    return np.array([lam, c * lam]).reshape(2, *table.shape[:2])
 
 
-def _convex_bracket(family: RegionFamily, grid: Grid, a, bands, m, Y: YoungFunction, work, where):
+def _convex_bracket(family: RegionFamily, grid: Grid, a, bands, m, table, Y, work, where):
     """Lower and upper bounds on the norm of values a, masses m, on the regions of where: [2, kept].
 
-    bands is _bands(a).  grid.band_masses adds each band's mass M and wM,
-    the masses times the place (a - lo) / (hi - lo) of a between the band's
-    least and largest value, 0 where they are equal.  Y is convex, so the
-    atoms (lo + w (hi - lo), M) lie below a in the convex order (Jensen)
-    and (lo, (1 - w) M), (hi, w M) above it (the chord); one _solve takes
-    both norms, which bound the region's to second order in the band ratio.
+    bands is _bands(a), and table[where] _bracket's band masses M of m.  One
+    grid.band_masses pass adds wM, m times the place (a - lo) / (hi - lo) of
+    a in its band, 0 where lo = hi.  Y is convex, so the atoms
+    (lo + w (hi - lo), M) lie below a in the convex order (Jensen) and
+    (lo, (1 - w) M), (hi, w M) above it (the chord); one _solve takes both
+    norms, which bound the region's to second order in the band ratio.
     """
     bands, lo, hi = bands
     span = (hi - lo)[bands]
     place = np.divide(a - lo[bands], span, out=np.zeros(a.size), where=span > 0)
-    if m is not None:  # scaled to max 1, so that no product with the place underflows
-        place *= (m := m / m.max())
-    mass, moment = band_masses(family, grid, bands, lo.size, [m, place], where)[:, where]
+    if m is not None:
+        place *= m
+    mass, moment = table[where], band_masses(family, grid, bands, lo.size, place, where)[where]
     held = mass > 0
     counts, mass, w = np.count_nonzero(held, axis=1), mass[held], moment[held] / mass[held]
     lo, hi, w = *(np.broadcast_to(x, held.shape)[held] for x in (lo, hi)), np.clip(w, 0.0, 1.0)
     atoms = np.concatenate([np.clip(lo + w * (hi - lo), lo, hi), np.column_stack([lo, hi]).ravel()])
     masses = np.concatenate([mass, np.column_stack([(1.0 - w) * mass, w * mass]).ravel()])
-    work = work if work.shape[1] >= atoms.size else None
     return _solve(Y, atoms, masses, np.concatenate([counts, 2 * counts]), work).reshape(2, -1)
 
 
@@ -314,15 +314,15 @@ def _solve(Y: YoungFunction, a, m, counts, work=None) -> np.ndarray:
 
     m None means equal masses: every product with m is skipped, and a
     segment's total mass is its node count.  Every full-length intermediate
-    goes into the _SOLVE_ROWS rows of work, at least a.size wide, or of a new
-    array when work is not given.
+    goes into the _SOLVE_ROWS rows of work, or of a new array when work is
+    not given or is narrower than a.
     """
     lam = np.zeros(counts.size)
     # entries without mass drop out, and so do segments without any
     if m is not None and not (pos := m > 0).all():
         counts = np.diff(np.concatenate(([0], np.cumsum(pos)))[np.cumsum(counts)], prepend=0)
         a, m = a[pos], m[pos]
-    if work is None:
+    if work is None or work.shape[1] < a.size:
         work = np.empty((_SOLVE_ROWS, a.size))
     ids = np.flatnonzero(counts)
     counts = counts[ids]

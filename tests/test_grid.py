@@ -559,18 +559,34 @@ def test_band_masses_add_each_region_per_band(dim, shape):
 @pytest.mark.parametrize("limit", [1, 100, 2**14])
 @pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "ball"), (2, "cube")])
 def test_band_masses_rows_on_a_mask_are_the_single_row_tables(dim, shape, limit):
-    # a list of rows shares one pass; on a mask its regions read the full tables' bits, the rest 0
+    # one mass row, or the counts, on a mask: the masked regions' rows read the
+    # unmasked table's bits, and the other rows 0
     grid, fam = _mask_family(dim, shape)
     rng = np.random.default_rng(limit + dim)
     k = 5
     bands = rng.integers(0, k, grid.n_nodes)
     masses = rng.uniform(0.5, 2.0, grid.n_nodes)
     where = rng.random((len(fam.sizes), len(fam.centers))) < 0.3
-    want = np.array([amalgam.grid.band_masses(fam, grid, bands, k, m) for m in (masses, None)])
-    with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
-        got = amalgam.grid.band_masses(fam, grid, bands, k, [masses, None], where)
-    assert got.shape == want.shape
-    assert np.array_equal(got[:, where], want[:, where]) and not got[:, ~where].any()
+    for m in (masses, None):
+        want = amalgam.grid.band_masses(fam, grid, bands, k, m)
+        with mock.patch.object(amalgam.grid, "_BATCH_NODES", limit):
+            got = amalgam.grid.band_masses(fam, grid, bands, k, m, where)
+        assert got.shape == want.shape
+        assert np.array_equal(got[where], want[where]) and not got[~where].any()
+
+
+def test_start_order_place_inverts_the_sort():
+    # 400 runs share twelve starts, their stops all distinct: place is order's inverse
+    # permutation, and each run reads its own edges back through it
+    rng = np.random.default_rng(5)
+    lo = rng.integers(0, 12, 400).astype(np.int32)
+    hi = lo + 1 + rng.permutation(400).astype(np.int32)
+    order = np.argsort(lo)
+    edges, place = amalgam.grid._in_start_order(lo, hi)
+    assert edges.dtype == place.dtype == np.int32
+    assert np.array_equal(edges.reshape(-1, 2), np.column_stack([lo, hi])[order])
+    assert np.array_equal(place[order], np.arange(400)) and np.array_equal(order[place], np.arange(400))
+    assert np.array_equal(edges[2 * place], lo) and np.array_equal(edges[2 * place + 1], hi)
 
 
 def test_one_family_on_several_grids_reads_each_grid_layout():

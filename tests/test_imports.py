@@ -28,6 +28,11 @@ Each Young formula is stated once, in ``YoungFunction._values``:
 ``_with_slope`` names no ``_power``, ``_lift`` or ``expm1`` and calls
 ``self._values``, so a Newton pass reads Y from the contract's code.
 
+The bump gate counts each region's band masses once, for both bracket rounds:
+``orlicz._bracket`` names no ``band_masses`` (it reads the table that
+``luxemburg_table`` makes), and no call in the package passes ``band_masses``
+a list, so each call adds one row of masses.
+
 Only spaces.py aggregates over centers and sizes: no other module names
 ``outer_norm`` or ``outer_weights``.
 
@@ -761,6 +766,45 @@ def test_segment_reduce_per_entry_is_caught():
         "    return [np.minimum.reduceat(padded, cuts) for _ in arrays], reduce.reduceat(runs, bounds)\n"
     )
     assert _segment_reduces(tree) == [(3, True), (5, True)]
+
+
+def _is_band_masses(call) -> bool:
+    return "band_masses" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+
+def _band_recounts(trees: dict):
+    """(module, line, what): each band_masses that orlicz._bracket names, and each
+    band_masses call that passes a list."""
+    found = [("orlicz.py", line, "_bracket") for fn in trees["orlicz.py"].body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "_bracket"
+             for line, _ in _refs(fn, ("band_masses",))]
+    for module, tree in trees.items():
+        found += [(module, line, "list") for line, _, _ in _calls(tree, lambda call: _is_band_masses(
+            call) and any(isinstance(arg, (ast.List, ast.ListComp))
+                          for arg in [*call.args, *(k.value for k in call.keywords)]))]
+    return sorted(found)
+
+
+def test_band_masses_are_counted_once_in_one_row():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    found = _band_recounts(trees)
+    assert not found, ", ".join(f"{module}:{line} {what}" for module, line, what in found)
+
+
+def test_band_recount_is_caught():
+    # _bracket and _convex_bracket as they stood when each round counted its own masses
+    tree = ast.parse(
+        "def _bracket(family, grid, bands, m, Y, work):\n"
+        "    masses = band_masses(family, grid, bands, k, m).reshape(-1, k)\n"
+        "def _convex_bracket(family, grid, a, bands, m, Y, work, where):\n"
+        "    mass, moment = grid.band_masses(family, grid, bands, k, [m, place], where)\n"
+        "    return band_masses(family, grid, bands, k, masses=[r for r in (m, None)])\n"
+    )
+    assert _band_recounts({"orlicz.py": tree}) == [
+        ("orlicz.py", 2, "_bracket"), ("orlicz.py", 4, "list"), ("orlicz.py", 5, "list")]
+    orlicz_py = ast.parse((PACKAGE / "orlicz.py").read_text())
+    assert {scope for _, scope, _ in _calls(orlicz_py, _is_band_masses)} == {
+        "luxemburg_table", "_convex_bracket"}
 
 
 _UNUSED_SUBMODULES = ("numpy.polynomial", "numpy.ma")

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -644,13 +645,22 @@ def bracket_cases(draw):
     return grid, vals, w, m, fam
 
 
+def _band_table(fam, grid, vals, m):
+    """The bands of vals, the masses m scaled to max 1 as luxemburg_table's factor
+    path scales them (None without a weight), and their band_masses table."""
+    bands = amalgam.orlicz._bands(vals)
+    scaled = None if m is None else m / m.max()
+    return bands, scaled, amalgam.grid.band_masses(fam, grid, bands[0], bands[1].size, scaled)
+
+
 @settings(max_examples=200, deadline=None)
 @given(young_functions(), bracket_cases())
 def test_luxemburg_band_bracket_holds_the_norm(Y, case):
     grid, vals, w, m, fam = case
     lam = luxemburg_table(fam, grid, vals, Y, w)
     work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
-    lo, hi = amalgam.orlicz._bracket(fam, grid, amalgam.orlicz._bands(vals), m, Y, work)
+    bands, _, table = _band_table(fam, grid, vals, m)
+    lo, hi = amalgam.orlicz._bracket(table, bands, Y, work)
     assert np.all(lo <= lam * (1.0 + 1e-9)) and np.all(lam <= hi * (1.0 + 1e-9))
 
 
@@ -663,8 +673,8 @@ def test_luxemburg_convex_bracket_holds_the_norm(Y, case, data):
     lam = luxemburg_table(fam, grid, vals, Y, w)
     keep = data.draw(hnp.arrays(bool, lam.shape))
     work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
-    bands = amalgam.orlicz._bands(vals)
-    lo, hi = amalgam.orlicz._convex_bracket(fam, grid, vals, bands, m, Y, work, keep)
+    bands, scaled, table = _band_table(fam, grid, vals, m)
+    lo, hi = amalgam.orlicz._convex_bracket(fam, grid, vals, bands, scaled, table, Y, work, keep)
     assert lo.shape == hi.shape == (np.count_nonzero(keep),)
     assert np.all(lo <= lam[keep] * (1.0 + 1e-9)) and np.all(lam[keep] <= hi * (1.0 + 1e-9))
     factor = data.draw(hnp.arrays(np.float64, lam.shape, elements=st.floats(0.5, 2.0)))
@@ -676,14 +686,49 @@ def test_luxemburg_convex_bracket_holds_the_norm(Y, case, data):
 
 def test_convex_bracket_holds_the_norm_at_subnormal_masses():
     # masses of 1.25e-321 times a place of 1e-3 round to 0: unscaled, the chord
-    # would put the node 1 + 1e-5 at its band's least value 1 and undercut the norm
+    # would put the node 1 + 1e-5 at its band's least value 1 and undercut the norm;
+    # the bounds are those of the factor path, which scales the masses
     grid = BRACKET_GRIDS["1d"]
     vals = np.zeros(grid.n_nodes)
     vals[[10, 20, 30]] = 1.0, 1.00001, 1.0099
     w, Y = np.full(grid.n_nodes, 1e-320), YoungFunction.power(2.0)
     fam = region_family(grid, sizes=(grid.spacing / 4,), centers=[grid.axis[20]])
     lam = luxemburg_table(fam, grid, vals, Y, w)
-    work = np.empty((amalgam.orlicz._SOLVE_ROWS, grid.n_nodes))
-    lo, hi = amalgam.orlicz._convex_bracket(fam, grid, vals, amalgam.orlicz._bands(vals),
-                                            amalgam.grid.node_masses(grid, w), Y, work, np.ones((1, 1), bool))
+    convex, bounds = amalgam.orlicz._convex_bracket, []
+    with mock.patch.object(amalgam.orlicz, "_convex_bracket",
+                           lambda *args: bounds.append(convex(*args)) or bounds[-1]):
+        luxemburg_table(fam, grid, vals, Y, w, factor=np.ones((1, 1)))
+    [(lo, hi)] = bounds
     assert lam[0, 0] == 1.00001 and lo[0] <= lam[0, 0] <= hi[0] * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_bump_rounds_count_band_masses_once(weighted):
+    # one band_masses pass over every region serves both rounds; the second round
+    # adds one row, the band places, over the regions the first keeps
+    grid = Grid(dim=2, half_width=2.0, points_per_axis=32)
+    fam = region_family(grid, sizes=(0.25, 0.5, 1.0), shape="ball", center_stride=3)
+    vals = sample("r**-0.15", grid).values
+    w = sample("r**0.3 + 0.5", grid).values if weighted else None
+    calls, band_masses = [], amalgam.orlicz.band_masses
+
+    def counted(*args, **kwargs):
+        bound = inspect.signature(band_masses).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return band_masses(*args, **kwargs)
+
+    with mock.patch.object(amalgam.orlicz, "band_masses", counted):
+        got = luxemburg_table(fam, grid, vals, YoungFunction.llogl(2.0), w,
+                              factor=np.ones((len(fam.sizes), len(fam.centers))))
+    first, second = calls
+    assert first["where"] is None
+    if weighted:
+        want = amalgam.grid.node_masses(grid, w)
+        assert np.array_equal(first["masses"], want / want.max()) and first["masses"].max() == 1.0
+    else:
+        assert first["masses"] is None
+    where = second["where"]
+    assert where.dtype == bool and where.shape == got.shape and 0 < np.count_nonzero(where) < where.size
+    assert isinstance(second["masses"], np.ndarray) and second["masses"].shape == (grid.n_nodes,)
+    assert np.all(where[got > -np.inf])
